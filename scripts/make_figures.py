@@ -32,14 +32,11 @@ def main() -> int:
     thetas = np.radians(thetas_deg)
     fig8 = ResultTable(
         ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-        tuple(
-            (float(t), float(a), float(b))
-            for t, a, b in zip(
-                thetas_deg,
-                mc.pair_error_curve(40.0, 0.0, thetas),
-                mc.pair_error_curve(40.0, 40.0, thetas),
-            )
-        ),
+        np.column_stack((
+            thetas_deg,
+            mc.pair_error_curve(40.0, 0.0, thetas),
+            mc.pair_error_curve(40.0, 40.0, thetas),
+        )),
         note="pair radial error vs azimuth separation",
     )
     print(_write_table(fig8, outdir, "fig8_data", args.format))

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -301,15 +301,34 @@ def write_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
+# Rows per ``%`` application when writing an array table: bounds the
+# temporary tuple of Python floats to about 200k cells at three columns.
+_CSV_CHUNK_ROWS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ResultTable:
-    """Serialized table: named+united columns, uniform rows, one-line note."""
+    """Serialized table: named+united columns, uniform rows, one-line note.
+
+    ``rows`` is either a tuple of row tuples, whose cells may be of any
+    type, or a 2-D float ``np.ndarray`` of shape ``(n_rows, len(columns))``.
+    CSV writes array cells with ``%.6g``, which gives the same text as the
+    ``format(v, '.6g')`` used for float cells of tuple rows.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...] | np.ndarray
     note: str = ""
 
     def __post_init__(self):
+        if isinstance(self.rows, np.ndarray):
+            if (self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns)
+                    or self.rows.dtype.kind != "f"):
+                raise ValueError(
+                    f"array rows must be 2-D floats with {len(self.columns)} columns,"
+                    f" got {self.rows.dtype} of shape {self.rows.shape}"
+                )
+            return
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise ValueError("row width differs from column count")
@@ -319,15 +338,22 @@ class ResultTable:
         return cls(report.columns, report.rows, note)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return ",".join(self.columns) + "\n" + _csv_body(self.rows)
 
     def to_json(self) -> str:
-        payload = {"note": self.note, "columns": list(self.columns),
-                   "rows": [list(r) for r in self.rows]}
+        rows = (self.rows.tolist() if isinstance(self.rows, np.ndarray)
+                else [list(r) for r in self.rows])
+        payload = {"note": self.note, "columns": list(self.columns), "rows": rows}
         return json.dumps(payload, indent=2, default=_json_cell) + "\n"
+
+
+def _csv_body(rows: tuple[tuple, ...] | np.ndarray) -> str:
+    """CSV lines of ``rows``, each ended by LF, without the header."""
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%.6g"] * rows.shape[1]) + "\n"
+        chunks = (rows[i:i + _CSV_CHUNK_ROWS] for i in range(0, len(rows), _CSV_CHUNK_ROWS))
+        return "".join((template * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
+    return "".join(",".join(_csv_cell(v) for v in row) + "\n" for row in rows)
 
 
 def _csv_cell(v) -> str:
@@ -354,8 +380,7 @@ def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
 
 def _print_table(table: ResultTable, limit: int = 40) -> None:
     print(",".join(table.columns))
-    for row in table.rows[:limit]:
-        print(",".join(_csv_cell(v) for v in row))
+    print(_csv_body(table.rows[:limit]), end="")
     if len(table.rows) > limit:
         print(f"... ({len(table.rows)} rows total)")
 
@@ -512,15 +537,7 @@ def cmd_bounds(args) -> int:
 def cmd_caf(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = Scenario(
-            receiver_position=scenario.receiver_position,
-            receiver_velocity=scenario.receiver_velocity,
-            signal=scenario.signal,
-            satellites=scenario.satellites,
-            grids=scenario.grids,
-            noise_sigma=scenario.noise_sigma,
-            seed=args.seed,
-        )
+        scenario = replace(scenario, seed=args.seed)
     written = []
     for space in _spaces(args.space):
         spec = scenario.grid_for(space)
@@ -531,13 +548,11 @@ def cmd_caf(args) -> int:
             total += g.values
         axis = spec.axis()
         unit = "m" if space is Space.POSITION else "m/s"
-        rows = []
-        for i in range(spec.n):
-            for j in range(spec.n):
-                rows.append((float(axis[j]), float(axis[i]), float(total[i, j])))
+        # row-major: north is the outer index, east the inner one
+        east, north = np.meshgrid(axis, axis)
         table = ResultTable(
             (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
-            tuple(rows),
+            np.column_stack((east.ravel(), north.ravel(), total.ravel())),
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))
@@ -652,14 +667,11 @@ def cmd_report(args) -> int:
     thetas = np.radians(thetas_deg)
     fig8 = ResultTable(
         ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-        tuple(
-            (float(t), float(a), float(b))
-            for t, a, b in zip(
-                thetas_deg,
-                mc.pair_error_curve(40.0, 0.0, thetas),
-                mc.pair_error_curve(40.0, 40.0, thetas),
-            )
-        ),
+        np.column_stack((
+            thetas_deg,
+            mc.pair_error_curve(40.0, 0.0, thetas),
+            mc.pair_error_curve(40.0, 40.0, thetas),
+        )),
         note="pair radial error vs azimuth separation",
     )
     _write_table(fig8, outdir, "fig8_data", fmt)

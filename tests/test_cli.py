@@ -1,9 +1,14 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
 import json
+import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dpe_multipath import cli
+from dpe_multipath.caf import Scenario, Space, scenario_caf
 from dpe_multipath.cli import (
     EXIT_COMPUTE,
     EXIT_GEOMETRY,
@@ -127,6 +132,15 @@ class TestScenarioIO:
         with pytest.raises(ScenarioSchemaError):
             load_scenario(p)
 
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert block is not None
+        p = tmp_path / "readme.scenario"
+        p.write_text(block.group(1))
+        s = load_scenario(p)
+        assert s.satellites
+
     def test_position_only_satellite_gets_angles_derived(self, tmp_path):
         base = load_scenario("table6.scenario")
 
@@ -169,6 +183,58 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(("a", "b"), ((1,),))
 
+    def test_array_rows_must_be_2d(self):
+        with pytest.raises(ValueError):
+            ResultTable(("a",), np.zeros(3))
+        with pytest.raises(ValueError):
+            ResultTable(("a",), np.zeros((2, 1, 1)))
+
+    def test_array_width_checked(self):
+        with pytest.raises(ValueError):
+            ResultTable(("a", "b"), np.zeros((2, 3)))
+
+    def test_array_rows_must_be_float(self):
+        # integer cells would print as %.6g floats, not as str(int)
+        with pytest.raises(ValueError):
+            ResultTable(("a",), np.arange(3).reshape(3, 1))
+
+
+# Doubles where %.6g could plausibly part from format(v, ".6g"): signed
+# zero, non-finite values, subnormal and normal extremes, integer-valued
+# floats and ties at the sixth significant digit.
+EDGE_FLOATS = (
+    0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
+    sys.float_info.min, sys.float_info.max, 1234567.0, -1234567.0, 123456.0, 1e16,
+    0.0001234565, 9.999995, 0.5, 1e-5, 1e-4, 999999.5, 2.5e-7,
+)
+
+
+def _random_doubles(n: int, seed: int = 20250718) -> np.ndarray:
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+class TestArrayTable:
+    """Array-backed tables write the same bytes as the same rows as Python floats."""
+
+    @pytest.mark.parametrize("values", [
+        np.array(EDGE_FLOATS), _random_doubles(20000),
+    ], ids=["edge", "random-bits"])
+    def test_template_matches_csv_cell(self, values):
+        arr = ResultTable(("v",), values.reshape(-1, 1))
+        expected = "v\n" + "".join(cli._csv_cell(float(v)) + "\n" for v in values)
+        assert arr.to_csv() == expected
+
+    @pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_CHUNK_ROWS + cli._CSV_CHUNK_ROWS // 2 + 1])
+    def test_same_bytes_as_tuple_rows(self, n_rows):
+        values = _random_doubles(3 * n_rows, seed=n_rows).reshape(n_rows, 3)
+        columns = ("a[m]", "b", "c[1]")
+        arr = ResultTable(columns, values, note="n")
+        tup = ResultTable(columns, tuple(map(tuple, values.tolist())), note="n")
+        assert len(arr.rows) == n_rows
+        assert arr.to_csv() == tup.to_csv()
+        assert arr.to_json() == tup.to_json()
+
 
 class TestCommands:
     def test_project_writes_expected_values(self, tmp_path, capsys):
@@ -204,6 +270,47 @@ class TestCommands:
         assert "argmax offset (43, 19) m" in capsys.readouterr().out
         header = (tmp_path / "caf_position.csv").read_text().splitlines()[0]
         assert header == "offset_e[m],offset_n[m],caf[1]"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_caf_velocity_matches_per_cell_loop(self, tmp_path, fmt):
+        def small_noisy(raw):
+            raw["grid"] = [{"space": "velocity", "half_extent": 3.0, "step": 0.2}]
+            raw["noise_sigma"] = 0.05
+            raw["seed"] = 0
+
+        p = dump_variant(tmp_path, "case3", small_noisy)
+        assert main(["caf", "--scenario", str(p), "--space", "velocity", "--seed", "7",
+                     "--format", fmt, "--out", str(tmp_path)]) == EXIT_OK
+
+        # the writer as it was: field-by-field seed override, one tuple per cell
+        s = load_scenario(p)
+        s = Scenario(
+            receiver_position=s.receiver_position,
+            receiver_velocity=s.receiver_velocity,
+            signal=s.signal,
+            satellites=s.satellites,
+            grids=s.grids,
+            noise_sigma=s.noise_sigma,
+            seed=7,
+        )
+        spec = s.grid_for(Space.VELOCITY)
+        grids = scenario_caf(s, Space.VELOCITY)
+        total = grids[0].values.copy()
+        for g in grids[1:]:
+            total += g.values
+        axis = spec.axis()
+        rows = []
+        for i in range(spec.n):
+            for j in range(spec.n):
+                rows.append((float(axis[j]), float(axis[i]), float(total[i, j])))
+        table = ResultTable(
+            ("offset_e[m/s]", "offset_n[m/s]", "caf[1]"),
+            tuple(rows),
+            note="superposed velocity-space correlation grid",
+        )
+        expected = table.to_csv() if fmt == "csv" else table.to_json()
+        assert spec.n == 31
+        assert (tmp_path / f"caf_velocity.{fmt}").read_text() == expected
 
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

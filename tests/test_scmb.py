@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath.caf import RIDGE_OFFSET_SIGN, Space
@@ -275,19 +275,20 @@ class TestCriticalPoints:
             critical_points(0.0, 0.0)
 
     @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0))
+    @example(ri=2.0, rj=2.00001)
     @settings(max_examples=100, deadline=None)
     def test_minimum_verified_by_sweep(self, ri, rj):
+        # ri^2 + rj^2 - 2 ri rj cos t, written without the cancellation that
+        # costs ~1e-12 relative at small separations of near-equal radii
+        def radial_error(t):
+            return math.sqrt((ri - rj) ** 2 + 4 * ri * rj * math.sin(t / 2) ** 2) / math.sin(t)
+
         cp = critical_points(ri, rj)
         seps = [x / 1000.0 * math.pi for x in range(1, 1000)]
-        sweep = min(
-            math.sqrt(ri * ri + rj * rj - 2 * ri * rj * math.cos(t)) / math.sin(t)
-            for t in seps
-        )
+        sweep = min(radial_error(t) for t in seps)
         assert sweep >= cp.dr_min - 1e-6
         if cp.attained:
-            at = cp.delta_theta
-            val = math.sqrt(ri * ri + rj * rj - 2 * ri * rj * math.cos(at)) / math.sin(at)
-            assert val == pytest.approx(cp.dr_min, rel=1e-12)
+            assert radial_error(cp.delta_theta) == pytest.approx(cp.dr_min, rel=1e-12)
 
 
 class TestCaseBounds:
