@@ -112,7 +112,9 @@ class TestCenterLine:
 
 class TestPairBias:
     def closed_form(self, ri, rj, dth):
-        return math.sqrt(ri * ri + rj * rj - 2.0 * ri * rj * math.cos(dth)) / math.sin(dth)
+        # ri^2 + rj^2 - 2 ri rj cos(dth), written without the cancellation that
+        # drives it below zero for tiny near-equal radii
+        return math.sqrt((ri - rj) ** 2 + 4.0 * ri * rj * math.sin(dth / 2.0) ** 2) / math.sin(dth)
 
     @given(
         st.floats(0.0, 100.0),
@@ -120,6 +122,7 @@ class TestPairBias:
         st.floats(0.0, 360.0),
         st.floats(5.0, 175.0),
     )
+    @example(ri=1.1437173035039815e-162, rj=1.1437173035039815e-162, base_az=0.0, sep_deg=5.0)
     @settings(max_examples=200, deadline=None)
     def test_matches_closed_form(self, ri, rj, base_az, sep_deg):
         ti = math.radians(base_az)
