@@ -8,6 +8,7 @@ significant digits, JSON keeps full float precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -158,15 +159,37 @@ def load_scenario(path: str | Path, nominal_range: float = 2.2e7) -> Scenario:
     """
     text = _read_scenario_text(path)
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
+        raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
+    except ValueError as e:  # json.JSONDecodeError or a non-finite number
         raise ScenarioParseError(f"invalid JSON in {path}: {e}") from e
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = ".".join(str(k) for k in e.absolute_path) or "(root)"
-        raise ScenarioSchemaError(f"{where}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(raw))
+    if error is not None:
+        where = ".".join(str(k) for k in error.absolute_path) or "(root)"
+        raise ScenarioSchemaError(f"{where}: {error.message}") from error
     return _scenario_from_dict(raw, nominal_range)
+
+
+def _reject_non_finite(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a double")
+    return value
+
+
+@functools.cache
+def _scenario_validator():
+    """The schema validator, checked and built once per process.
+
+    Same validator class and error choice as ``jsonschema.validate``,
+    which re-checks the schema itself on every call.
+    """
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
 
 
 def _scenario_from_dict(raw: dict, nominal_range: float) -> Scenario:

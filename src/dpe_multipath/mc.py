@@ -27,6 +27,8 @@ from .caf import (
     SignalPath,
     Space,
     SPEED_OF_LIGHT,
+    _correlate,
+    _mismatch_coef,
     channel_caf,
     make_channel,
     scenario_caf,
@@ -429,8 +431,7 @@ def _ridge_line_fit(grid: Grid2D) -> tuple[float, float, float]:
     fits = []
     for per_column in (True, False):
         if per_column:
-            idx = v.argmax(axis=0)
-            peaks = v[idx, np.arange(n)]
+            idx, peaks = _column_argmax(v)
         else:
             idx = v.argmax(axis=1)
             peaks = v[np.arange(n), idx]
@@ -450,6 +451,16 @@ def _ridge_line_fit(grid: Grid2D) -> tuple[float, float, float]:
     if not fits:
         raise ValueError("no usable ridge scanlines in grid")
     return min(fits)[1]
+
+
+def _column_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v.argmax(axis=0)`` and the column maxima, for ``v`` without NaN.
+
+    Compares against the maxima instead of calling ``argmax(axis=0)``,
+    which copies ``v`` transposed; the first maximal row still wins.
+    """
+    peaks = v.max(axis=0)
+    return (v == peaks).argmax(axis=0), peaks
 
 
 def _intersect_implicit(p: tuple[float, float, float], q: tuple[float, float, float]):
@@ -570,20 +581,20 @@ def run_case_study(
 
 
 def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
-    """Summed multi-channel correlation value at one exact offset point."""
+    """Summed multi-channel correlation value at one exact offset point.
+
+    Evaluates the same correlation kernel as :func:`channel_caf`, adding the
+    paths one by one in channel order.
+    """
     total = 0.0
     for ch in scenario.satellites:
         a = ch.angles
-        rate = scenario.signal.code_rate if space is Space.POSITION else scenario.signal.carrier
-        coef = rate / SPEED_OF_LIGHT * math.cos(a.elevation)
         along = math.sin(a.azimuth) * e + math.cos(a.azimuth) * n
-        for path in ch.paths:
-            mismatch = coef * along + path.bias(space)
-            if space is Space.POSITION:
-                total += path.amplitude * max(0.0, 1.0 - abs(mismatch))
-            else:
-                x = mismatch * scenario.signal.coherent_integration
-                total += path.amplitude * float(np.sinc(x))
+        coef = _mismatch_coef(ch, scenario.signal, space)
+        corr = np.array([coef * along + path.bias(space) for path in ch.paths])
+        _correlate(corr, space, scenario.signal.coherent_integration)
+        for path, c in zip(ch.paths, corr.tolist()):
+            total += path.amplitude * c
     return total
 
 

@@ -1,13 +1,17 @@
 """Correlation model, mismatch linearization, and grid argmax."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpe_multipath import caf
 from dpe_multipath.caf import (
     DEFAULT_GRIDS,
+    RIDGE_OFFSET_SIGN,
+    SPEED_OF_LIGHT,
     GeometryMismatchError,
     GridSpec,
     Grid2D,
@@ -294,3 +298,127 @@ class TestSignalConfig:
             SignalConfig(carrier=1e6)  # below the code rate
         with pytest.raises(ValueError):
             SignalConfig(coherent_integration=0.0)
+
+
+def seed_caf(grid, channel, scenario):
+    """The whole-grid formula the block kernel must reproduce bit for bit."""
+    axis = grid.axis()
+    east = axis[np.newaxis, :]
+    north = axis[:, np.newaxis]
+    a = channel.angles
+    rate = scenario.signal.code_rate if grid.space is Space.POSITION else scenario.signal.carrier
+    coef = -RIDGE_OFFSET_SIGN * rate / SPEED_OF_LIGHT * math.cos(a.elevation)
+    base = coef * (math.sin(a.azimuth) * east + math.cos(a.azimuth) * north)
+    values = np.zeros((grid.n, grid.n))
+    for path in channel.paths:
+        m = base + path.bias(grid.space)
+        if grid.space is Space.POSITION:
+            values += path.amplitude * np.maximum(0.0, 1.0 - np.abs(m))
+        else:
+            values += path.amplitude * np.sinc(m * scenario.signal.coherent_integration)
+    if scenario.noise_sigma > 0.0:
+        key = 0 if grid.space is Space.POSITION else 1
+        rng = np.random.default_rng([scenario.seed, channel.prn, key])
+        values += scenario.noise_sigma * rng.standard_normal((grid.n, grid.n))
+    return values
+
+
+def multipath_scenario(noise_sigma=0.0):
+    """Reference geometry with up to three paths per channel."""
+    nlos = PathKind.NLOS
+    return Scenario(
+        receiver_position=REFERENCE_RECEIVER,
+        satellites=(
+            reference_channel(10, [SignalPath(PathKind.LOS),
+                                   SignalPath(nlos, 0.6, 0.8, 35.0),
+                                   SignalPath(nlos, 0.3, -1.7, -120.0)]),
+            reference_channel(18, [SignalPath(nlos, 1.0, 1.0, 120.0)]),
+            reference_channel(23, [SignalPath(PathKind.LOS), SignalPath(nlos, 0.5, 0.25, 10.0)]),
+        ),
+        noise_sigma=noise_sigma,
+        seed=11,
+    )
+
+
+def odd_grid(space, n):
+    step = 1.0 if space is Space.POSITION else 0.1
+    return GridSpec(space, (n // 2) * step, step)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", [21, 127, 129, 257])
+    @pytest.mark.parametrize("space", list(Space))
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_bytes_match_whole_grid_formula(self, n, space, noise):
+        s = multipath_scenario(noise)
+        grid = odd_grid(space, n)
+        assert grid.n == n
+        for ch in s.satellites:
+            got = channel_caf(grid, ch, s).values
+            assert got.tobytes() == seed_caf(grid, ch, s).tobytes()
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_default_grid_matches_whole_grid_formula(self, space):
+        s = make_reference_scenario("case3")
+        grid = s.grid_for(space)
+        for ch in s.satellites[:2]:
+            assert channel_caf(grid, ch, s).values.tobytes() == seed_caf(grid, ch, s).tobytes()
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_bytes_independent_of_worker_count(self, space, monkeypatch):
+        s = multipath_scenario(0.1)
+        grid = odd_grid(space, 4 * caf._BLOCK_ROWS + 1)  # five blocks, the last one row
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 3, 7):  # 7: more threads than blocks and than CPUs
+                monkeypatch.setattr(caf, "_worker_count", lambda n_blocks, k=workers: k)
+                out[workers] = [channel_caf(grid, ch, s).values.tobytes() for ch in s.satellites]
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[2] == out[1] and out[3] == out[1] and out[7] == out[1]
+
+    def test_worker_count_bounds(self):
+        assert caf._worker_count(1) == 1
+        assert 1 <= caf._worker_count(1000) <= 1000
+
+    def test_worker_exception_reaches_caller(self):
+        done = []
+
+        def fill(share):
+            if share == 1:
+                raise MemoryError("share 1")
+            done.append(share)
+
+        with pytest.raises(MemoryError, match="share 1"):
+            caf._run_shares(3, fill)
+        assert sorted(done) == [0, 2]
+
+
+class TestCorrelatorBits:
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             50.0, -50.0, 100.0, -150.0, 25.0, 1e6, -1e6, 1e300, -1e300]
+
+    def test_doppler_is_np_sinc(self):
+        t = 0.020
+        rng = np.random.default_rng(20250718)
+        f = np.concatenate([self.EDGES, rng.standard_normal(20000) * 300.0])
+        assert corr_doppler(f, t).tobytes() == np.sinc(f * t).tobytes()
+        for x in self.EDGES:
+            got = corr_doppler(x, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.sinc(np.float64(x) * t).tobytes()
+
+    def test_code_is_triangle_formula(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([self.EDGES, rng.standard_normal(20000) * 2.0])
+        assert corr_code(x).tobytes() == np.maximum(0.0, 1.0 - np.abs(x)).tobytes()
+        assert type(corr_code(0.25)) is float
+
+    def test_wrappers_do_not_write_their_input(self):
+        x = np.array([0.0, 10.0, -0.5])
+        before = x.copy()
+        corr_doppler(x, 0.02)
+        corr_code(x)
+        np.testing.assert_array_equal(x, before)

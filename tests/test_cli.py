@@ -4,6 +4,7 @@ import re
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from dpe_multipath.cli import (
     EXIT_PARSE,
     EXIT_SCHEMA,
     EXIT_USAGE,
+    SCENARIO_SCHEMA,
     ResultTable,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -323,6 +325,56 @@ class TestCommands:
         assert main(["montecarlo", "--trials", "50", "--seed", "1", "--out", str(a)]) == EXIT_OK
         assert main(["montecarlo", "--trials", "50", "--seed", "2", "--out", str(b)]) == EXIT_OK
         assert (a / "montecarlo.csv").read_text() != (b / "montecarlo.csv").read_text()
+
+
+def _set_path(raw, sat, path, **fields):
+    raw["satellites"][sat]["paths"][path].update(fields)
+
+
+MALFORMED = {
+    "bad-kind-and-extra-key": lambda raw: _set_path(raw, 0, 0, kind="bounce", gain=2.0),
+    "no-satellites": lambda raw: raw.update(satellites=[]),
+    "version-and-receiver": lambda raw: (raw.update(schema_version=2), raw.pop("receiver")),
+    "negative-step": lambda raw: raw["grid"][1].update(step=-0.1),
+    "string-sigma-and-bad-prn": lambda raw: (
+        raw.update(noise_sigma="0.1"), raw["satellites"][2].update(prn=-4)),
+    "short-vector": lambda raw: raw["receiver"].update(position_ecef=[1.0, 2.0]),
+}
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_message_matches_jsonschema_validate(self, tmp_path, mutate):
+        p = dump_variant(tmp_path, "case3", mutate)
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(json.loads(p.read_text()), SCENARIO_SCHEMA)
+        where = ".".join(str(k) for k in ref.value.absolute_path) or "(root)"
+        with pytest.raises(ScenarioSchemaError) as err:
+            load_scenario(p)
+        assert str(err.value) == f"{where}: {ref.value.message}"
+        assert main(["project", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+NON_FINITE = {
+    "nan-noise-sigma": ("noise_sigma", "NaN"),
+    "infinite-half-extent": ("half_extent", "Infinity"),
+    "negative-infinite-delay": ("delay_chips", "-Infinity"),
+    "overflowing-delay": ("delay_chips", "1e400"),
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("field, token", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_parse_error_exit(self, tmp_path, capsys, field, token):
+        text = cli._bundled_scenario("case3.scenario").read_text()
+        text, count = re.subn(rf'"{field}": [-0-9.e]+', f'"{field}": {token}', text, count=1)
+        assert count == 1
+        p = tmp_path / "nonfinite.scenario"
+        p.write_text(text)
+        with pytest.raises(ScenarioParseError, match=re.escape(token)):
+            load_scenario(p)
+        assert main(["caf", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
 
 
 class TestExitCodes:

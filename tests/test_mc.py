@@ -1,10 +1,11 @@
 """Experiment drivers: sweeps, Monte Carlo, case studies, oracle comparison."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpe_multipath.caf import PathKind, Scenario, SignalPath, Space
+from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, scenario_caf
 from dpe_multipath.mc import (
     CASE_RADII,
     EXPECTED_MC_ARGMIN_DEG,
@@ -14,7 +15,9 @@ from dpe_multipath.mc import (
     REFERENCE_ANGLES,
     REFERENCE_RECEIVER,
     REFERENCE_SEED,
+    _column_argmax,
     _uniform_stream,
+    caf_value_at,
     fixture_check,
     make_reference_scenario,
     pair_error_curve,
@@ -251,3 +254,60 @@ class TestExperimentConfig:
     def test_unknown_reference_scenario(self):
         with pytest.raises(KeyError):
             make_reference_scenario("table9")
+
+
+class TestColumnArgmax:
+    def test_matches_argmax_with_ties(self):
+        rng = np.random.default_rng(3)
+        v = rng.integers(0, 4, size=(301, 257)).astype(float)  # many tied maxima
+        idx, peaks = _column_argmax(v)
+        np.testing.assert_array_equal(idx, v.argmax(axis=0))
+        np.testing.assert_array_equal(peaks, v[v.argmax(axis=0), np.arange(v.shape[1])])
+
+    def test_matches_argmax_on_caf_grid(self):
+        s = make_reference_scenario("case3")
+        for g in scenario_caf(s, Space.VELOCITY, GridSpec(Space.VELOCITY, 100.0, 0.5)):
+            np.testing.assert_array_equal(_column_argmax(g.values)[0], g.values.argmax(axis=0))
+
+
+class TestCafValueAt:
+    GRIDS = {Space.POSITION: GridSpec(Space.POSITION, 100.0, 1.0),
+             Space.VELOCITY: GridSpec(Space.VELOCITY, 100.0, 0.5)}
+
+    def nodes(self, spec, total):
+        """The argmax node plus 150 fixed-seed random nodes of the summed grid."""
+        rng = np.random.default_rng(5)
+        picks = [np.unravel_index(total.argmax(), total.shape)]
+        picks += [tuple(ij) for ij in rng.integers(0, spec.n, size=(150, 2))]
+        axis = spec.axis()
+        return [(i, j, float(axis[j]), float(axis[i])) for i, j in picks]
+
+    @staticmethod
+    def summed(grids):
+        total = grids[0].values.copy()
+        for g in grids[1:]:
+            total += g.values
+        return total
+
+    @pytest.mark.parametrize("case", ["case1", "case2", "case3", "table6"])
+    @pytest.mark.parametrize("space", list(Space))
+    def test_bit_equal_to_grid_nodes_single_path(self, case, space):
+        s = make_reference_scenario(case)
+        spec = self.GRIDS[space]
+        total = self.summed(scenario_caf(s, space, spec))
+        for i, j, e, n in self.nodes(spec, total):
+            assert caf_value_at(s, space, e, n) == total[i, j]
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_multipath_close_to_grid_nodes(self, space):
+        base = make_reference_scenario("case3")
+        extra = SignalPath(PathKind.NLOS, 0.4, -0.6, -75.0)
+        s = Scenario(
+            receiver_position=base.receiver_position,
+            signal=base.signal,
+            satellites=[replace(ch, paths=ch.paths + (extra,)) for ch in base.satellites],
+        )
+        spec = self.GRIDS[space]
+        total = self.summed(scenario_caf(s, space, spec))
+        for i, j, e, n in self.nodes(spec, total):
+            assert caf_value_at(s, space, e, n) == pytest.approx(total[i, j], rel=1e-12)
