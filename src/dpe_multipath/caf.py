@@ -213,6 +213,8 @@ class GridSpec:
     def __post_init__(self):
         if self.step <= 0.0 or self.half_extent <= 0.0:
             raise ValueError("grid step and half extent must be positive")
+        if not math.isfinite(self.half_extent / self.step):
+            raise ValueError("grid half extent / step overflows a double")
         if round(self.half_extent / self.step) < 1:
             raise ValueError("grid must span at least one step from center")
 
@@ -331,22 +333,18 @@ def _mismatch_coef(channel: SatelliteChannel, signal: SignalConfig, space: Space
     return -RIDGE_OFFSET_SIGN * rate / SPEED_OF_LIGHT * math.cos(channel.angles.elevation)
 
 
-def delta_tau0(offset: EnuVector, channel: SatelliteChannel, scenario: Scenario) -> float:
-    """Code-delay mismatch (chips) of a candidate horizontal offset for one channel.
+def mismatch(channel: SatelliteChannel, signal: SignalConfig, space: Space,
+             offset: EnuVector) -> float:
+    """Code-delay (chips) or Doppler (Hz) mismatch of a candidate horizontal offset.
 
-    Linear in the offset: the per-meter rate is (code_rate / c) * cos(elevation)
-    along the satellite azimuth and zero across it.
+    Linear in the offset (m in position space, m/s in velocity space): the
+    rate per unit is (rate / c) * cos(elevation) along the satellite azimuth
+    and zero across it, with the code rate as ``rate`` in position space and
+    the carrier in velocity space.
     """
     a = channel.angles
     along = math.sin(a.azimuth) * offset.e + math.cos(a.azimuth) * offset.n
-    return _mismatch_coef(channel, scenario.signal, Space.POSITION) * along
-
-
-def delta_fd0(offset: EnuVector, channel: SatelliteChannel, scenario: Scenario) -> float:
-    """Doppler mismatch (Hz) of a candidate velocity offset (EnuVector in m/s)."""
-    a = channel.angles
-    along = math.sin(a.azimuth) * offset.e + math.cos(a.azimuth) * offset.n
-    return _mismatch_coef(channel, scenario.signal, Space.VELOCITY) * along
+    return _mismatch_coef(channel, signal, space) * along
 
 
 def channel_caf(grid: GridSpec, channel: SatelliteChannel, scenario: Scenario) -> Grid2D:
@@ -451,18 +449,18 @@ def _space_key(space: Space) -> int:
     return 0 if space is Space.POSITION else 1
 
 
-def scenario_caf(scenario: Scenario, space: Space, grid: GridSpec | None = None) -> list[Grid2D]:
+def scenario_caf(scenario: Scenario, space: Space) -> list[Grid2D]:
     """Per-channel CAF grids for every satellite in the scenario."""
-    spec = grid if grid is not None else scenario.grid_for(space)
+    spec = scenario.grid_for(space)
     return [channel_caf(spec, ch, scenario) for ch in scenario.satellites]
 
 
-def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float]:
+def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float, np.ndarray]:
     """Sum per-channel grids and locate the maximum.
 
     Exact value ties resolve to the smallest offset norm, then to the
     lexicographically smallest (row, col).  Returns the winning offset (the
-    ``u`` component is always 0) and the peak value.
+    ``u`` component is always 0), the peak value and the summed values.
     """
     if not grids:
         raise ValueError("need at least one grid")
@@ -478,4 +476,4 @@ def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float]:
     rows, cols = np.nonzero(total == peak)
     best = min((axis[j] ** 2 + axis[i] ** 2, i, j) for i, j in zip(rows, cols))
     _, i, j = best
-    return EnuVector(float(axis[j]), float(axis[i]), 0.0), peak
+    return EnuVector(float(axis[j]), float(axis[i]), 0.0), peak, total

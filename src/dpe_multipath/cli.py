@@ -26,7 +26,6 @@ from .caf import (
     GridSpec,
     PathKind,
     Scenario,
-    SatelliteChannel,
     SignalConfig,
     SignalPath,
     Space,
@@ -149,24 +148,25 @@ def _read_scenario_text(path: str | Path) -> str:
     raise ScenarioParseError(f"scenario file not found: {path}")
 
 
-def load_scenario(path: str | Path, nominal_range: float = 2.2e7) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     """Read, validate, and construct a scenario.
 
     ``path`` may be a filesystem path or the bare name of a bundled fixture.
-    Satellites authored as angles are placed at ``nominal_range``; satellites
-    authored as ECEF get their angles derived, and cross-checked when the
-    file carries both.
+    Satellites authored as angles are placed at ``caf.NOMINAL_RANGE``;
+    satellites authored as ECEF get their angles derived, and cross-checked
+    when the file carries both.
     """
     text = _read_scenario_text(path)
     try:
-        raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float)
+        raw = json.loads(text, parse_constant=_reject_non_finite, parse_float=_finite_float,
+                         parse_int=_finite_int)
     except ValueError as e:  # json.JSONDecodeError or a non-finite number
         raise ScenarioParseError(f"invalid JSON in {path}: {e}") from e
     error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(raw))
     if error is not None:
         where = ".".join(str(k) for k in error.absolute_path) or "(root)"
         raise ScenarioSchemaError(f"{where}: {error.message}") from error
-    return _scenario_from_dict(raw, nominal_range)
+    return _scenario_from_dict(raw)
 
 
 def _reject_non_finite(name: str):
@@ -178,6 +178,12 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"number {text} overflows a double")
     return value
+
+
+def _finite_int(text: str) -> int:
+    """An integer literal, rejected like a float when it overflows a double."""
+    _finite_float(text)
+    return int(text)
 
 
 @functools.cache
@@ -192,20 +198,26 @@ def _scenario_validator():
     return cls(SCENARIO_SCHEMA)
 
 
-def _scenario_from_dict(raw: dict, nominal_range: float) -> Scenario:
+def _scenario_from_dict(raw: dict) -> Scenario:
     receiver = EcefVector.from_array(raw["receiver"]["position_ecef"])
     velocity = EcefVector.from_array(raw["receiver"].get("velocity_ecef", (0.0, 0.0, 0.0)))
     sig = raw.get("signal", {})
     defaults = SignalConfig()
-    signal = SignalConfig(
-        code_rate=sig.get("code_rate_hz", defaults.code_rate),
-        carrier=sig.get("carrier_hz", defaults.carrier),
-        coherent_integration=sig.get("coherent_integration_s", defaults.coherent_integration),
-        sampling_rate=sig.get("sampling_rate_hz", defaults.sampling_rate),
-    )
-    grids = tuple(
-        GridSpec(Space(g["space"]), g["half_extent"], g["step"]) for g in raw.get("grid", [])
-    ) or DEFAULT_GRIDS
+    try:
+        signal = SignalConfig(
+            code_rate=sig.get("code_rate_hz", defaults.code_rate),
+            carrier=sig.get("carrier_hz", defaults.carrier),
+            coherent_integration=sig.get("coherent_integration_s", defaults.coherent_integration),
+            sampling_rate=sig.get("sampling_rate_hz", defaults.sampling_rate),
+        )
+    except ValueError as e:
+        raise ScenarioSchemaError(f"signal: {e}") from e
+    grids = []
+    for k, g in enumerate(raw.get("grid", [])):
+        try:
+            grids.append(GridSpec(Space(g["space"]), g["half_extent"], g["step"]))
+        except ValueError as e:
+            raise ScenarioSchemaError(f"grid.{k}: {e}") from e
     satellites = []
     for i, sat in enumerate(raw["satellites"]):
         where = f"satellites.{i}"
@@ -248,7 +260,6 @@ def _scenario_from_dict(raw: dict, nominal_range: float) -> Scenario:
                     angles_deg=(
                         (sat["elevation_deg"], sat["azimuth_deg"]) if has_angles else None
                     ),
-                    nominal_range=nominal_range,
                 )
             )
         except GeometryMismatchError:
@@ -261,7 +272,7 @@ def _scenario_from_dict(raw: dict, nominal_range: float) -> Scenario:
             receiver_velocity=velocity,
             signal=signal,
             satellites=tuple(satellites),
-            grids=grids,
+            grids=tuple(grids) or DEFAULT_GRIDS,
             noise_sigma=raw.get("noise_sigma", 0.0),
             seed=raw.get("seed", 0),
         )
@@ -563,13 +574,8 @@ def cmd_caf(args) -> int:
         scenario = replace(scenario, seed=args.seed)
     written = []
     for space in _spaces(args.space):
-        spec = scenario.grid_for(space)
-        grids = scenario_caf(scenario, space)
-        offset, peak = superpose_and_argmax(grids)
-        total = grids[0].values.copy()
-        for g in grids[1:]:
-            total += g.values
-        axis = spec.axis()
+        offset, peak, total = superpose_and_argmax(scenario_caf(scenario, space))
+        axis = scenario.grid_for(space).axis()
         unit = "m" if space is Space.POSITION else "m/s"
         # row-major: north is the outer index, east the inner one
         east, north = np.meshgrid(axis, axis)
@@ -611,6 +617,38 @@ def _criterion_line(cid: int, name: str, checks) -> tuple[bool, str]:
     return ok, f"criterion-{cid} {name}: {status} ({n_pass}/{len(checks)} checks)"
 
 
+def _figure_tables(seed: int) -> tuple[mc.ExperimentReport, mc.ExperimentReport, dict]:
+    """The figure data: elevation sweep, Monte Carlo run and their tables.
+
+    Returns ``(sweep, monte_carlo, tables)``; ``tables`` maps the file stems
+    ``fig7_data`` (bias projection vs elevation), ``fig8_data`` (pair radial
+    error vs azimuth separation) and ``fig11_data`` (the Monte Carlo trace,
+    trials drawn with ``seed``) to their tables.
+    """
+    sweep = mc.run_elevation_sweep()
+    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
+    thetas_deg = 0.5 * np.arange(1, 360)
+    thetas = np.radians(thetas_deg)
+    tables = {
+        "fig7_data": ResultTable.from_report(sweep, "bias projection sweep over elevation"),
+        "fig8_data": ResultTable(
+            ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
+            np.column_stack((
+                thetas_deg,
+                mc.pair_error_curve(40.0, 0.0, thetas),
+                mc.pair_error_curve(40.0, 40.0, thetas),
+            )),
+            note="pair radial error vs azimuth separation",
+        ),
+        "fig11_data": ResultTable(
+            ("delta_theta[deg]", "radial_error[m]", "trial"),
+            tuple((r[1], r[2], r[0]) for r in mcrep.rows),
+            note="random azimuth-separation trials, radii (60, 40)",
+        ),
+    }
+    return sweep, mcrep, tables
+
+
 def cmd_report(args) -> int:
     outdir = Path(args.out)
     fmt = args.format
@@ -625,14 +663,6 @@ def cmd_report(args) -> int:
     )
     criteria.append((1, "projection-table", tuple(
         c for c in proj.checks if c.name.startswith("projection:"))))
-
-    # 2: full elevation sweep, zero-elevation anchors and monotonicity
-    sweep = mc.run_elevation_sweep()
-    _write_table(
-        ResultTable.from_report(sweep, "bias projection sweep over elevation"),
-        outdir, "fig7_data", fmt,
-    )
-    criteria.append((2, "elevation-sweep-anchors", sweep.checks))
 
     # 3 and 4: case studies, analytic and grid-readout columns
     theo_checks: list = []
@@ -653,14 +683,13 @@ def cmd_report(args) -> int:
     sim_checks += [c for c in rep6.checks if c.name.endswith(":simulated")]
     criteria.append((4, "case-tables-grid-readout", tuple(sim_checks)))
 
-    # 5: Monte Carlo over random azimuth separations
-    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
-    fig11 = ResultTable(
-        ("delta_theta[deg]", "radial_error[m]", "trial"),
-        tuple((r[1], r[2], r[0]) for r in mcrep.rows),
-        note="random azimuth-separation trials, radii (60, 40)",
-    )
-    _write_table(fig11, outdir, "fig11_data", fmt)
+    # 2: full elevation sweep, zero-elevation anchors and monotonicity;
+    # 5: Monte Carlo over random azimuth separations.  Built after the grids
+    # of the case studies are freed, so the trial rows do not add to the peak.
+    sweep, mcrep, figures = _figure_tables(seed)
+    for stem, table in figures.items():
+        _write_table(table, outdir, stem, fmt)
+    criteria.append((2, "elevation-sweep-anchors", sweep.checks))
     criteria.append((5, "monte-carlo", mcrep.checks))
 
     # 6: field replay, theoretical column (the measured column is reference-only)
@@ -684,20 +713,6 @@ def cmd_report(args) -> int:
         outdir, "field_reference", fmt,
     )
     criteria.append((6, "field-replay-theoretical", checks6))
-
-    # deterministic pair-error curves over the azimuth separation
-    thetas_deg = 0.5 * np.arange(1, 360)
-    thetas = np.radians(thetas_deg)
-    fig8 = ResultTable(
-        ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-        np.column_stack((
-            thetas_deg,
-            mc.pair_error_curve(40.0, 0.0, thetas),
-            mc.pair_error_curve(40.0, 40.0, thetas),
-        )),
-        note="pair radial error vs azimuth separation",
-    )
-    _write_table(fig8, outdir, "fig8_data", fmt)
 
     all_ok = True
     payload = []

@@ -165,12 +165,6 @@ def ecef_to_enu(point: EcefVector, origin: EcefVector) -> EnuVector:
     return EnuVector.from_array(rot @ (point.to_array() - origin.to_array()))
 
 
-def ecef_vector_to_enu(vector: EcefVector, origin: EcefVector) -> EnuVector:
-    """Rotate a free ECEF vector (e.g. a velocity) into the ENU frame at ``origin``."""
-    lat, lon = geodetic_latlon(origin)
-    return EnuVector.from_array(_enu_rotation(lat, lon) @ vector.to_array())
-
-
 def enu_to_ecef(local: EnuVector, origin: EcefVector) -> EcefVector:
     """Inverse of :func:`ecef_to_enu`."""
     lat, lon = geodetic_latlon(origin)

@@ -19,8 +19,8 @@ import numpy as np
 from .caf import (
     DEFAULT_GRIDS,
     EcefVector,
+    EnuVector,
     Grid2D,
-    GridSpec,
     PathKind,
     Scenario,
     SignalConfig,
@@ -28,15 +28,16 @@ from .caf import (
     Space,
     SPEED_OF_LIGHT,
     _correlate,
-    _mismatch_coef,
     channel_caf,
     make_channel,
+    mismatch,
     scenario_caf,
     superpose_and_argmax,
 )
 from .scmb import (
     EPS_PARALLEL,
     ParallelLinesError,
+    _cramer,
     center_line,
     center_lines,
     enumerate_intersections,
@@ -463,16 +464,6 @@ def _column_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v == peaks).argmax(axis=0), peaks
 
 
-def _intersect_implicit(p: tuple[float, float, float], q: tuple[float, float, float]):
-    det = p[0] * q[1] - p[1] * q[0]
-    if abs(det) < 1e-6:
-        return None
-    return (
-        (p[2] * q[1] - q[2] * p[1]) / det,
-        (p[0] * q[2] - q[0] * p[2]) / det,
-    )
-
-
 def _pair_label(prn_i: int, prn_j: int) -> str:
     for label, (a, b) in PAIR_LABELS.items():
         if {a, b} == {prn_i, prn_j}:
@@ -480,11 +471,7 @@ def _pair_label(prn_i: int, prn_j: int) -> str:
     return f"{prn_i}-{prn_j}"
 
 
-def run_case_study(
-    scenario: Scenario,
-    case_id: str | None = None,
-    spaces: Sequence[Space] = (Space.POSITION, Space.VELOCITY),
-) -> ExperimentReport:
+def run_case_study(scenario: Scenario, case_id: str | None = None) -> ExperimentReport:
     """Analytic vs grid-readout pair errors for a one-path-per-satellite scenario.
 
     The analytic column intersects the exact center lines; the simulated
@@ -501,7 +488,7 @@ def run_case_study(
     expected_radii = EXPECTED_RADII.get(case_id, {}) if case_id else {}
     rows = []
     checks = []
-    for space_index, space in enumerate(spaces):
+    for space_index, space in enumerate((Space.POSITION, Space.VELOCITY)):
         grid = scenario.grid_for(space)
         lines = {ch.prn: center_line(ch, 0, space, scenario.signal) for ch in scenario.satellites}
         fitted = {
@@ -532,7 +519,7 @@ def run_case_study(
                 in_window = int(
                     abs(point.e) <= grid.half_extent and abs(point.n) <= grid.half_extent
                 )
-                sim_point = _intersect_implicit(fitted[pi], fitted[pj])
+                sim_point = _cramer(fitted[pi], fitted[pj])
                 simulated = math.hypot(*sim_point) if sim_point is not None else math.inf
                 rows.append(
                     (space.value, label, pi, pj, math.degrees(dth), analytic, simulated, in_window)
@@ -587,22 +574,17 @@ def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
     paths one by one in channel order.
     """
     total = 0.0
+    offset = EnuVector(e, n, 0.0)
     for ch in scenario.satellites:
-        a = ch.angles
-        along = math.sin(a.azimuth) * e + math.cos(a.azimuth) * n
-        coef = _mismatch_coef(ch, scenario.signal, space)
-        corr = np.array([coef * along + path.bias(space) for path in ch.paths])
+        m = mismatch(ch, scenario.signal, space, offset)
+        corr = np.array([m + path.bias(space) for path in ch.paths])
         _correlate(corr, space, scenario.signal.coherent_integration)
         for path, c in zip(ch.paths, corr.tolist()):
             total += path.amplitude * c
     return total
 
 
-def run_oracle_compare(
-    scenario: Scenario,
-    space: Space = Space.POSITION,
-    grid: GridSpec | None = None,
-) -> ExperimentReport:
+def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> ExperimentReport:
     """Grid argmax vs analytic intersection points for a noiseless scenario.
 
     Candidates are the truth point plus every enumerated cross-satellite
@@ -612,7 +594,7 @@ def run_oracle_compare(
     """
     if scenario.noise_sigma != 0.0:
         raise ValueError("oracle comparison requires a noiseless scenario")
-    spec = grid if grid is not None else scenario.grid_for(space)
+    spec = scenario.grid_for(space)
     points = enumerate_intersections(center_lines(scenario, space))
     candidates = [("truth", (0, 0, 0, 0), 0.0, 0.0, 0.0)]
     for res in points:
@@ -624,7 +606,7 @@ def run_oracle_compare(
         for kind, pair, dth, e, n in candidates
     ]
     best = max(scored, key=lambda r: (r[5], -math.hypot(r[3], r[4])))
-    offset, peak = superpose_and_argmax(scenario_caf(scenario, space, spec))
+    offset, peak, _ = superpose_and_argmax(scenario_caf(scenario, space))
     gap = math.hypot(offset.e - best[3], offset.n - best[4])
     agree = gap <= spec.step + 1e-9
     rows = []

@@ -108,19 +108,6 @@ class CenterLine:
 
 
 @dataclass(frozen=True)
-class BiasCircle:
-    """Bias circle centered on the truth point; its tangent line is the center line."""
-
-    space: Space
-    radius: float
-    source: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError("circle radius must be >= 0")
-
-
-@dataclass(frozen=True)
 class BiasResult:
     """One candidate biased solution: a cross-satellite line intersection.
 
@@ -138,14 +125,6 @@ class BiasResult:
     def __post_init__(self):
         if self.contributors is None:
             object.__setattr__(self, "contributors", (self.pair,))
-
-    @property
-    def dx(self) -> float:
-        return self.point.e
-
-    @property
-    def dy(self) -> float:
-        return self.point.n
 
 
 @dataclass(frozen=True)
@@ -200,21 +179,29 @@ def fold_azimuth_separation(theta_i: float, theta_j: float) -> float:
     return 2.0 * math.pi - d if d > math.pi else d
 
 
+def _cramer(p: tuple[float, float, float], q: tuple[float, float, float]):
+    """Crossing ``(e, n)`` of the lines ``a*e + b*n = c`` given as ``(a, b, c)``.
+
+    ``None`` when the determinant (the sine of the azimuth separation for
+    unit normals) is below EPS_PARALLEL in magnitude.
+    """
+    det = p[0] * q[1] - p[1] * q[0]
+    if abs(det) < EPS_PARALLEL:
+        return None
+    return (p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det
+
+
 def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector:
     """Intersection point of two center lines (Cramer on the normal forms)."""
     if a.space is not b.space:
         raise ValueError("cannot intersect lines from different spaces")
-    ae, an = a.normal
-    be, bn = b.normal
-    det = ae * bn - an * be  # sin(azimuth_a - azimuth_b)
-    if abs(det) < EPS_PARALLEL:
+    point = _cramer((*a.normal, a.constant), (*b.normal, b.constant))
+    if point is None:
         raise ParallelLinesError(
             f"azimuth separation {math.degrees(fold_azimuth_separation(a.azimuth, b.azimuth)):.6f} "
             f"deg leaves |sin| below {EPS_PARALLEL}"
         )
-    x = (a.constant * bn - b.constant * an) / det
-    y = (ae * b.constant - be * a.constant) / det
-    return EnuVector(x, y, 0.0)
+    return EnuVector(*point, 0.0)
 
 
 def pair_bias(
@@ -230,7 +217,7 @@ def pair_bias(
     The radial error equals
     sqrt(rho_i**2 + rho_j**2 - 2*rho_i*rho_j*cos(dt)) / sin(dt)
     with dt the folded azimuth separation; it is computed here from the
-    actual intersection point so the components (dx, dy) stay consistent
+    actual intersection point so its east/north components stay consistent
     with the line geometry.
     """
     line_i = CenterLine(space, theta_i, rho_i, sources[0])

@@ -23,9 +23,8 @@ from dpe_multipath.caf import (
     channel_caf,
     corr_code,
     corr_doppler,
-    delta_fd0,
-    delta_tau0,
     make_channel,
+    mismatch,
     scenario_caf,
     superpose_and_argmax,
 )
@@ -76,16 +75,18 @@ class TestMismatch:
         ch = s.channel(18)
         az = ch.angles.azimuth
         offset = EnuVector(100.0 * math.sin(az), 100.0 * math.cos(az), 0.0)
-        assert delta_tau0(offset, ch, s) == pytest.approx(2.5037509495533827, rel=1e-12)
-        assert delta_fd0(offset, ch, s) == pytest.approx(287.931359198639, rel=1e-12)
+        assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(
+            2.5037509495533827, rel=1e-12)
+        assert mismatch(ch, s.signal, Space.VELOCITY, offset) == pytest.approx(
+            287.931359198639, rel=1e-12)
 
     def test_mismatch_zero_across_azimuth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = s.channel(18)
         az = ch.angles.azimuth
         offset = EnuVector(50.0 * math.cos(az), -50.0 * math.sin(az), 0.0)
-        assert delta_tau0(offset, ch, s) == pytest.approx(0.0, abs=1e-12)
-        assert delta_fd0(offset, ch, s) == pytest.approx(0.0, abs=1e-12)
+        assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(0.0, abs=1e-12)
+        assert mismatch(ch, s.signal, Space.VELOCITY, offset) == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.floats(-100.0, 100.0),
@@ -96,8 +97,8 @@ class TestMismatch:
     def test_mismatch_linear_in_offset(self, e, n, scale):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = s.channel(23)
-        base = delta_tau0(EnuVector(e, n, 0.0), ch, s)
-        scaled = delta_tau0(EnuVector(scale * e, scale * n, 0.0), ch, s)
+        base = mismatch(ch, s.signal, Space.POSITION, EnuVector(e, n, 0.0))
+        scaled = mismatch(ch, s.signal, Space.POSITION, EnuVector(scale * e, scale * n, 0.0))
         assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-12)
 
     def test_mismatch_additive_in_offset(self):
@@ -105,8 +106,9 @@ class TestMismatch:
         ch = s.channel(18)
         a, b = EnuVector(13.0, -7.0, 0.0), EnuVector(-2.0, 41.0, 0.0)
         ab = EnuVector(a.e + b.e, a.n + b.n, 0.0)
-        assert delta_fd0(ab, ch, s) == pytest.approx(
-            delta_fd0(a, ch, s) + delta_fd0(b, ch, s), rel=1e-12
+        assert mismatch(ch, s.signal, Space.VELOCITY, ab) == pytest.approx(
+            mismatch(ch, s.signal, Space.VELOCITY, a) + mismatch(ch, s.signal, Space.VELOCITY, b),
+            rel=1e-12,
         )
 
     def test_mismatch_depends_only_on_angles(self):
@@ -123,7 +125,8 @@ class TestMismatch:
         s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(near,))
         t = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(far,))
         offset = EnuVector(37.0, -12.0, 0.0)
-        assert delta_tau0(offset, near, s) == delta_tau0(offset, far, t)
+        assert (mismatch(near, s.signal, Space.POSITION, offset)
+                == mismatch(far, t.signal, Space.POSITION, offset))
 
 
 class TestChannels:
@@ -224,7 +227,7 @@ class TestGrids:
         s = two_sat_scenario(
             [SignalPath(PathKind.NLOS, delay_chips=1.0)], [SignalPath(PathKind.LOS)]
         )
-        offset, peak = superpose_and_argmax(scenario_caf(s, Space.POSITION))
+        offset, peak, _ = superpose_and_argmax(scenario_caf(s, Space.POSITION))
         # frozen analytic intersection of the two center lines
         assert math.hypot(offset.e - 43.20007108796537, offset.n - 19.143636458314802) <= 1.5
         assert peak > 1.9
@@ -240,7 +243,7 @@ class TestGrids:
     def test_argmax_tie_resolves_to_smallest_norm(self):
         spec = GridSpec(Space.POSITION, 5.0, 1.0)
         flat = Grid2D(spec, np.ones((spec.n, spec.n)))
-        offset, peak = superpose_and_argmax([flat])
+        offset, peak, _ = superpose_and_argmax([flat])
         assert (offset.e, offset.n, peak) == (0.0, 0.0, 1.0)
 
     def test_superpose_requires_matching_specs(self):

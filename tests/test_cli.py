@@ -1,6 +1,8 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -314,6 +316,18 @@ class TestCommands:
         assert spec.n == 31
         assert (tmp_path / f"caf_velocity.{fmt}").read_text() == expected
 
+    def test_make_figures_matches_report(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        figs, report = tmp_path / "figs", tmp_path / "report"
+        subprocess.run([sys.executable, str(script), "--seed", "3", "--out", str(figs)],
+                       check=True, capture_output=True, env=env)
+        main(["report", "--seed", "3", "--out", str(report)])
+        stems = ["fig11_data", "fig7_data", "fig8_data"]
+        assert sorted(p.stem for p in figs.iterdir()) == stems
+        for stem in stems:
+            assert (figs / f"{stem}.csv").read_bytes() == (report / f"{stem}.csv").read_bytes()
+
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["montecarlo", "--trials", "300", "--out", str(a)]) == EXIT_OK
@@ -360,6 +374,10 @@ NON_FINITE = {
     "infinite-half-extent": ("half_extent", "Infinity"),
     "negative-infinite-delay": ("delay_chips", "-Infinity"),
     "overflowing-delay": ("delay_chips", "1e400"),
+    "oversized-int-half-extent": ("half_extent", "1" + "0" * 400),
+    "oversized-int-elevation": ("elevation_deg", "1" + "0" * 400),
+    "oversized-int-delay": ("delay_chips", "1" + "0" * 400),
+    "oversized-int-noise-sigma": ("noise_sigma", "1" + "0" * 400),
 }
 
 
@@ -403,6 +421,20 @@ class TestExitCodes:
 
         p = dump_variant(tmp_path, "table6", clash)
         assert main(["project", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_GEOMETRY
+
+    @pytest.mark.parametrize("mutate, prefix", [
+        (lambda raw: raw["signal"].update(code_rate_hz=1e300), "signal: "),
+        (lambda raw: raw["signal"].update(carrier_hz=1e6), "signal: "),
+        (lambda raw: raw["grid"][1].update(half_extent=1.0, step=2.5), "grid.1: "),
+        (lambda raw: raw["grid"][0].update(half_extent=1e300, step=1e-300), "grid.0: "),
+    ], ids=["huge-code-rate", "carrier-below-code-rate", "step-beyond-extent",
+            "overflowing-grid-count"])
+    def test_signal_and_grid_domain_errors(self, tmp_path, capsys, mutate, prefix):
+        p = dump_variant(tmp_path, "case3", mutate)
+        with pytest.raises(ScenarioSchemaError, match=f"^{prefix}"):
+            load_scenario(p)
+        assert main(["project", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_SCHEMA
+        assert f"schema error: {prefix}" in capsys.readouterr().err
 
     def test_usage_error(self, tmp_path):
         assert main(["project", "--bogus"]) == EXIT_USAGE

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, scenario_caf
+from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, channel_caf
 from dpe_multipath.mc import (
     CASE_RADII,
     EXPECTED_MC_ARGMIN_DEG,
@@ -266,7 +266,8 @@ class TestColumnArgmax:
 
     def test_matches_argmax_on_caf_grid(self):
         s = make_reference_scenario("case3")
-        for g in scenario_caf(s, Space.VELOCITY, GridSpec(Space.VELOCITY, 100.0, 0.5)):
+        spec = GridSpec(Space.VELOCITY, 100.0, 0.5)
+        for g in (channel_caf(spec, ch, s) for ch in s.satellites):
             np.testing.assert_array_equal(_column_argmax(g.values)[0], g.values.argmax(axis=0))
 
 
@@ -283,7 +284,8 @@ class TestCafValueAt:
         return [(i, j, float(axis[j]), float(axis[i])) for i, j in picks]
 
     @staticmethod
-    def summed(grids):
+    def summed(scenario, spec):
+        grids = [channel_caf(spec, ch, scenario) for ch in scenario.satellites]
         total = grids[0].values.copy()
         for g in grids[1:]:
             total += g.values
@@ -294,7 +296,7 @@ class TestCafValueAt:
     def test_bit_equal_to_grid_nodes_single_path(self, case, space):
         s = make_reference_scenario(case)
         spec = self.GRIDS[space]
-        total = self.summed(scenario_caf(s, space, spec))
+        total = self.summed(s, spec)
         for i, j, e, n in self.nodes(spec, total):
             assert caf_value_at(s, space, e, n) == total[i, j]
 
@@ -308,6 +310,6 @@ class TestCafValueAt:
             satellites=[replace(ch, paths=ch.paths + (extra,)) for ch in base.satellites],
         )
         spec = self.GRIDS[space]
-        total = self.summed(scenario_caf(s, space, spec))
+        total = self.summed(s, spec)
         for i, j, e, n in self.nodes(spec, total):
             assert caf_value_at(s, space, e, n) == pytest.approx(total[i, j], rel=1e-12)

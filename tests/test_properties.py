@@ -156,7 +156,7 @@ class TestAllLosTruth:
         )
         s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=sats)
         for space in (Space.POSITION, Space.VELOCITY):
-            offset, peak = superpose_and_argmax(scenario_caf(s, space))
+            offset, peak, _ = superpose_and_argmax(scenario_caf(s, space))
             assert (offset.e, offset.n) == (0.0, 0.0)
             assert peak == pytest.approx(float(count), rel=1e-12)
 
@@ -250,7 +250,7 @@ class TestArgmaxMatchesAnalytic:
         step = 1.0
         for _ in range(50):
             scenario, expected = random_two_satellite_scenario(rng)
-            offset, peak = superpose_and_argmax(scenario_caf(scenario, Space.POSITION))
+            offset, peak, _ = superpose_and_argmax(scenario_caf(scenario, Space.POSITION))
             assert math.hypot(offset.e - expected.e, offset.n - expected.n) <= step + 1e-9
             assert peak == pytest.approx(2.0, abs=0.15)
             rep = run_oracle_compare(scenario)
@@ -267,23 +267,23 @@ class TestMismatchLinearity:
     )
     @settings(max_examples=300, **D)
     def test_finite_difference_slope_constant(self, el_deg, az_deg, e, n, scale):
-        from dpe_multipath.caf import delta_tau0, delta_fd0
+        from dpe_multipath.caf import mismatch
 
         ch = make_channel(
             REFERENCE_RECEIVER, 1, [SignalPath(PathKind.LOS)], angles_deg=(el_deg, az_deg)
         )
         s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(ch,))
-        for f in (delta_tau0, delta_fd0):
-            base = f(EnuVector(e, n, 0.0), ch, s)
+        for space in (Space.POSITION, Space.VELOCITY):
+            base = mismatch(ch, s.signal, space, EnuVector(e, n, 0.0))
             # homogeneity
-            assert f(EnuVector(scale * e, scale * n, 0.0), ch, s) == pytest.approx(
-                scale * base, rel=1e-9, abs=1e-12
+            assert mismatch(ch, s.signal, space, EnuVector(scale * e, scale * n, 0.0)) == (
+                pytest.approx(scale * base, rel=1e-9, abs=1e-12)
             )
             # additivity against a fixed probe offset
             probe = EnuVector(11.0, -23.0, 0.0)
             both = EnuVector(e + probe.e, n + probe.n, 0.0)
-            assert f(both, ch, s) == pytest.approx(
-                base + f(probe, ch, s), rel=1e-9, abs=1e-12
+            assert mismatch(ch, s.signal, space, both) == pytest.approx(
+                base + mismatch(ch, s.signal, space, probe), rel=1e-9, abs=1e-12
             )
 
 
