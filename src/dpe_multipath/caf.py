@@ -380,7 +380,8 @@ def channel_caf(grid: GridSpec, channel: SatelliteChannel, scenario: Scenario) -
         values, share, workers, north, east, coef, paths, grid.space, t_coh, scratch[share]))
     if scenario.noise_sigma > 0.0:
         rng = np.random.default_rng([scenario.seed, channel.prn, _space_key(grid.space)])
-        values += scenario.noise_sigma * rng.standard_normal((n, n))
+        with np.errstate(over="ignore"):  # a huge sigma is reported by superpose_and_argmax
+            values += scenario.noise_sigma * rng.standard_normal((n, n))
     return Grid2D(grid, values)
 
 
@@ -461,6 +462,7 @@ def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float, np.
     Exact value ties resolve to the smallest offset norm, then to the
     lexicographically smallest (row, col).  Returns the winning offset (the
     ``u`` component is always 0), the peak value and the summed values.
+    Raises ``ValueError`` when the sum holds a NaN or an infinity.
     """
     if not grids:
         raise ValueError("need at least one grid")
@@ -469,9 +471,15 @@ def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float, np.
         if g.spec != spec:
             raise ValueError("grids must share one spec")
     total = grids[0].values.copy()
-    for g in grids[1:]:
-        total += g.values
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        for g in grids[1:]:
+            total += g.values
     peak = float(total.max())
+    if not (math.isfinite(peak) and math.isfinite(total.min())):
+        raise ValueError(
+            "summed CAF grid is not finite (NaN or infinite cells); noise_sigma or a path"
+            " amplitude is too large for a double"
+        )
     axis = spec.axis()
     rows, cols = np.nonzero(total == peak)
     best = min((axis[j] ** 2 + axis[i] ** 2, i, j) for i, j in zip(rows, cols))

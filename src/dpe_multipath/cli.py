@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterator
 
 import jsonschema
 import numpy as np
@@ -34,7 +35,7 @@ from .caf import (
     superpose_and_argmax,
 )
 from .geom import EcefVector, GeometryError
-from .scmb import case_bound, center_lines, enumerate_intersections
+from .scmb import case_bound, center_line, center_lines, enumerate_intersections
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -266,6 +267,13 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             raise
         except ValueError as e:
             raise ScenarioSchemaError(f"{where}: {e}") from e
+        for j in range(len(paths)):
+            for space in Space:
+                if not math.isfinite(center_line(satellites[-1], j, space, signal).offset):
+                    raise ScenarioSchemaError(
+                        f"{where}.paths.{j}: the {space.value}-space projection of the bias"
+                        " overflows a double"
+                    )
     try:
         return Scenario(
             receiver_position=receiver,
@@ -341,20 +349,53 @@ _CSV_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
+class GridRows:
+    """The rows ``(east, north, value)`` of a square grid over one axis.
+
+    ``values[i, j]`` is the cell at east ``axis[j]``, north ``axis[i]``, as
+    in ``caf.Grid2D``; rows run with north as the outer index and east as
+    the inner one.  Tables write each axis label once per grid row instead
+    of once per cell.
+    """
+
+    axis: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.axis)
+        if (self.axis.ndim != 1 or self.values.shape != (n, n)
+                or self.axis.dtype.kind != "f" or self.values.dtype.kind != "f"):
+            raise ValueError(
+                f"grid rows need a 1-D float axis and square float values of its length,"
+                f" got {self.axis.dtype} axis of shape {self.axis.shape} and"
+                f" {self.values.dtype} values of shape {self.values.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
+@dataclass(frozen=True)
 class ResultTable:
     """Serialized table: named+united columns, uniform rows, one-line note.
 
-    ``rows`` is either a tuple of row tuples, whose cells may be of any
-    type, or a 2-D float ``np.ndarray`` of shape ``(n_rows, len(columns))``.
-    CSV writes array cells with ``%.6g``, which gives the same text as the
-    ``format(v, '.6g')`` used for float cells of tuple rows.
+    ``rows`` is a tuple of row tuples, whose cells are scalars of any type;
+    a 2-D float ``np.ndarray`` of shape ``(n_rows, len(columns))``; or, for
+    three columns, a :class:`GridRows`.  CSV writes float cells of arrays
+    and grids with ``%.6g``, which gives the same text as the
+    ``format(v, '.6g')`` used for float cells of tuple rows; JSON writes them
+    as ``json`` does, at full precision.
     """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | np.ndarray
+    rows: tuple[tuple, ...] | np.ndarray | GridRows
     note: str = ""
 
     def __post_init__(self):
+        if isinstance(self.rows, GridRows):
+            if len(self.columns) != 3:
+                raise ValueError(f"grid rows need 3 columns, got {len(self.columns)}")
+            return
         if isinstance(self.rows, np.ndarray):
             if (self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns)
                     or self.rows.dtype.kind != "f"):
@@ -372,22 +413,49 @@ class ResultTable:
         return cls(report.columns, report.rows, note)
 
     def to_csv(self) -> str:
-        return ",".join(self.columns) + "\n" + _csv_body(self.rows)
+        return "".join(self._pieces("csv"))
 
     def to_json(self) -> str:
-        rows = (self.rows.tolist() if isinstance(self.rows, np.ndarray)
-                else [list(r) for r in self.rows])
-        payload = {"note": self.note, "columns": list(self.columns), "rows": rows}
-        return json.dumps(payload, indent=2, default=_json_cell) + "\n"
+        return "".join(self._pieces("json"))
+
+    def _pieces(self, fmt: str) -> Iterator[str]:
+        """The file text in order, a header, row or row chunk at a time."""
+        if fmt == "csv":
+            yield ",".join(self.columns) + "\n"
+            yield from _row_texts(self.rows, _CSV)
+            return
+        # json.dumps(..., indent=2) of the whole payload, with the rows
+        # spliced in where the empty list stands
+        head = json.dumps({"note": self.note, "columns": list(self.columns), "rows": []},
+                          indent=2)
+        rows = _row_texts(self.rows, _JSON)
+        last = next(rows, None)
+        if last is None:
+            yield head + "\n"
+            return
+        yield head[:-len("]\n}")] + "\n"
+        for text in rows:
+            yield last
+            last = text
+        yield last[:-len(",\n")] + "\n  ]\n}\n"
 
 
-def _csv_body(rows: tuple[tuple, ...] | np.ndarray) -> str:
-    """CSV lines of ``rows``, each ended by LF, without the header."""
-    if isinstance(rows, np.ndarray):
-        template = ",".join(["%.6g"] * rows.shape[1]) + "\n"
-        chunks = (rows[i:i + _CSV_CHUNK_ROWS] for i in range(0, len(rows), _CSV_CHUNK_ROWS))
-        return "".join((template * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
-    return "".join(",".join(_csv_cell(v) for v in row) + "\n" for row in rows)
+@dataclass(frozen=True)
+class _Layout:
+    """How one output format spells cells and rows.
+
+    ``cell`` spells one scalar; ``number`` is the ``%`` conversion that
+    spells a finite float the same way; ``non_finite`` maps what ``number``
+    writes for NaN and infinities to what ``cell`` writes.  A row is
+    ``row_start``, its cells joined by ``cell_sep``, then ``row_end``.
+    """
+
+    cell: Callable[[object], str]
+    number: str
+    non_finite: tuple[tuple[str, str], ...]
+    row_start: str
+    cell_sep: str
+    row_end: str
 
 
 def _csv_cell(v) -> str:
@@ -404,17 +472,55 @@ def _json_cell(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+_CSV = _Layout(_csv_cell, "%.6g", (), "", ",", "\n")
+# One row of the ``rows`` list under ``indent=2``; the last row's ``,\n`` is
+# replaced when the list is closed.  ``json`` writes finite floats as
+# ``float.__repr__``, which is what ``%r`` gives.
+_JSON = _Layout(functools.partial(json.dumps, default=_json_cell), "%r",
+                (("nan", "NaN"), ("inf", "Infinity")), "    [\n      ", ",\n      ", "\n    ],\n")
+
+
+def _row_texts(rows: tuple[tuple, ...] | np.ndarray | GridRows, layout: _Layout) -> Iterator[str]:
+    """The rows spelled in ``layout``, one grid row, array chunk or tuple row at a time."""
+    if isinstance(rows, GridRows):
+        # the axis labels are spelled once; each grid row fills the north
+        # label into one template and formats only its values
+        labels = [layout.cell(x) for x in rows.axis.tolist()]
+        template = "".join(layout.row_start + x + layout.cell_sep + "\0" + layout.cell_sep
+                           + layout.number + layout.row_end for x in labels)
+        for label, values in zip(labels, rows.values):
+            yield _fill(template.replace("\0", label), values, layout)
+    elif isinstance(rows, np.ndarray):
+        template = (layout.row_start + layout.cell_sep.join([layout.number] * rows.shape[1])
+                    + layout.row_end)
+        for i in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[i:i + _CSV_CHUNK_ROWS]
+            yield _fill(template * len(chunk), chunk, layout)
+    else:
+        for row in rows:
+            yield layout.row_start + layout.cell_sep.join(map(layout.cell, row)) + layout.row_end
+
+
+def _fill(template: str, values: np.ndarray, layout: _Layout) -> str:
+    """``template`` with its ``layout.number`` conversions filled from ``values``."""
+    text = template % tuple(values.ravel().tolist())
+    if layout.non_finite and not np.isfinite(values).all():
+        for spelled, wanted in layout.non_finite:
+            text = text.replace(spelled, wanted)
+    return text
+
+
 def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{stem}.{fmt}"
-    text = table.to_csv() if fmt == "csv" else table.to_json()
-    path.write_text(text)
+    with path.open("w") as f:
+        f.writelines(table._pieces(fmt))
     return path
 
 
 def _print_table(table: ResultTable, limit: int = 40) -> None:
     print(",".join(table.columns))
-    print(_csv_body(table.rows[:limit]), end="")
+    print("".join(_row_texts(table.rows[:limit], _CSV)), end="")
     if len(table.rows) > limit:
         print(f"... ({len(table.rows)} rows total)")
 
@@ -575,13 +681,10 @@ def cmd_caf(args) -> int:
     written = []
     for space in _spaces(args.space):
         offset, peak, total = superpose_and_argmax(scenario_caf(scenario, space))
-        axis = scenario.grid_for(space).axis()
         unit = "m" if space is Space.POSITION else "m/s"
-        # row-major: north is the outer index, east the inner one
-        east, north = np.meshgrid(axis, axis)
         table = ResultTable(
             (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
-            np.column_stack((east.ravel(), north.ravel(), total.ravel())),
+            GridRows(scenario.grid_for(space).axis(), total),
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))

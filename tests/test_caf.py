@@ -1,6 +1,7 @@
 """Correlation model, mismatch linearization, and grid argmax."""
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ class TestGrids:
         b = Grid2D(GridSpec(Space.POSITION, 5.0, 0.5), np.zeros((21, 21)))
         with pytest.raises(ValueError):
             superpose_and_argmax([a, b])
+
+    @pytest.mark.parametrize("cells", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 1e308), (math.inf, -math.inf),
+    ], ids=["nan", "inf", "minus-inf", "overflowing-sum", "inf-minus-inf"])
+    def test_superpose_rejects_non_finite_sum(self, cells):
+        spec = GridSpec(Space.POSITION, 1.0, 1.0)
+        grids = []
+        for v in cells:
+            values = np.zeros((3, 3))
+            values[1, 2] = v
+            grids.append(Grid2D(spec, values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                superpose_and_argmax(grids)
 
 
 class TestNoise:

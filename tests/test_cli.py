@@ -1,9 +1,12 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpe_multipath import cli
-from dpe_multipath.caf import Scenario, Space, scenario_caf
+from dpe_multipath.caf import GridSpec, Scenario, Space, scenario_caf, superpose_and_argmax
 from dpe_multipath.cli import (
     EXIT_COMPUTE,
     EXIT_GEOMETRY,
@@ -20,6 +23,7 @@ from dpe_multipath.cli import (
     EXIT_SCHEMA,
     EXIT_USAGE,
     SCENARIO_SCHEMA,
+    GridRows,
     ResultTable,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -202,6 +206,20 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(("a",), np.arange(3).reshape(3, 1))
 
+    def test_grid_rows_checked(self):
+        axis = np.array([-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            GridRows(axis, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            GridRows(axis.reshape(3, 1), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            GridRows(np.arange(3), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            GridRows(axis, np.zeros((3, 3), dtype=int))
+        with pytest.raises(ValueError):
+            ResultTable(("e", "n"), GridRows(axis, np.zeros((3, 3))))
+        assert len(GridRows(axis, np.zeros((3, 3)))) == 9
+
 
 # Doubles where %.6g could plausibly part from format(v, ".6g"): signed
 # zero, non-finite values, subnormal and normal extremes, integer-valued
@@ -238,6 +256,103 @@ class TestArrayTable:
         assert len(arr.rows) == n_rows
         assert arr.to_csv() == tup.to_csv()
         assert arr.to_json() == tup.to_json()
+
+
+def _column_stack_pieces(columns, rows: np.ndarray, note: str, fmt: str):
+    """The table writer before grid rows, for rows held in one 2-D array.
+
+    CSV: one ``%.6g`` template per ``_CSV_CHUNK_ROWS`` rows.  JSON: ``json``'s
+    ``indent=2`` encoding of ``{"note", "columns", "rows": rows.tolist()}``
+    plus a newline, which is ``json.dumps``; the row lists are made as the
+    encoder reaches them, so a 1001^2 grid does not hold a million at once.
+    """
+    if fmt == "csv":
+        yield ",".join(columns) + "\n"
+        template = ",".join(["%.6g"] * rows.shape[1]) + "\n"
+        for i in range(0, len(rows), cli._CSV_CHUNK_ROWS):
+            c = rows[i:i + cli._CSV_CHUNK_ROWS]
+            yield (template * len(c)) % tuple(c.ravel().tolist())
+        return
+
+    class RowLists(list):  # encodes as rows.tolist(): json iterates it like a list
+        def __len__(self):
+            return len(rows)
+
+        def __iter__(self):
+            return (r.tolist() for r in rows)
+
+    payload = {"note": note, "columns": list(columns), "rows": RowLists()}
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
+
+
+def _grid_as_column_stack(axis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    east, north = np.meshgrid(axis, axis)
+    return np.column_stack((east.ravel(), north.ravel(), values.ravel()))
+
+
+def _digest(pieces) -> str:
+    h = hashlib.sha256()
+    for piece in pieces:
+        h.update(piece.encode())
+    return h.hexdigest()
+
+
+class TestGridRows:
+    """Grid tables write the bytes of the old meshgrid + column_stack table."""
+
+    COLUMNS = ("offset_e[m/s]", "offset_n[m/s]", "caf[1]")
+
+    @pytest.mark.parametrize("half_extent, step", [
+        (2.0, 0.1), (3.0, 0.2), (4.5, 0.3), (5e-6, 2.5e-7), (1.0, 1.0),
+        (128.0, 1.0),
+    ], ids=["step-0.1", "step-0.2", "step-0.3", "step-2.5e-7", "n-3", "longer-than-a-chunk"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_column_stack_writer(self, half_extent, step, fmt):
+        axis = GridSpec(Space.VELOCITY, half_extent, step).axis()
+        n = len(axis)
+        # finite values at several magnitudes, plus random bit patterns
+        # (NaN, infinities, subnormals) in the small grids
+        values = np.random.default_rng(n).standard_normal((n, n)) * 10.0 ** (np.arange(n) % 9 - 4)
+        if n < 100:
+            values.ravel()[::3] = _random_doubles(len(values.ravel()[::3]), seed=n)
+        table = ResultTable(self.COLUMNS, GridRows(axis, values), note="n")
+        expected = "".join(_column_stack_pieces(
+            self.COLUMNS, _grid_as_column_stack(axis, values), "n", fmt))
+        assert (table.to_csv() if fmt == "csv" else table.to_json()) == expected
+        if half_extent == 128.0:
+            assert n * n > cli._CSV_CHUNK_ROWS
+        if step == 2.5e-7:
+            assert "e-06," in expected  # labels in exponent form
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_array_rows_match_column_stack_writer(self, fmt):
+        values = _random_doubles(3 * 1000, seed=5).reshape(1000, 3)
+        table = ResultTable(self.COLUMNS, values, note="n")
+        expected = "".join(_column_stack_pieces(self.COLUMNS, values, "n", fmt))
+        assert (table.to_csv() if fmt == "csv" else table.to_json()) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_caf_files_match_column_stack_writer(self, tmp_path, fmt):
+        def noisy(raw):
+            raw["grid"] = [{"space": "position", "half_extent": 100.0, "step": 1.0},
+                           {"space": "velocity", "half_extent": 100.0, "step": 0.2}]
+            raw["noise_sigma"] = 0.05
+
+        p = dump_variant(tmp_path, "case3", noisy)
+        assert main(["caf", "--scenario", str(p), "--seed", "7", "--format", fmt,
+                     "--out", str(tmp_path)]) == EXIT_OK
+        s = replace(load_scenario(p), seed=7)
+        for space, unit, n in ((Space.POSITION, "m", 201), (Space.VELOCITY, "m/s", 1001)):
+            _, _, total = superpose_and_argmax(scenario_caf(s, space))
+            axis = s.grid_for(space).axis()
+            assert len(axis) == n
+            expected = _column_stack_pieces(
+                (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
+                _grid_as_column_stack(axis, total),
+                f"superposed {space.value}-space correlation grid", fmt)
+            written = (tmp_path / f"caf_{space.value}.{fmt}").read_bytes()
+            assert hashlib.sha256(written).hexdigest() == _digest(expected)
 
 
 class TestCommands:
@@ -427,8 +542,9 @@ class TestExitCodes:
         (lambda raw: raw["signal"].update(carrier_hz=1e6), "signal: "),
         (lambda raw: raw["grid"][1].update(half_extent=1.0, step=2.5), "grid.1: "),
         (lambda raw: raw["grid"][0].update(half_extent=1e300, step=1e-300), "grid.0: "),
+        (lambda raw: _set_path(raw, 2, 0, delay_chips=1e308), "satellites.2.paths.0: "),
     ], ids=["huge-code-rate", "carrier-below-code-rate", "step-beyond-extent",
-            "overflowing-grid-count"])
+            "overflowing-grid-count", "overflowing-projected-delay"])
     def test_signal_and_grid_domain_errors(self, tmp_path, capsys, mutate, prefix):
         p = dump_variant(tmp_path, "case3", mutate)
         with pytest.raises(ScenarioSchemaError, match=f"^{prefix}"):
@@ -443,3 +559,17 @@ class TestExitCodes:
 
     def test_compute_error(self, tmp_path):
         assert main(["bounds", "--radii", "0,0", "--out", str(tmp_path)]) == EXIT_COMPUTE
+
+    def test_non_finite_caf_sum_is_compute_error(self, tmp_path, capsys):
+        def huge_noise(raw):
+            raw["grid"] = [{"space": "position", "half_extent": 5.0, "step": 1.0},
+                           {"space": "velocity", "half_extent": 5.0, "step": 1.0}]
+            raw["noise_sigma"] = 1e308
+
+        p = dump_variant(tmp_path, "case3", huge_noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["caf", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: summed CAF grid is not finite")
+        assert "noise_sigma" in err
