@@ -2,8 +2,14 @@
 """Run each experiment driver once over the bundled scenarios and print summaries."""
 import argparse
 
-from dpe_multipath import ExperimentConfig, ExperimentKind, Space, make_reference_scenario
-from dpe_multipath import mc
+from dpe_multipath import (
+    make_reference_scenario,
+    mc,
+    run_case_study,
+    run_elevation_sweep,
+    run_oracle_compare,
+    run_random_azimuth_mc,
+)
 
 
 def show(title: str, report) -> bool:
@@ -22,33 +28,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=mc.REFERENCE_SEED)
     args = ap.parse_args()
 
-    ok = show(
-        "elevation sweep",
-        ExperimentConfig(kind=ExperimentKind.ELEVATION_SWEEP).run(),
-    )
-    ok &= show(
-        "azimuth monte carlo",
-        ExperimentConfig(
-            kind=ExperimentKind.AZIMUTH_MC, trials=args.trials, seed=args.seed
-        ).run(),
-    )
+    ok = show("elevation sweep", run_elevation_sweep())
+    ok &= show("azimuth monte carlo", run_random_azimuth_mc(trials=args.trials, seed=args.seed))
     for case in ("case1", "case2", "case3", "table6"):
-        ok &= show(
-            f"case study {case}",
-            ExperimentConfig(
-                kind=ExperimentKind.CASE_STUDY,
-                scenario=make_reference_scenario(case),
-                case_id=case,
-            ).run(),
-        )
+        ok &= show(f"case study {case}", run_case_study(make_reference_scenario(case), case))
     for case in ("case1", "case3", "table6"):
-        ok &= show(
-            f"oracle compare {case} (position)",
-            ExperimentConfig(
-                kind=ExperimentKind.ORACLE_COMPARE,
-                scenario=make_reference_scenario(case),
-            ).run(),
-        )
+        ok &= show(f"oracle compare {case} (position)",
+                   run_oracle_compare(make_reference_scenario(case)))
     return 0 if ok else 1
 
 

@@ -45,8 +45,6 @@ from .geom import (
     slant_range,
 )
 from .mc import (
-    ExperimentConfig,
-    ExperimentKind,
     ExperimentReport,
     make_reference_scenario,
     pair_error_curve,
@@ -67,7 +65,6 @@ from .scmb import (
     center_lines,
     count_intersections,
     critical_points,
-    delta_alpha,
     enumerate_intersections,
     fold_azimuth_separation,
     intersect_lines,
@@ -129,14 +126,11 @@ __all__ = [
     "intersect_lines",
     "pair_bias",
     "pair_bias_velocity",
-    "delta_alpha",
     "critical_points",
     "case_bound",
     "enumerate_intersections",
     "count_intersections",
     # experiment drivers
-    "ExperimentConfig",
-    "ExperimentKind",
     "ExperimentReport",
     "make_reference_scenario",
     "pair_error_curve",

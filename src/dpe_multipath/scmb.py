@@ -26,8 +26,6 @@ EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines are parall
 EPS_MERGE = 1e-6  # m (m/s); intersection points closer than this are one point
 EQUAL_RADII_RTOL = 1e-9  # relative tolerance for treating two radii as equal
 
-_EPS_VERTICAL = 1e-9  # |cos azimuth| below this leaves slope/intercept undefined
-
 
 class ParallelLinesError(GeometryError):
     """Center lines with (nearly) equal or opposite azimuths do not intersect."""
@@ -84,22 +82,6 @@ class CenterLine:
     @property
     def radius(self) -> float:
         return abs(self.offset)
-
-    @property
-    def slope(self) -> float:
-        """Slope -tan(azimuth); undefined for east/west-pointing normals."""
-        c = math.cos(self.azimuth)
-        if abs(c) < _EPS_VERTICAL:
-            raise GeometryError("line is vertical in the E-N plane; slope undefined")
-        return -math.sin(self.azimuth) / c
-
-    @property
-    def intercept(self) -> float:
-        """North-axis intercept; undefined whenever the slope is."""
-        c = math.cos(self.azimuth)
-        if abs(c) < _EPS_VERTICAL:
-            raise GeometryError("line is vertical in the E-N plane; intercept undefined")
-        return self.constant / c
 
     def tangent_point(self) -> EnuVector:
         """Foot of the perpendicular from the truth point (the tangency point)."""
@@ -236,12 +218,6 @@ def pair_bias(
 def pair_bias_velocity(rho_i: float, rho_j: float, theta_i: float, theta_j: float) -> BiasResult:
     """Velocity-space twin of :func:`pair_bias`; radii in m/s."""
     return pair_bias(rho_i, rho_j, theta_i, theta_j, space=Space.VELOCITY)
-
-
-def delta_alpha(theta_i: float, theta_j: float) -> float:
-    """Acute angle between two center lines (their slopes differ by the azimuths)."""
-    d = fold_azimuth_separation(theta_i, theta_j)
-    return d if d <= math.pi / 2.0 else math.pi - d
 
 
 def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:

@@ -443,6 +443,25 @@ class TestCommands:
         for stem in stems:
             assert (figs / f"{stem}.csv").read_bytes() == (report / f"{stem}.csv").read_bytes()
 
+    def test_run_experiments_prints_every_driver_summary(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.splitlines() == [
+            "elevation sweep: PASS (4/4 checks, 171 rows)",
+            "azimuth monte carlo: PASS (3/3 checks, 10000 rows)",
+            "case study case1: PASS (14/14 checks, 12 rows)",
+            "case study case2: PASS (20/20 checks, 12 rows)",
+            "case study case3: PASS (16/16 checks, 12 rows)",
+            "case study table6: PASS (6/6 checks, 2 rows)",
+            "oracle compare case1 (position): PASS (1/1 checks, 5 rows)",
+            "oracle compare case3 (position): PASS (1/1 checks, 7 rows)",
+            "oracle compare table6 (position): PASS (1/1 checks, 2 rows)",
+        ]
+
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["montecarlo", "--trials", "300", "--out", str(a)]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Experiment drivers: sweeps, Monte Carlo, case studies, oracle comparison."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,10 @@ from dpe_multipath.mc import (
     CASE_RADII,
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
-    ExperimentConfig,
-    ExperimentKind,
     REFERENCE_ANGLES,
     REFERENCE_RECEIVER,
     REFERENCE_SEED,
     _column_argmax,
-    _uniform_stream,
     caf_value_at,
     fixture_check,
     make_reference_scenario,
@@ -90,12 +88,6 @@ class TestRandomAzimuthMc:
         assert rep.summary["below_floor"] == 0
         assert min(r[2] for r in rep.rows) >= 70.0 - 1e-9
 
-    def test_chunked_bit_identity(self):
-        serial = run_random_azimuth_mc(60.0, 40.0, 997, seed=3, chunks=1)
-        parallel = run_random_azimuth_mc(60.0, 40.0, 997, seed=3, chunks=7)
-        assert serial.rows == parallel.rows
-        assert serial.summary == parallel.summary
-
     def test_seed_changes_draws(self):
         a = run_random_azimuth_mc(60.0, 40.0, 100, seed=1)
         b = run_random_azimuth_mc(60.0, 40.0, 100, seed=2)
@@ -109,23 +101,28 @@ class TestRandomAzimuthMc:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             run_random_azimuth_mc(60.0, 40.0, 0)
-        with pytest.raises(ValueError):
-            run_random_azimuth_mc(60.0, 40.0, 10, chunks=11)
+
+
+def _stream_from(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform doubles ``start .. start+count`` of the Philox stream keyed by ``seed``,
+    drawn by a generator whose counter starts at ``start`` (4 words per block)."""
+    aligned = 4 * (start // 4)
+    bitgen = np.random.Philox(key=seed, counter=[aligned // 4, 0, 0, 0])
+    return np.random.Generator(bitgen).uniform(0.0, 1.0, count + start - aligned)[start - aligned:]
 
 
 class TestUniformStream:
-    def test_splice_bit_identity(self):
-        whole = _uniform_stream(5, 0, 100)
-        spliced = np.concatenate([_uniform_stream(5, 0, 37), _uniform_stream(5, 37, 63)])
-        np.testing.assert_array_equal(whole, spliced)
-
     def test_offset_slices_align(self):
-        whole = _uniform_stream(11, 0, 64)
-        np.testing.assert_array_equal(whole[13:50], _uniform_stream(11, 13, 37))
+        # trial k draws word k of the stream keyed by the seed, whatever
+        # the run length: a generator started at trial 13's counter
+        # reproduces trials 13..49
+        rows = run_random_azimuth_mc(60.0, 40.0, 64, seed=11).rows
+        expected = [math.degrees(float(math.pi * u)) for u in _stream_from(11, 13, 37)]
+        assert [r[1] for r in rows[13:50]] == expected
 
     def test_range(self):
-        v = _uniform_stream(2, 0, 1000)
-        assert v.min() >= 0.0 and v.max() < 1.0
+        separations = [r[1] for r in run_random_azimuth_mc(60.0, 40.0, 1000, seed=2).rows]
+        assert min(separations) >= 0.0 and max(separations) < 180.0
 
 
 class TestCaseStudies:
@@ -223,34 +220,30 @@ class TestPairErrorCurve:
         vals = pair_error_curve(60.0, 40.0, np.array([0.0, math.pi]))
         assert np.all(np.isinf(vals))
 
+    @pytest.mark.parametrize("ri, rj", [(40.0, 0.0), (40.0, 40.0), (60.0, 40.0)])
+    def test_reference_curves_are_law_of_cosines_bits(self, ri, rj):
+        # the fig8 separations and the reference Monte Carlo draws
+        draws = np.random.Generator(np.random.Philox(key=REFERENCE_SEED)).uniform(0.0, 1.0, 10000)
+        for t in (np.radians(0.5 * np.arange(1, 360)), math.pi * draws):
+            num = np.sqrt(ri * ri + rj * rj - 2.0 * ri * rj * np.cos(t))
+            np.testing.assert_array_equal(pair_error_curve(ri, rj, t), num / np.sin(t))
+
+    def test_tiny_equal_radii_stay_finite(self):
+        # rho**2 underflows, so the law-of-cosines argument rounds below zero
+        rho = 1.14e-162
+        t = math.pi * np.random.Generator(np.random.Philox(key=1)).uniform(0.0, 1.0, 2000)
+        fixed = rho * rho + rho * rho - 2.0 * rho * rho * np.cos(t) < 0.0
+        assert np.any(fixed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = pair_error_curve(rho, rho, t)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        hypot = np.hypot(rho - rho * np.cos(t), rho * np.sin(t)) / np.sin(t)
+        for v, h in zip(vals[fixed], hypot[fixed]):
+            assert v == pytest.approx(h, rel=1e-12)
+
 
 class TestExperimentConfig:
-    def test_dispatch(self):
-        assert ExperimentConfig(kind=ExperimentKind.ELEVATION_SWEEP).run().kind is (
-            ExperimentKind.ELEVATION_SWEEP
-        )
-        assert ExperimentConfig(
-            kind=ExperimentKind.AZIMUTH_MC, trials=50
-        ).run().kind is ExperimentKind.AZIMUTH_MC
-        assert ExperimentConfig(
-            kind=ExperimentKind.CASE_STUDY,
-            scenario=make_reference_scenario("table6"),
-            case_id="table6",
-        ).run().passed
-        assert ExperimentConfig(
-            kind=ExperimentKind.ORACLE_COMPARE, scenario=make_reference_scenario("case1")
-        ).run().passed
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind=ExperimentKind.AZIMUTH_MC, trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind=ExperimentKind.ELEVATION_SWEEP, sweep_step_deg=0.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                kind=ExperimentKind.ELEVATION_SWEEP, sweep_start_deg=10.0, sweep_stop_deg=5.0
-            )
-
     def test_unknown_reference_scenario(self):
         with pytest.raises(KeyError):
             make_reference_scenario("table9")

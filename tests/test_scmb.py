@@ -16,7 +16,6 @@ from dpe_multipath.scmb import (
     center_lines,
     count_intersections,
     critical_points,
-    delta_alpha,
     enumerate_intersections,
     fold_azimuth_separation,
     intersect_lines,
@@ -90,24 +89,6 @@ class TestCenterLine:
         along = math.sin(az) * t.e + math.cos(az) * t.n
         assert along == pytest.approx(RIDGE_OFFSET_SIGN * 10.0, rel=1e-12)
         assert along < 0.0
-
-    def test_slope_intercept(self):
-        az = math.radians(30.0)
-        ln = CenterLine(Space.POSITION, az, 5.0)
-        assert ln.slope == pytest.approx(-math.tan(az), rel=1e-12)
-        assert ln.intercept == pytest.approx(ln.constant / math.cos(az), rel=1e-12)
-        # a point from the explicit form satisfies the normal form
-        e = 3.7
-        n = ln.slope * e + ln.intercept
-        ne, nn = ln.normal
-        assert ne * e + nn * n == pytest.approx(ln.constant, abs=1e-12)
-
-    def test_vertical_line_has_no_slope(self):
-        ln = CenterLine(Space.POSITION, math.radians(90.0), 5.0)
-        with pytest.raises(GeometryError):
-            ln.slope
-        with pytest.raises(GeometryError):
-            ln.intercept
 
 
 class TestPairBias:
@@ -235,21 +216,6 @@ class TestReferencePairs:
             math.radians(170.0), rel=1e-12
         )
         assert fold_azimuth_separation(1.0, 1.0) == 0.0
-
-
-class TestDeltaAlpha:
-    def test_acute_branch(self):
-        assert delta_alpha(0.0, math.radians(57.0)) == pytest.approx(
-            math.radians(57.0), rel=1e-12
-        )
-
-    def test_obtuse_branch_folds(self):
-        assert delta_alpha(0.0, math.radians(122.3)) == pytest.approx(
-            math.radians(57.7), rel=1e-12
-        )
-
-    def test_right_angle_fixed_point(self):
-        assert delta_alpha(0.0, math.pi / 2.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
 class TestCriticalPoints:
