@@ -3,13 +3,13 @@
 import argparse
 
 from dpe_multipath import (
-    make_reference_scenario,
     mc,
     run_case_study,
     run_elevation_sweep,
     run_oracle_compare,
     run_random_azimuth_mc,
 )
+from dpe_multipath.cli import load_scenario
 
 
 def show(title: str, report) -> bool:
@@ -31,10 +31,10 @@ def main() -> int:
     ok = show("elevation sweep", run_elevation_sweep())
     ok &= show("azimuth monte carlo", run_random_azimuth_mc(trials=args.trials, seed=args.seed))
     for case in ("case1", "case2", "case3", "table6"):
-        ok &= show(f"case study {case}", run_case_study(make_reference_scenario(case), case))
+        ok &= show(f"case study {case}", run_case_study(load_scenario(f"{case}.scenario"), case))
     for case in ("case1", "case3", "table6"):
         ok &= show(f"oracle compare {case} (position)",
-                   run_oracle_compare(make_reference_scenario(case)))
+                   run_oracle_compare(load_scenario(f"{case}.scenario")))
     return 0 if ok else 1
 
 

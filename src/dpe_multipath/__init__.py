@@ -11,7 +11,6 @@ CLI that reproduces the reference tables and figure data.
 
 from .caf import (
     DEFAULT_GRIDS,
-    NOMINAL_RANGE,
     RIDGE_OFFSET_SIGN,
     SPEED_OF_LIGHT,
     GeometryMismatchError,
@@ -42,11 +41,9 @@ from .geom import (
     enu_from_angles,
     enu_to_ecef,
     look_angles,
-    slant_range,
 )
 from .mc import (
     ExperimentReport,
-    make_reference_scenario,
     pair_error_curve,
     run_case_study,
     run_elevation_sweep,
@@ -89,11 +86,9 @@ __all__ = [
     "enu_to_ecef",
     "enu_from_angles",
     "look_angles",
-    "slant_range",
     # signal model
     "SPEED_OF_LIGHT",
     "RIDGE_OFFSET_SIGN",
-    "NOMINAL_RANGE",
     "DEFAULT_GRIDS",
     "GeometryMismatchError",
     "Space",
@@ -132,7 +127,6 @@ __all__ = [
     "count_intersections",
     # experiment drivers
     "ExperimentReport",
-    "make_reference_scenario",
     "pair_error_curve",
     "run_elevation_sweep",
     "run_random_azimuth_mc",

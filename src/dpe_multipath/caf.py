@@ -17,15 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import (
-    EcefVector,
-    EnuVector,
-    GeometryError,
-    LookAngles,
-    ecef_to_enu,
-    look_angles,
-    slant_range,
-)
+from .geom import EcefVector, EnuVector, GeometryError, LookAngles, ecef_to_enu, look_angles
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -35,11 +27,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # satisfies u_hat . offset = RIDGE_OFFSET_SIGN * projected_bias, and the
 # delay/Doppler mismatch functions below carry the matching sign.
 RIDGE_OFFSET_SIGN = -1.0
-
-# Satellite range used when a channel is specified by look angles alone.  The
-# mismatch model depends on the satellite position only through its unit
-# direction, so the value is uncritical at GNSS scales.
-NOMINAL_RANGE = 2.2e7  # m
 
 # Provided angles and a provided position may disagree by at most this much.
 ANGLE_CONSISTENCY_TOL = math.radians(0.1)
@@ -69,14 +56,13 @@ class PathKind(enum.Enum):
 class SignalConfig:
     """Signal-plan constants of the simulated receiver.
 
-    ``sampling_rate`` is carried along for provenance but no sample-level
-    processing consumes it.
+    A scenario file's ``sampling_rate_hz`` is schema-checked but not kept:
+    no sample-level processing exists to consume it.
     """
 
     code_rate: float = 10.23e6  # chips/s
     carrier: float = 1176.45e6  # Hz
     coherent_integration: float = 0.020  # s
-    sampling_rate: float = 30.69e6  # Hz
 
     def __post_init__(self):
         if self.code_rate <= 0.0 or self.carrier <= self.code_rate:
@@ -120,21 +106,17 @@ class SignalPath:
 
 @dataclass(frozen=True)
 class SatelliteChannel:
-    """A satellite as seen by the receiver: geometry plus its signal paths.
+    """A satellite as seen by the receiver: its look angles and signal paths.
 
-    ``angles`` and ``slant`` are the canonical geometry used by all
-    computations.  ``position``/``velocity``/``angles_deg`` keep whatever the
-    scenario author wrote, so files round-trip exactly.  Construct through
-    :func:`make_channel`, which derives the canonical fields.
+    The model reads a satellite only through its line-of-sight direction,
+    so a channel keeps the angles and nothing else of where the satellite
+    is.  Construct through :func:`make_channel`, which derives the angles
+    from an authored position, authored angles, or both.
     """
 
     prn: int
     paths: tuple[SignalPath, ...]
     angles: LookAngles
-    slant: float
-    position: EcefVector | None = None
-    velocity: EcefVector | None = None
-    angles_deg: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.paths:
@@ -144,11 +126,6 @@ class SatelliteChannel:
             raise ValueError(f"PRN {self.prn}: at most one LOS path per channel")
         if los and self.paths[0].kind is not PathKind.LOS:
             raise ValueError(f"PRN {self.prn}: the LOS path must come first")
-        if not self.slant > 0.0:
-            raise ValueError(f"PRN {self.prn}: slant range must be positive")
-
-    def nlos_paths(self) -> tuple[SignalPath, ...]:
-        return tuple(p for p in self.paths if p.kind is PathKind.NLOS)
 
 
 def make_channel(
@@ -156,21 +133,18 @@ def make_channel(
     prn: int,
     paths: Sequence[SignalPath],
     position: EcefVector | None = None,
-    velocity: EcefVector | None = None,
     angles_deg: tuple[float, float] | None = None,
-    nominal_range: float = NOMINAL_RANGE,
 ) -> SatelliteChannel:
     """Build a channel from an ECEF position, look angles, or both.
 
     When both are given the derived and authored angles must agree within
     ANGLE_CONSISTENCY_TOL, otherwise :class:`GeometryMismatchError` is
-    raised.  With angles alone the satellite sits at ``nominal_range``.
+    raised.  Only the direction is used: a position's range is dropped.
     """
     if position is None and angles_deg is None:
         raise ValueError(f"PRN {prn}: need a position or look angles")
     if position is not None:
         derived = look_angles(ecef_to_enu(position, receiver))
-        slant = slant_range(position, receiver)
         if angles_deg is not None:
             authored = LookAngles.from_degrees(*angles_deg)
             d_el = abs(authored.elevation - derived.elevation)
@@ -186,16 +160,7 @@ def make_channel(
         angles = derived
     else:
         angles = LookAngles.from_degrees(*angles_deg)
-        slant = nominal_range
-    return SatelliteChannel(
-        prn=prn,
-        paths=tuple(paths),
-        angles=angles,
-        slant=slant,
-        position=position,
-        velocity=velocity,
-        angles_deg=tuple(angles_deg) if angles_deg is not None else None,
-    )
+    return SatelliteChannel(prn=prn, paths=tuple(paths), angles=angles)
 
 
 @dataclass(frozen=True)
@@ -252,7 +217,6 @@ class Scenario:
     """Receiver truth, signal plan, and the satellite channels in view."""
 
     receiver_position: EcefVector
-    receiver_velocity: EcefVector = EcefVector(0.0, 0.0, 0.0)
     signal: SignalConfig = SignalConfig()
     satellites: tuple[SatelliteChannel, ...] = ()
     grids: tuple[GridSpec, ...] = DEFAULT_GRIDS

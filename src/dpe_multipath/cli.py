@@ -153,9 +153,10 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read, validate, and construct a scenario.
 
     ``path`` may be a filesystem path or the bare name of a bundled fixture.
-    Satellites authored as angles are placed at ``caf.NOMINAL_RANGE``;
-    satellites authored as ECEF get their angles derived, and cross-checked
-    when the file carries both.
+    Satellites authored as ECEF get their angles derived, and cross-checked
+    when the file carries both; only the direction is used.  The
+    ``velocity_ecef`` and ``sampling_rate_hz`` keys are schema-checked and
+    then ignored: nothing in the model reads them.
     """
     text = _read_scenario_text(path)
     try:
@@ -201,7 +202,6 @@ def _scenario_validator():
 
 def _scenario_from_dict(raw: dict) -> Scenario:
     receiver = EcefVector.from_array(raw["receiver"]["position_ecef"])
-    velocity = EcefVector.from_array(raw["receiver"].get("velocity_ecef", (0.0, 0.0, 0.0)))
     sig = raw.get("signal", {})
     defaults = SignalConfig()
     try:
@@ -209,7 +209,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             code_rate=sig.get("code_rate_hz", defaults.code_rate),
             carrier=sig.get("carrier_hz", defaults.carrier),
             coherent_integration=sig.get("coherent_integration_s", defaults.coherent_integration),
-            sampling_rate=sig.get("sampling_rate_hz", defaults.sampling_rate),
         )
     except ValueError as e:
         raise ScenarioSchemaError(f"signal: {e}") from e
@@ -253,11 +252,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                         if "position_ecef" in sat
                         else None
                     ),
-                    velocity=(
-                        EcefVector.from_array(sat["velocity_ecef"])
-                        if "velocity_ecef" in sat
-                        else None
-                    ),
                     angles_deg=(
                         (sat["elevation_deg"], sat["azimuth_deg"]) if has_angles else None
                     ),
@@ -277,7 +271,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     try:
         return Scenario(
             receiver_position=receiver,
-            receiver_velocity=velocity,
             signal=signal,
             satellites=tuple(satellites),
             grids=tuple(grids) or DEFAULT_GRIDS,
@@ -286,61 +279,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         )
     except ValueError as e:
         raise ScenarioSchemaError(str(e)) from e
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    sats = []
-    for ch in scenario.satellites:
-        sat: dict = {"prn": ch.prn}
-        if ch.position is not None:
-            sat["position_ecef"] = [ch.position.x, ch.position.y, ch.position.z]
-        if ch.velocity is not None:
-            sat["velocity_ecef"] = [ch.velocity.x, ch.velocity.y, ch.velocity.z]
-        if ch.angles_deg is not None:
-            sat["elevation_deg"], sat["azimuth_deg"] = ch.angles_deg
-        sat["paths"] = [
-            {
-                "kind": p.kind.value,
-                "amplitude": p.amplitude,
-                "delay_chips": p.delay_chips,
-                "doppler_hz": p.doppler_hz,
-            }
-            for p in ch.paths
-        ]
-        sats.append(sat)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "receiver": {
-            "position_ecef": [
-                scenario.receiver_position.x,
-                scenario.receiver_position.y,
-                scenario.receiver_position.z,
-            ],
-            "velocity_ecef": [
-                scenario.receiver_velocity.x,
-                scenario.receiver_velocity.y,
-                scenario.receiver_velocity.z,
-            ],
-        },
-        "signal": {
-            "code_rate_hz": scenario.signal.code_rate,
-            "carrier_hz": scenario.signal.carrier,
-            "coherent_integration_s": scenario.signal.coherent_integration,
-            "sampling_rate_hz": scenario.signal.sampling_rate,
-        },
-        "grid": [
-            {"space": g.space.value, "half_extent": g.half_extent, "step": g.step}
-            for g in scenario.grids
-        ],
-        "noise_sigma": scenario.noise_sigma,
-        "seed": scenario.seed,
-        "satellites": sats,
-    }
-
-
-def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Serialize a scenario; loading the file back reproduces it exactly."""
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
 # Rows per ``%`` application when writing an array table: bounds the
@@ -530,12 +468,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_number(text: str) -> float:
+    """A number flag; NaN and infinities are usage errors, as in scenario files."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A seed flag: a non-negative integer, as the schema requires of ``seed``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--scenario", default="table1.scenario",
                         help="scenario file path or bundled fixture name")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed, default=None,
                         help="override the scenario/driver seed")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table file format")
@@ -546,8 +506,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("project", parents=[common],
                        help="project a delay/Doppler bias to range/range-rate biases")
-    p.add_argument("--delay-chips", type=float, default=1.0)
-    p.add_argument("--doppler-hz", type=float, default=120.0)
+    p.add_argument("--delay-chips", type=_finite_number, default=1.0)
+    p.add_argument("--doppler-hz", type=_finite_number, default=120.0)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("intersect", parents=[common],
@@ -568,8 +528,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("montecarlo", parents=[common],
                        help="uniform random azimuth-separation trials")
-    p.add_argument("--rho-i", type=float, default=60.0)
-    p.add_argument("--rho-j", type=float, default=40.0)
+    p.add_argument("--rho-i", type=_finite_number, default=60.0)
+    p.add_argument("--rho-j", type=_finite_number, default=40.0)
     p.add_argument("--trials", type=int, default=10000)
     p.set_defaults(func=cmd_montecarlo)
 
@@ -649,8 +609,8 @@ def cmd_intersect(args) -> int:
 
 def cmd_bounds(args) -> int:
     try:
-        radii = [float(tok) for tok in args.radii.split(",") if tok.strip() != ""]
-    except ValueError as e:
+        radii = [_finite_number(tok) for tok in args.radii.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError as e:
         raise UsageError(f"--radii expects comma-separated numbers: {e}") from None
     bound = case_bound(radii)
     table = ResultTable(

@@ -1,4 +1,4 @@
-"""Local-frame geometry: ECEF/ENU conversion, satellite look angles, slant range.
+"""Local-frame geometry: ECEF/ENU conversion and satellite look angles.
 
 The local frame is East-North-Up anchored at the receiver truth point.
 Azimuth is measured clockwise from geodetic North, elevation up from the
@@ -192,9 +192,3 @@ def enu_from_angles(angles: LookAngles, range_m: float) -> EnuVector:
         range_m * ce * math.cos(angles.azimuth),
         range_m * math.sin(angles.elevation),
     )
-
-
-def slant_range(sat: EcefVector, receiver: EcefVector) -> float:
-    """Euclidean distance between satellite and receiver, meters."""
-    d = sat.to_array() - receiver.to_array()
-    return float(np.linalg.norm(d))

@@ -1,1 +1,1 @@
-"""Bundled scenario fixtures; regenerate with scripts/build_scenarios.py."""
+"""Bundled scenario fixtures: the one definition of the reference scenarios."""

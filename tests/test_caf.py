@@ -2,6 +2,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,12 +30,16 @@ from dpe_multipath.caf import (
     scenario_caf,
     superpose_and_argmax,
 )
+from dpe_multipath.cli import load_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, enu_to_ecef, enu_from_angles
-from dpe_multipath.mc import REFERENCE_ANGLES, REFERENCE_RECEIVER, make_reference_scenario
+
+TABLE1 = load_scenario("table1.scenario")
+REFERENCE_RECEIVER = TABLE1.receiver_position
 
 
 def reference_channel(prn, paths):
-    return make_channel(REFERENCE_RECEIVER, prn, paths, angles_deg=REFERENCE_ANGLES[prn])
+    """A satellite of the bundled reference geometry with the given paths."""
+    return replace(TABLE1.channel(prn), paths=tuple(paths))
 
 
 def two_sat_scenario(paths18, paths23):
@@ -113,16 +118,14 @@ class TestMismatch:
         )
 
     def test_mismatch_depends_only_on_angles(self):
-        # A channel given by angles at different assumed ranges produces the
-        # same mismatch: the linearization sees only the unit direction.
-        near = make_channel(
-            REFERENCE_RECEIVER, 18, [SignalPath(PathKind.LOS)],
-            angles_deg=REFERENCE_ANGLES[18], nominal_range=1.5e7,
-        )
-        far = make_channel(
-            REFERENCE_RECEIVER, 18, [SignalPath(PathKind.LOS)],
-            angles_deg=REFERENCE_ANGLES[18], nominal_range=3.0e7,
-        )
+        # Satellites authored in ECEF along one direction at different ranges
+        # produce the same mismatch: the linearization sees only the direction.
+        def at_range(range_m):
+            local = enu_from_angles(TABLE1.channel(18).angles, range_m)
+            return make_channel(REFERENCE_RECEIVER, 18, [SignalPath(PathKind.LOS)],
+                                position=enu_to_ecef(local, REFERENCE_RECEIVER))
+
+        near, far = at_range(1.5e7), at_range(3.0e7)
         s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(near,))
         t = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(far,))
         offset = EnuVector(37.0, -12.0, 0.0)
@@ -144,15 +147,14 @@ class TestChannels:
             reference_channel(18, [nlos, los])
         with pytest.raises(ValueError):
             reference_channel(18, [los, los])
-        ch = reference_channel(18, [los, nlos])
-        assert ch.nlos_paths() == (nlos,)
+        reference_channel(18, [los, nlos])
 
     def test_channel_needs_position_or_angles(self):
         with pytest.raises(ValueError):
             make_channel(REFERENCE_RECEIVER, 18, [SignalPath(PathKind.LOS)])
 
     def test_angles_position_consistency(self):
-        angles_deg = REFERENCE_ANGLES[18]
+        angles_deg = (42.8, 213.8)  # PRN 18 of the bundled fixtures
         from dpe_multipath.geom import LookAngles
 
         direction = enu_from_angles(LookAngles.from_degrees(*angles_deg), 2.2e7)
@@ -271,10 +273,9 @@ class TestGrids:
 
 class TestNoise:
     def noisy(self, seed):
-        s = make_reference_scenario("case1")
+        s = load_scenario("case1.scenario")
         return Scenario(
             receiver_position=s.receiver_position,
-            receiver_velocity=s.receiver_velocity,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -297,7 +298,7 @@ class TestNoise:
         assert not np.array_equal(a.values, c.values)
 
     def test_noiseless_is_default(self):
-        s = make_reference_scenario("case1")
+        s = load_scenario("case1.scenario")
         assert s.noise_sigma == 0.0
 
 
@@ -378,7 +379,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("space", list(Space))
     def test_default_grid_matches_whole_grid_formula(self, space):
-        s = make_reference_scenario("case3")
+        s = load_scenario("case3.scenario")
         grid = s.grid_for(space)
         for ch in s.satellites[:2]:
             assert channel_caf(grid, ch, s).values.tobytes() == seed_caf(grid, ch, s).tobytes()

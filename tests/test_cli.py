@@ -14,7 +14,17 @@ import numpy as np
 import pytest
 
 from dpe_multipath import cli
-from dpe_multipath.caf import GridSpec, Scenario, Space, scenario_caf, superpose_and_argmax
+from dpe_multipath.caf import (
+    DEFAULT_GRIDS,
+    GridSpec,
+    PathKind,
+    Scenario,
+    SignalConfig,
+    SignalPath,
+    Space,
+    scenario_caf,
+    superpose_and_argmax,
+)
 from dpe_multipath.cli import (
     EXIT_COMPUTE,
     EXIT_GEOMETRY,
@@ -29,16 +39,25 @@ from dpe_multipath.cli import (
     ScenarioSchemaError,
     load_scenario,
     main,
-    scenario_to_dict,
-    write_scenario,
 )
-from dpe_multipath.mc import make_reference_scenario
+from dpe_multipath.geom import EcefVector, LookAngles
+from dpe_multipath.scmb import center_line
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
+# The reference the bundled fixtures encode: receiver truth, satellite look
+# angles (deg), and per-case bias-circle radii, equal in m and m/s.
+REFERENCE_RECEIVER = EcefVector(-2851838.0, 4653607.0, 3289209.0)
+REFERENCE_ANGLES = {10: (35.4, 320.2), 18: (42.8, 213.8), 23: (66.7, 336.1), 24: (69.8, 45.1)}
+CASE_RADII = {
+    "case1": {10: 0.0, 18: 40.0, 23: 0.0, 24: 0.0},
+    "case2": {10: 40.0, 18: 40.0, 23: 40.0, 24: 40.0},
+    "case3": {10: 60.0, 18: 40.0, 23: 30.0, 24: 15.0},
+}
+
 
 def dump_variant(tmp_path: Path, name: str, mutate) -> Path:
-    raw = scenario_to_dict(load_scenario(f"{name}.scenario"))
+    raw = json.loads(cli._bundled_scenario(f"{name}.scenario").read_text())
     mutate(raw)
     path = tmp_path / "variant.scenario"
     path.write_text(json.dumps(raw) + "\n")
@@ -51,27 +70,31 @@ class TestScenarioIO:
         s = load_scenario(f"{name}.scenario")
         assert len(s.satellites) >= 2
 
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_round_trip_is_exact(self, name, tmp_path):
-        s = load_scenario(f"{name}.scenario")
-        out = tmp_path / f"{name}.scenario"
-        write_scenario(s, out)
-        assert load_scenario(out) == s
-
-    @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_files_are_write_normalized(self, name, tmp_path):
-        # the shipped files were produced by write_scenario, so a load/write
-        # cycle reproduces them byte for byte
-        from importlib import resources
-
-        shipped = resources.files("dpe_multipath.scenarios").joinpath(f"{name}.scenario")
-        out = tmp_path / "again.scenario"
-        write_scenario(load_scenario(f"{name}.scenario"), out)
-        assert out.read_text() == shipped.read_text()
-
-    def test_matches_reference_builder(self):
+    def test_fixtures_encode_reference(self):
+        los = (SignalPath(PathKind.LOS),)
         for name in BUNDLED:
-            assert load_scenario(f"{name}.scenario") == make_reference_scenario(name)
+            s = load_scenario(f"{name}.scenario")
+            assert (s.receiver_position, s.signal, s.grids, s.noise_sigma, s.seed) == (
+                REFERENCE_RECEIVER, SignalConfig(), DEFAULT_GRIDS, 0.0, 1)
+            for ch in s.satellites:
+                assert ch.angles == LookAngles.from_degrees(*REFERENCE_ANGLES[ch.prn])
+            prns = [ch.prn for ch in s.satellites]
+            if name == "table1":
+                assert prns == [10, 18, 23, 24]
+                assert all(ch.paths == los for ch in s.satellites)
+            elif name == "table6":
+                assert prns == [18, 23]
+                assert s.channel(18).paths == (SignalPath(PathKind.NLOS, 1.0, 1.0, 120.3),)
+                assert s.channel(23).paths == los
+            else:
+                assert prns == sorted(CASE_RADII[name])
+                for ch in s.satellites:
+                    radius = CASE_RADII[name][ch.prn]
+                    kind = PathKind.LOS if radius == 0.0 else PathKind.NLOS
+                    assert [(p.kind, p.amplitude) for p in ch.paths] == [(kind, 1.0)]
+                    for space in Space:
+                        line = center_line(ch, 0, space, s.signal)
+                        assert line.radius == pytest.approx(radius, rel=1e-12)
 
     def test_missing_file(self):
         with pytest.raises(ScenarioParseError):
@@ -166,10 +189,6 @@ class TestScenarioIO:
         for ch, ref in zip(s.satellites, base.satellites):
             assert ch.angles.elevation == pytest.approx(ref.angles.elevation, abs=1e-9)
             assert ch.angles.azimuth == pytest.approx(ref.angles.azimuth, abs=1e-9)
-        # and such a file round-trips exactly too
-        out = tmp_path / "pos.scenario"
-        write_scenario(s, out)
-        assert load_scenario(out) == s
 
 
 class TestResultTable:
@@ -405,7 +424,6 @@ class TestCommands:
         s = load_scenario(p)
         s = Scenario(
             receiver_position=s.receiver_position,
-            receiver_velocity=s.receiver_velocity,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -487,6 +505,8 @@ MALFORMED = {
     "string-sigma-and-bad-prn": lambda raw: (
         raw.update(noise_sigma="0.1"), raw["satellites"][2].update(prn=-4)),
     "short-vector": lambda raw: raw["receiver"].update(position_ecef=[1.0, 2.0]),
+    "short-velocity": lambda raw: raw["receiver"].update(velocity_ecef=[1.0]),
+    "zero-sampling-rate": lambda raw: raw["signal"].update(sampling_rate_hz=0),
 }
 
 
@@ -575,6 +595,22 @@ class TestExitCodes:
         assert main(["project", "--bogus"]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--radii", "nan,1"],
+        ["bounds", "--radii", "inf,2"],
+        ["montecarlo", "--rho-i", "nan"],
+        ["montecarlo", "--rho-j", "1e400"],
+        ["project", "--delay-chips", "inf"],
+        ["project", "--doppler-hz", "nan"],
+        ["montecarlo", "--seed", "-1"],
+        ["caf", "--scenario", "case3.scenario", "--seed", "-3"],
+    ], ids=["nan-radius", "inf-radius", "nan-rho-i", "overflowing-rho-j", "inf-delay",
+            "nan-doppler", "negative-seed", "negative-caf-seed"])
+    def test_flags_checked_like_scenario_numbers(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_compute_error(self, tmp_path):
         assert main(["bounds", "--radii", "0,0", "--out", str(tmp_path)]) == EXIT_COMPUTE

@@ -6,18 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpe_multipath import mc
 from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, channel_caf
+from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
-    CASE_RADII,
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
-    REFERENCE_ANGLES,
-    REFERENCE_RECEIVER,
     REFERENCE_SEED,
     _column_argmax,
     caf_value_at,
     fixture_check,
-    make_reference_scenario,
     pair_error_curve,
     run_case_study,
     run_elevation_sweep,
@@ -88,6 +86,22 @@ class TestRandomAzimuthMc:
         assert rep.summary["below_floor"] == 0
         assert min(r[2] for r in rep.rows) >= 70.0 - 1e-9
 
+    @pytest.mark.parametrize("rho_i, rho_j", [(1e-170, 1e-170), (1e-170, 3e-170)])
+    def test_floor_holds_for_tiny_radii(self, rho_i, rho_j, monkeypatch):
+        # rho**2 underflows to 0, and an absolute slack would exceed the floor
+        floor = max(rho_i, rho_j)
+        rep = run_random_azimuth_mc(rho_i, rho_j, 2000, seed=1)
+        assert min(r[2] for r in rep.rows) >= floor * (1.0 - 1e-9)
+        assert rep.summary["below_floor"] == 0
+
+        def planted(*args):
+            errors = pair_error_curve(*args)
+            errors[7] = 0.5 * floor
+            return errors
+
+        monkeypatch.setattr(mc, "pair_error_curve", planted)
+        assert run_random_azimuth_mc(rho_i, rho_j, 2000, seed=1).summary["below_floor"] == 1
+
     def test_seed_changes_draws(self):
         a = run_random_azimuth_mc(60.0, 40.0, 100, seed=1)
         b = run_random_azimuth_mc(60.0, 40.0, 100, seed=2)
@@ -128,15 +142,16 @@ class TestUniformStream:
 class TestCaseStudies:
     @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
     def test_reference_cases_pass(self, case):
-        rep = run_case_study(make_reference_scenario(case), case)
+        rep = run_case_study(load_scenario(f"{case}.scenario"), case)
         assert rep.passed
         assert len(rep.rows) == 12  # 6 pairs x 2 spaces
 
     def test_radii_project_to_case_values(self):
-        s = make_reference_scenario("case3")
+        s = load_scenario("case3.scenario")
+        radii = {10: 60.0, 18: 40.0, 23: 30.0, 24: 15.0}
         for ch in s.satellites:
             path = ch.paths[0]
-            radius = CASE_RADII["case3"][ch.prn]
+            radius = radii[ch.prn]
             assert project_to_range(
                 path.delay_chips, ch.angles.elevation
             ) == pytest.approx(radius, rel=1e-12)
@@ -145,31 +160,25 @@ class TestCaseStudies:
             ) == pytest.approx(radius, rel=1e-12)
 
     def test_simulated_column_tracks_analytic(self):
-        rep = run_case_study(make_reference_scenario("case2"), "case2")
+        rep = run_case_study(load_scenario("case2.scenario"), "case2")
         step = {"position": 1.0, "velocity": 0.1}
         for space, _, _, _, _, analytic, simulated, in_window in rep.rows:
             if in_window:
                 assert abs(simulated - analytic) <= 1.5 * step[space]
 
     def test_requires_single_path_channels(self):
-        from dpe_multipath.caf import make_channel
-
-        two_paths = make_channel(
-            REFERENCE_RECEIVER,
-            18,
-            [SignalPath(PathKind.LOS), SignalPath(PathKind.NLOS, delay_chips=1.0)],
-            angles_deg=REFERENCE_ANGLES[18],
+        base = load_scenario("table1.scenario")
+        two_paths = replace(
+            base.channel(18),
+            paths=(SignalPath(PathKind.LOS), SignalPath(PathKind.NLOS, delay_chips=1.0)),
         )
-        lone = make_channel(
-            REFERENCE_RECEIVER, 23, [SignalPath(PathKind.LOS)],
-            angles_deg=REFERENCE_ANGLES[23],
-        )
-        s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(two_paths, lone))
+        lone = base.channel(23)
+        s = Scenario(receiver_position=base.receiver_position, satellites=(two_paths, lone))
         with pytest.raises(ValueError):
             run_case_study(s, None)
 
     def test_table6_field_case(self):
-        rep = run_case_study(make_reference_scenario("table6"), "table6")
+        rep = run_case_study(load_scenario("table6.scenario"), "table6")
         assert rep.passed
         by_name = {c.name: c for c in rep.checks}
         assert by_name["table6:prn18:position:radius"].actual == pytest.approx(
@@ -183,15 +192,14 @@ class TestCaseStudies:
 class TestOracleCompare:
     @pytest.mark.parametrize("case", ["case1", "case3", "table6"])
     def test_argmax_agrees_on_reference_cases(self, case):
-        rep = run_oracle_compare(make_reference_scenario(case))
+        rep = run_oracle_compare(load_scenario(f"{case}.scenario"))
         assert rep.passed
         assert rep.summary["argmax_to_best"] <= rep.summary["grid_step"] + 1e-9
 
     def test_noise_rejected(self):
-        s = make_reference_scenario("case1")
+        s = load_scenario("case1.scenario")
         noisy = Scenario(
             receiver_position=s.receiver_position,
-            receiver_velocity=s.receiver_velocity,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -202,7 +210,7 @@ class TestOracleCompare:
             run_oracle_compare(noisy)
 
     def test_truth_wins_without_multipath(self):
-        rep = run_oracle_compare(make_reference_scenario("table1"))
+        rep = run_oracle_compare(load_scenario("table1.scenario"))
         best = [r for r in rep.rows if r[-1] == 1]
         assert len(best) == 1
         assert best[0][0] == "truth"
@@ -243,12 +251,6 @@ class TestPairErrorCurve:
             assert v == pytest.approx(h, rel=1e-12)
 
 
-class TestExperimentConfig:
-    def test_unknown_reference_scenario(self):
-        with pytest.raises(KeyError):
-            make_reference_scenario("table9")
-
-
 class TestColumnArgmax:
     def test_matches_argmax_with_ties(self):
         rng = np.random.default_rng(3)
@@ -258,7 +260,7 @@ class TestColumnArgmax:
         np.testing.assert_array_equal(peaks, v[v.argmax(axis=0), np.arange(v.shape[1])])
 
     def test_matches_argmax_on_caf_grid(self):
-        s = make_reference_scenario("case3")
+        s = load_scenario("case3.scenario")
         spec = GridSpec(Space.VELOCITY, 100.0, 0.5)
         for g in (channel_caf(spec, ch, s) for ch in s.satellites):
             np.testing.assert_array_equal(_column_argmax(g.values)[0], g.values.argmax(axis=0))
@@ -287,7 +289,7 @@ class TestCafValueAt:
     @pytest.mark.parametrize("case", ["case1", "case2", "case3", "table6"])
     @pytest.mark.parametrize("space", list(Space))
     def test_bit_equal_to_grid_nodes_single_path(self, case, space):
-        s = make_reference_scenario(case)
+        s = load_scenario(f"{case}.scenario")
         spec = self.GRIDS[space]
         total = self.summed(s, spec)
         for i, j, e, n in self.nodes(spec, total):
@@ -295,7 +297,7 @@ class TestCafValueAt:
 
     @pytest.mark.parametrize("space", list(Space))
     def test_multipath_close_to_grid_nodes(self, space):
-        base = make_reference_scenario("case3")
+        base = load_scenario("case3.scenario")
         extra = SignalPath(PathKind.NLOS, 0.4, -0.6, -75.0)
         s = Scenario(
             receiver_position=base.receiver_position,

@@ -21,9 +21,9 @@ from dpe_multipath.caf import (
     scenario_caf,
     superpose_and_argmax,
 )
+from dpe_multipath.cli import load_scenario
 from dpe_multipath.geom import EnuVector
 from dpe_multipath.mc import (
-    REFERENCE_RECEIVER,
     pair_error_curve,
     run_oracle_compare,
     run_random_azimuth_mc,
@@ -38,6 +38,7 @@ from dpe_multipath.scmb import (
     pair_bias,
 )
 
+REFERENCE_RECEIVER = load_scenario("table1.scenario").receiver_position
 D = dict(derandomize=True, deadline=None)
 
 azimuths = st.floats(0.0, 2.0 * math.pi - 1e-9)

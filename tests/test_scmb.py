@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpe_multipath.caf import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.geom import GeometryError
-from dpe_multipath.mc import make_reference_scenario
+from dpe_multipath.cli import load_scenario
 from dpe_multipath.scmb import (
     CenterLine,
     ParallelLinesError,
@@ -294,14 +294,14 @@ class TestCaseBounds:
 
 class TestEnumeration:
     def test_reference_scenario_counts(self):
-        s = make_reference_scenario("case3")
+        s = load_scenario("case3.scenario")
         lines = center_lines(s, Space.POSITION)
         found = enumerate_intersections(lines)
         assert len(found) == count_intersections([len(ch.paths) for ch in s.satellites])
         assert len(found) == 6
 
     def test_same_satellite_lines_skipped(self):
-        s = make_reference_scenario("table6")
+        s = load_scenario("table6.scenario")
         lines = center_lines(s, Space.POSITION)
         # add a second path line for PRN 18 manually
         extra = CenterLine(Space.POSITION, lines[0].azimuth, 10.0, (18, 1))
@@ -310,7 +310,7 @@ class TestEnumeration:
         assert len(found) == count_intersections([2, 1]) == 2
 
     def test_coincident_points_merge(self):
-        s = make_reference_scenario("table1")  # all LOS: every line passes the origin
+        s = load_scenario("table1.scenario")  # all LOS: every line passes the origin
         found = enumerate_intersections(center_lines(s, Space.POSITION))
         assert len(found) == 1
         assert len(found[0].contributors) == 6
