@@ -9,18 +9,21 @@ Monte Carlo trace) into the chosen directory; the files equal those
 import argparse
 from pathlib import Path
 
-from dpe_multipath import mc
-from dpe_multipath.cli import _figure_tables, _write_table
+from dpe_multipath.cli import UsageError, _driver_seed, _figure_tables, _seed, _write_table
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--seed", type=int, default=mc.REFERENCE_SEED)
+    ap.add_argument("--seed", type=_seed, default=None)
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     args = ap.parse_args()
+    try:
+        seed = _driver_seed(args.seed)
+    except UsageError as e:
+        ap.error(str(e))
 
-    _, mcrep, tables = _figure_tables(args.seed)
+    _, mcrep, tables = _figure_tables(seed)
     for stem, table in tables.items():
         print(_write_table(table, Path(args.out), stem, args.format))
     s = mcrep.summary

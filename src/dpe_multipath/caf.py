@@ -70,16 +70,6 @@ class SignalConfig:
         if self.coherent_integration <= 0.0:
             raise ValueError("coherent integration time must be positive")
 
-    @property
-    def chip_length(self) -> float:
-        """Meters per chip."""
-        return SPEED_OF_LIGHT / self.code_rate
-
-    @property
-    def wavelength(self) -> float:
-        """Carrier wavelength, meters."""
-        return SPEED_OF_LIGHT / self.carrier
-
 
 @dataclass(frozen=True)
 class SignalPath:

@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
@@ -346,10 +346,6 @@ class ResultTable:
             if len(r) != len(self.columns):
                 raise ValueError("row width differs from column count")
 
-    @classmethod
-    def from_report(cls, report: mc.ExperimentReport, note: str = "") -> "ResultTable":
-        return cls(report.columns, report.rows, note)
-
     def to_csv(self) -> str:
         return "".join(self._pieces("csv"))
 
@@ -456,10 +452,10 @@ def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
     return path
 
 
-def _print_table(table: ResultTable, limit: int = 40) -> None:
+def _print_table(table: ResultTable) -> None:
     print(",".join(table.columns))
-    print("".join(_row_texts(table.rows[:limit], _CSV)), end="")
-    if len(table.rows) > limit:
+    print("".join(_row_texts(table.rows[:40], _CSV)), end="")
+    if len(table.rows) > 40:
         print(f"... ({len(table.rows)} rows total)")
 
 
@@ -479,15 +475,33 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """A seed flag: a non-negative integer, as the schema requires of ``seed``."""
+def _integer_at_least(low: int, text: str) -> int:
+    """An integer flag of at least ``low``."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+# A seed is non-negative, as the schema requires of ``seed``; a trial count positive.
+_seed = functools.partial(_integer_at_least, 0)
+_trials = functools.partial(_integer_at_least, 1)
+
+
+def _driver_seed(seed: int | None) -> int:
+    """The Monte Carlo seed of ``montecarlo`` and ``report``: ``--seed``, else the reference one.
+
+    It keys a Philox stream, so it must be below 2**128; ``caf`` takes any
+    non-negative seed.
+    """
+    if seed is None:
+        return mc.REFERENCE_SEED
+    if seed >= 2 ** 128:
+        raise UsageError(f"argument --seed: a Monte Carlo seed must be below 2**128, got {seed}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -530,7 +544,7 @@ def _build_parser() -> _Parser:
                        help="uniform random azimuth-separation trials")
     p.add_argument("--rho-i", type=_finite_number, default=60.0)
     p.add_argument("--rho-j", type=_finite_number, default=40.0)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_trials, default=10000)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("report", parents=[common],
@@ -552,6 +566,10 @@ def cmd_project(args) -> int:
         [ch.angles.elevation_deg for ch in scenario.satellites],
         scenario.signal,
     )
+    for flag, value, column in (("--delay-chips", args.delay_chips, 1),
+                                ("--doppler-hz", args.doppler_hz, 2)):
+        if not all(math.isfinite(row[column]) for row in rep.rows):
+            raise UsageError(f"{flag} {value:g}: its projection overflows a double")
     rows = tuple(
         (ch.prn,) + row for ch, row in zip(scenario.satellites, rep.rows)
     )
@@ -657,11 +675,9 @@ def cmd_caf(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    seed = mc.REFERENCE_SEED if args.seed is None else args.seed
+    seed = _driver_seed(args.seed)
     rep = mc.run_random_azimuth_mc(args.rho_i, args.rho_j, args.trials, seed)
-    table = ResultTable.from_report(
-        rep, note=f"radii ({args.rho_i}, {args.rho_j}), seed {seed}"
-    )
+    table = ResultTable(rep.columns, rep.rows, f"radii ({args.rho_i}, {args.rho_j}), seed {seed}")
     path = _write_table(table, Path(args.out), "montecarlo", args.format)
     s = rep.summary
     print(
@@ -693,7 +709,8 @@ def _figure_tables(seed: int) -> tuple[mc.ExperimentReport, mc.ExperimentReport,
     thetas_deg = 0.5 * np.arange(1, 360)
     thetas = np.radians(thetas_deg)
     tables = {
-        "fig7_data": ResultTable.from_report(sweep, "bias projection sweep over elevation"),
+        "fig7_data": ResultTable(sweep.columns, sweep.rows,
+                                 "bias projection sweep over elevation"),
         "fig8_data": ResultTable(
             ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
             np.column_stack((
@@ -715,13 +732,13 @@ def _figure_tables(seed: int) -> tuple[mc.ExperimentReport, mc.ExperimentReport,
 def cmd_report(args) -> int:
     outdir = Path(args.out)
     fmt = args.format
-    seed = mc.REFERENCE_SEED if args.seed is None else args.seed
+    seed = _driver_seed(args.seed)
     criteria: list[tuple[int, str, tuple]] = []
 
     # 1: projection of the reference biases at the four reference elevations
     proj = mc.run_elevation_sweep(1.0, 120.0, sorted(mc.EXPECTED_PROJECTION))
     _write_table(
-        ResultTable.from_report(proj, "bias projection at reference elevations"),
+        ResultTable(proj.columns, proj.rows, "bias projection at reference elevations"),
         outdir, "projection_table", fmt,
     )
     criteria.append((1, "projection-table", tuple(
@@ -734,7 +751,8 @@ def cmd_report(args) -> int:
         scenario = load_scenario(f"{case}.scenario")
         rep = mc.run_case_study(scenario, case)
         _write_table(
-            ResultTable.from_report(rep, f"pair biases, {case}"), outdir, f"{case}_table", fmt
+            ResultTable(rep.columns, rep.rows, f"pair biases, {case}"), outdir, f"{case}_table",
+            fmt
         )
         theo_checks += [c for c in rep.checks if c.name.endswith(":theoretical")]
         sim_checks += [c for c in rep.checks if c.name.endswith(":simulated")]
@@ -784,21 +802,7 @@ def cmd_report(args) -> int:
         all_ok &= ok
         print(line)
         payload.append(
-            {
-                "id": cid,
-                "name": name,
-                "passed": ok,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "expected": c.expected,
-                        "actual": c.actual,
-                        "tol": c.tol,
-                        "passed": c.passed,
-                    }
-                    for c in checks
-                ],
-            }
+            {"id": cid, "name": name, "passed": ok, "checks": [asdict(c) for c in checks]}
         )
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(

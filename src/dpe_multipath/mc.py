@@ -143,8 +143,11 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     t = np.asarray(delta_theta_rad, dtype=float)
     c = np.cos(t)
     s = np.sin(t)
-    num = np.hypot(rho_i - rho_j * c, rho_j * s, out=np.empty_like(t))
-    sq = rho_i * rho_i + rho_j * rho_j - 2.0 * rho_i * rho_j * c
+    # radii near the largest double overflow to inf (or inf - inf = NaN),
+    # which the hypot fallback and the final division resolve
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.hypot(rho_i - rho_j * c, rho_j * s, out=np.empty_like(t))
+        sq = rho_i * rho_i + rho_j * rho_j - 2.0 * rho_i * rho_j * c
     np.sqrt(sq, out=num, where=sq >= np.finfo(float).tiny)
     out = np.full_like(num, np.inf)
     np.divide(num, s, out=out, where=s >= EPS_PARALLEL)
@@ -417,12 +420,7 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
             "in_window",
         ),
         rows=tuple(rows),
-        summary={
-            "case_id": case_id or "",
-            "satellites": len(scenario.satellites),
-            "grid_step_position": scenario.grid_for(Space.POSITION).step,
-            "grid_step_velocity": scenario.grid_for(Space.VELOCITY).step,
-        },
+        summary={},
         checks=tuple(checks),
     )
 

@@ -192,7 +192,6 @@ def pair_bias(
     theta_i: float,
     theta_j: float,
     space: Space = Space.POSITION,
-    sources: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (1, 0)),
 ) -> BiasResult:
     """Biased solution produced by two center lines with the given radii/azimuths.
 
@@ -202,13 +201,12 @@ def pair_bias(
     actual intersection point so its east/north components stay consistent
     with the line geometry.
     """
-    line_i = CenterLine(space, theta_i, rho_i, sources[0])
-    line_j = CenterLine(space, theta_j, rho_j, sources[1])
+    line_i = CenterLine(space, theta_i, rho_i, (0, 0))
+    line_j = CenterLine(space, theta_j, rho_j, (1, 0))
     point = intersect_lines(line_i, line_j)
-    pair = (sources[0][0], sources[0][1], sources[1][0], sources[1][1])
     return BiasResult(
         space=space,
-        pair=pair,
+        pair=(0, 0, 1, 0),
         delta_theta=fold_azimuth_separation(theta_i, theta_j),
         point=point,
         dr=point.horizontal_norm(),
@@ -265,15 +263,12 @@ def case_bound(radii: Sequence[float]) -> ErrorBound:
     )
 
 
-def enumerate_intersections(
-    lines: Sequence[CenterLine],
-    merge_tol: float = EPS_MERGE,
-) -> list[BiasResult]:
+def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
     """All cross-satellite intersection points among the given center lines.
 
     Same-satellite pairs share an azimuth and are skipped; cross-satellite
     parallel pairs have no (finite) intersection and are likewise excluded.
-    Points closer than ``merge_tol`` merge into one record that keeps every
+    Points closer than EPS_MERGE merge into one record that keeps every
     contributing pair.
     """
     if len({ln.space for ln in lines}) > 1:
@@ -291,7 +286,7 @@ def enumerate_intersections(
             pair = (a.source[0], a.source[1], b.source[0], b.source[1])
             for cl in clusters:
                 dp = math.hypot(point.e - cl["point"].e, point.n - cl["point"].n)
-                if dp <= merge_tol:
+                if dp <= EPS_MERGE:
                     cl["contributors"].append(pair)
                     break
             else:

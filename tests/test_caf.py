@@ -303,14 +303,6 @@ class TestNoise:
 
 
 class TestSignalConfig:
-    def test_chip_length(self):
-        assert SignalConfig().chip_length == pytest.approx(29.30522561094819, rel=1e-15)
-
-    def test_wavelength_times_reference_doppler(self):
-        assert SignalConfig().wavelength * 120.0 == pytest.approx(
-            30.579365854902463, rel=1e-15
-        )
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SignalConfig(code_rate=0.0)

@@ -603,14 +603,67 @@ class TestExitCodes:
         ["montecarlo", "--rho-j", "1e400"],
         ["project", "--delay-chips", "inf"],
         ["project", "--doppler-hz", "nan"],
+        ["project", "--delay-chips", "1e308"],
         ["montecarlo", "--seed", "-1"],
         ["caf", "--scenario", "case3.scenario", "--seed", "-3"],
+        ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--trials", "-5"],
+        ["montecarlo", "--seed", str(2**128)],
+        ["report", "--seed", str(2**128)],
     ], ids=["nan-radius", "inf-radius", "nan-rho-i", "overflowing-rho-j", "inf-delay",
-            "nan-doppler", "negative-seed", "negative-caf-seed"])
+            "nan-doppler", "overflowing-projected-delay",
+            "negative-seed", "negative-caf-seed", "zero-trials", "negative-trials",
+            "philox-key-range-montecarlo", "philox-key-range-report"])
     def test_flags_checked_like_scenario_numbers(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert [a for a in argv if a.startswith("--")][-1] in err
         assert not any(tmp_path.iterdir())
+
+    def test_overflowing_projected_doppler_flag(self, tmp_path, capsys):
+        # the wavelength is below a meter, so only sec(elevation) can push
+        # a finite Doppler flag past the largest double
+        steep = dump_variant(tmp_path, "table6",
+                             lambda raw: raw["satellites"][1].update(elevation_deg=85.0))
+        out = tmp_path / "out"
+        assert main(["project", "--scenario", str(steep), "--doppler-hz", "1e308",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: --doppler-hz 1e+308: ")
+        assert not out.exists()
+
+    def test_seed_range_per_command(self, tmp_path):
+        # montecarlo keys a Philox stream with the seed, so it stays below
+        # 2**128; caf seeds default_rng, which takes any non-negative integer
+        assert main(["montecarlo", "--trials", "5", "--seed", str(2**128 - 1),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        noisy = dump_variant(tmp_path, "table6", lambda raw: raw.update(noise_sigma=0.1))
+        assert main(["caf", "--scenario", str(noisy), "--space", "position",
+                     "--seed", str(2**128), "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("script, argv", [
+        ("run_experiments.py", ["--trials", "0"]),
+        ("make_figures.py", ["--seed", "-1"]),
+    ])
+    def test_script_flags_checked_like_cli(self, tmp_path, script, argv):
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, str(path), *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: ")
+        assert f"argument {argv[0]}: expected an integer" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_radii_curve_is_silent(self, tmp_path, capsys):
+        # 1e308 overflows inside the law of cosines; the hypot fallback and
+        # the division give the right values without a RuntimeWarning
+        assert main(["montecarlo", "--rho-i", "1e308", "--rho-j", "1e308", "--trials", "3",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "montecarlo.csv").read_text().splitlines()[1:] == [
+            "0,54.6422,1.12556e+308", "1,152.768,inf", "2,28.1043,1.03085e+308"]
 
     def test_compute_error(self, tmp_path):
         assert main(["bounds", "--radii", "0,0", "--out", str(tmp_path)]) == EXIT_COMPUTE

@@ -317,13 +317,13 @@ class TestEnumeration:
         assert found[0].dr == pytest.approx(0.0, abs=1e-12)
 
     def test_merge_tolerance_respected(self):
+        # crossings within EPS_MERGE (1e-6) merge; 1.4e-4 apart they stay three
         a = CenterLine(Space.POSITION, math.radians(0.0), 0.0, (1, 0))
         b = CenterLine(Space.POSITION, math.radians(90.0), 0.0, (2, 0))
-        c = CenterLine(Space.POSITION, math.radians(45.0), 1e-9, (3, 0))
-        found = enumerate_intersections([a, b, c], merge_tol=1e-6)
-        assert len(found) == 1
-        found_tight = enumerate_intersections([a, b, c], merge_tol=1e-12)
-        assert len(found_tight) == 3
+        near = CenterLine(Space.POSITION, math.radians(45.0), 1e-9, (3, 0))
+        assert len(enumerate_intersections([a, b, near])) == 1
+        far = CenterLine(Space.POSITION, math.radians(45.0), 1e-4, (3, 0))
+        assert len(enumerate_intersections([a, b, far])) == 3
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(ValueError):
