@@ -204,9 +204,12 @@ DEFAULT_GRIDS = (
 
 @dataclass
 class Scenario:
-    """Receiver truth, signal plan, and the satellite channels in view."""
+    """Signal plan, satellite channels in view, search grids and noise.
 
-    receiver_position: EcefVector
+    The receiver position enters only through the channels' look angles,
+    derived when the channels are made.
+    """
+
     signal: SignalConfig = SignalConfig()
     satellites: tuple[SatelliteChannel, ...] = ()
     grids: tuple[GridSpec, ...] = DEFAULT_GRIDS
@@ -226,12 +229,6 @@ class Scenario:
         spaces = [g.space for g in self.grids]
         if len(set(spaces)) != len(spaces):
             raise ValueError("at most one grid spec per space")
-
-    def channel(self, prn: int) -> SatelliteChannel:
-        for s in self.satellites:
-            if s.prn == prn:
-                return s
-        raise KeyError(f"PRN {prn} not in scenario")
 
     def grid_for(self, space: Space) -> GridSpec:
         for g in self.grids:
@@ -265,20 +262,6 @@ def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float,
     with np.errstate(invalid="ignore"):  # 0/0 at the cells reset below
         np.divide(work, m, out=m)
     np.copyto(m, 1.0, where=zero)
-
-
-def corr_code(delta_tau_chips):
-    """Code correlation vs delay mismatch in chips: a unit triangle."""
-    out = np.array(delta_tau_chips, dtype=float)
-    _correlate(out, Space.POSITION, 0.0)
-    return out if out.ndim else float(out)
-
-
-def corr_doppler(delta_f_hz, coherent_integration_s: float):
-    """Doppler correlation vs frequency mismatch: sin(pi f T) / (pi f T)."""
-    out = np.array(delta_f_hz, dtype=float)
-    _correlate(out, Space.VELOCITY, coherent_integration_s)
-    return out if out.ndim else float(out)
 
 
 def _mismatch_coef(channel: SatelliteChannel, signal: SignalConfig, space: Space) -> float:

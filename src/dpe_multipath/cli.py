@@ -270,7 +270,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                     )
     try:
         return Scenario(
-            receiver_position=receiver,
             signal=signal,
             satellites=tuple(satellites),
             grids=tuple(grids) or DEFAULT_GRIDS,
@@ -630,7 +629,10 @@ def cmd_bounds(args) -> int:
         radii = [_finite_number(tok) for tok in args.radii.split(",") if tok.strip() != ""]
     except argparse.ArgumentTypeError as e:
         raise UsageError(f"--radii expects comma-separated numbers: {e}") from None
-    bound = case_bound(radii)
+    try:
+        bound = case_bound(radii)
+    except ValueError as e:  # fewer than two radii, or every radius zero
+        raise UsageError(f"--radii {args.radii!r}: {e}") from None
     table = ResultTable(
         ("case", "lower[m|m/s]", "attained", "attained_at[deg]", "upper"),
         (
@@ -696,39 +698,6 @@ def _criterion_line(cid: int, name: str, checks) -> tuple[bool, str]:
     return ok, f"criterion-{cid} {name}: {status} ({n_pass}/{len(checks)} checks)"
 
 
-def _figure_tables(seed: int) -> tuple[mc.ExperimentReport, mc.ExperimentReport, dict]:
-    """The figure data: elevation sweep, Monte Carlo run and their tables.
-
-    Returns ``(sweep, monte_carlo, tables)``; ``tables`` maps the file stems
-    ``fig7_data`` (bias projection vs elevation), ``fig8_data`` (pair radial
-    error vs azimuth separation) and ``fig11_data`` (the Monte Carlo trace,
-    trials drawn with ``seed``) to their tables.
-    """
-    sweep = mc.run_elevation_sweep()
-    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
-    thetas_deg = 0.5 * np.arange(1, 360)
-    thetas = np.radians(thetas_deg)
-    tables = {
-        "fig7_data": ResultTable(sweep.columns, sweep.rows,
-                                 "bias projection sweep over elevation"),
-        "fig8_data": ResultTable(
-            ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-            np.column_stack((
-                thetas_deg,
-                mc.pair_error_curve(40.0, 0.0, thetas),
-                mc.pair_error_curve(40.0, 40.0, thetas),
-            )),
-            note="pair radial error vs azimuth separation",
-        ),
-        "fig11_data": ResultTable(
-            ("delta_theta[deg]", "radial_error[m]", "trial"),
-            tuple((r[1], r[2], r[0]) for r in mcrep.rows),
-            note="random azimuth-separation trials, radii (60, 40)",
-        ),
-    }
-    return sweep, mcrep, tables
-
-
 def cmd_report(args) -> int:
     outdir = Path(args.out)
     fmt = args.format
@@ -767,9 +736,32 @@ def cmd_report(args) -> int:
     # 2: full elevation sweep, zero-elevation anchors and monotonicity;
     # 5: Monte Carlo over random azimuth separations.  Built after the grids
     # of the case studies are freed, so the trial rows do not add to the peak.
-    sweep, mcrep, figures = _figure_tables(seed)
-    for stem, table in figures.items():
-        _write_table(table, outdir, stem, fmt)
+    sweep = mc.run_elevation_sweep()
+    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
+    thetas_deg = 0.5 * np.arange(1, 360)
+    thetas = np.radians(thetas_deg)
+    _write_table(ResultTable(sweep.columns, sweep.rows, "bias projection sweep over elevation"),
+                 outdir, "fig7_data", fmt)
+    _write_table(
+        ResultTable(
+            ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
+            np.column_stack((
+                thetas_deg,
+                mc.pair_error_curve(40.0, 0.0, thetas),
+                mc.pair_error_curve(40.0, 40.0, thetas),
+            )),
+            note="pair radial error vs azimuth separation",
+        ),
+        outdir, "fig8_data", fmt,
+    )
+    _write_table(
+        ResultTable(
+            ("delta_theta[deg]", "radial_error[m]", "trial"),
+            tuple((r[1], r[2], r[0]) for r in mcrep.rows),
+            note="random azimuth-separation trials, radii (60, 40)",
+        ),
+        outdir, "fig11_data", fmt,
+    )
     criteria.append((2, "elevation-sweep-anchors", sweep.checks))
     criteria.append((5, "monte-carlo", mcrep.checks))
 

@@ -174,7 +174,11 @@ def _cramer(p: tuple[float, float, float], q: tuple[float, float, float]):
 
 
 def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector:
-    """Intersection point of two center lines (Cramer on the normal forms)."""
+    """Intersection point of two center lines (Cramer on the normal forms).
+
+    Raises :class:`GeometryError`, naming both lines, when they cross
+    farther out than a double can hold.
+    """
     if a.space is not b.space:
         raise ValueError("cannot intersect lines from different spaces")
     point = _cramer((*a.normal, a.constant), (*b.normal, b.constant))
@@ -182,6 +186,11 @@ def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector:
         raise ParallelLinesError(
             f"azimuth separation {math.degrees(fold_azimuth_separation(a.azimuth, b.azimuth)):.6f} "
             f"deg leaves |sin| below {EPS_PARALLEL}"
+        )
+    if not all(map(math.isfinite, point)):
+        raise GeometryError(
+            f"{a.space.value}-space center lines of PRN {a.source[0]} path {a.source[1]} and"
+            f" PRN {b.source[0]} path {b.source[1]} cross beyond a double"
         )
     return EnuVector(*point, 0.0)
 

@@ -23,62 +23,74 @@ from dpe_multipath.caf import (
     SignalPath,
     Space,
     channel_caf,
-    corr_code,
-    corr_doppler,
     make_channel,
     mismatch,
     scenario_caf,
     superpose_and_argmax,
 )
 from dpe_multipath.cli import load_scenario
-from dpe_multipath.geom import EcefVector, EnuVector, enu_to_ecef, enu_from_angles
+from dpe_multipath.geom import EnuVector, enu_to_ecef, enu_from_angles
+from scenario_helpers import authored_receiver, channel
 
 TABLE1 = load_scenario("table1.scenario")
-REFERENCE_RECEIVER = TABLE1.receiver_position
+REFERENCE_RECEIVER = authored_receiver()
 
 
 def reference_channel(prn, paths):
     """A satellite of the bundled reference geometry with the given paths."""
-    return replace(TABLE1.channel(prn), paths=tuple(paths))
+    return replace(channel(TABLE1, prn), paths=tuple(paths))
 
 
 def two_sat_scenario(paths18, paths23):
     return Scenario(
-        receiver_position=REFERENCE_RECEIVER,
         satellites=(reference_channel(18, paths18), reference_channel(23, paths23)),
     )
 
 
+def code(delta_tau_chips):
+    """Code correlation of a delay mismatch in chips, through the grid kernel."""
+    out = np.array(delta_tau_chips, dtype=float)
+    caf._correlate(out, Space.POSITION, 0.0)
+    return out[()]
+
+
+def doppler(delta_f_hz, coherent_integration_s):
+    """Doppler correlation of a frequency mismatch in Hz, through the grid kernel."""
+    out = np.array(delta_f_hz, dtype=float)
+    caf._correlate(out, Space.VELOCITY, coherent_integration_s)
+    return out[()]
+
+
 class TestCorrelators:
     def test_code_triangle(self):
-        assert corr_code(0.0) == 1.0
-        assert corr_code(0.5) == 0.5
-        assert corr_code(-0.25) == 0.75
-        assert corr_code(1.0) == 0.0
-        assert corr_code(-3.7) == 0.0
+        assert code(0.0) == 1.0
+        assert code(0.5) == 0.5
+        assert code(-0.25) == 0.75
+        assert code(1.0) == 0.0
+        assert code(-3.7) == 0.0
 
     def test_code_vectorized(self):
         x = np.array([-2.0, -0.5, 0.0, 0.25, 1.5])
-        np.testing.assert_allclose(corr_code(x), [0.0, 0.5, 1.0, 0.75, 0.0])
+        np.testing.assert_allclose(code(x), [0.0, 0.5, 1.0, 0.75, 0.0])
 
     def test_doppler_sinc_values(self):
         t = 0.020
-        assert corr_doppler(0.0, t) == 1.0
+        assert doppler(0.0, t) == 1.0
         # a quarter of the first null: sinc(1/2) = 2/pi
-        assert corr_doppler(25.0, t) == pytest.approx(2.0 / math.pi, rel=1e-15)
-        assert corr_doppler(50.0, t) == pytest.approx(0.0, abs=1e-15)
-        assert corr_doppler(120.0, t) == pytest.approx(0.12613778810677617, rel=1e-12)
+        assert doppler(25.0, t) == pytest.approx(2.0 / math.pi, rel=1e-15)
+        assert doppler(50.0, t) == pytest.approx(0.0, abs=1e-15)
+        assert doppler(120.0, t) == pytest.approx(0.12613778810677617, rel=1e-12)
 
     def test_doppler_even(self):
         t = 0.020
         f = np.linspace(0.0, 200.0, 41)
-        np.testing.assert_allclose(corr_doppler(f, t), corr_doppler(-f, t))
+        np.testing.assert_allclose(doppler(f, t), doppler(-f, t))
 
 
 class TestMismatch:
     def test_delay_mismatch_along_azimuth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
-        ch = s.channel(18)
+        ch = channel(s, 18)
         az = ch.angles.azimuth
         offset = EnuVector(100.0 * math.sin(az), 100.0 * math.cos(az), 0.0)
         assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(
@@ -88,7 +100,7 @@ class TestMismatch:
 
     def test_mismatch_zero_across_azimuth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
-        ch = s.channel(18)
+        ch = channel(s, 18)
         az = ch.angles.azimuth
         offset = EnuVector(50.0 * math.cos(az), -50.0 * math.sin(az), 0.0)
         assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(0.0, abs=1e-12)
@@ -102,14 +114,14 @@ class TestMismatch:
     @settings(max_examples=100, deadline=None)
     def test_mismatch_linear_in_offset(self, e, n, scale):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
-        ch = s.channel(23)
+        ch = channel(s, 23)
         base = mismatch(ch, s.signal, Space.POSITION, EnuVector(e, n, 0.0))
         scaled = mismatch(ch, s.signal, Space.POSITION, EnuVector(scale * e, scale * n, 0.0))
         assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-12)
 
     def test_mismatch_additive_in_offset(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
-        ch = s.channel(18)
+        ch = channel(s, 18)
         a, b = EnuVector(13.0, -7.0, 0.0), EnuVector(-2.0, 41.0, 0.0)
         ab = EnuVector(a.e + b.e, a.n + b.n, 0.0)
         assert mismatch(ch, s.signal, Space.VELOCITY, ab) == pytest.approx(
@@ -121,13 +133,13 @@ class TestMismatch:
         # Satellites authored in ECEF along one direction at different ranges
         # produce the same mismatch: the linearization sees only the direction.
         def at_range(range_m):
-            local = enu_from_angles(TABLE1.channel(18).angles, range_m)
+            local = enu_from_angles(channel(TABLE1, 18).angles, range_m)
             return make_channel(REFERENCE_RECEIVER, 18, [SignalPath(PathKind.LOS)],
                                 position=enu_to_ecef(local, REFERENCE_RECEIVER))
 
         near, far = at_range(1.5e7), at_range(3.0e7)
-        s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(near,))
-        t = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(far,))
+        s = Scenario(satellites=(near,))
+        t = Scenario(satellites=(far,))
         offset = EnuVector(37.0, -12.0, 0.0)
         assert (mismatch(near, s.signal, Space.POSITION, offset)
                 == mismatch(far, t.signal, Space.POSITION, offset))
@@ -173,11 +185,11 @@ class TestChannels:
     def test_scenario_rejects_duplicate_prns(self):
         ch = reference_channel(18, [SignalPath(PathKind.LOS)])
         with pytest.raises(ValueError):
-            Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(ch, ch))
+            Scenario(satellites=(ch, ch))
 
     def test_scenario_needs_satellites(self):
         with pytest.raises(ValueError):
-            Scenario(receiver_position=REFERENCE_RECEIVER, satellites=())
+            Scenario(satellites=())
 
 
 class TestGrids:
@@ -201,7 +213,7 @@ class TestGrids:
     def test_los_channel_peaks_at_truth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         spec = s.grid_for(Space.POSITION)
-        g = channel_caf(spec, s.channel(18), s)
+        g = channel_caf(spec, channel(s, 18), s)
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
         # the whole ridge line hits 1.0; the truth node is on it
         assert g.values[spec.n // 2, spec.n // 2] == pytest.approx(1.0, abs=1e-12)
@@ -215,12 +227,12 @@ class TestGrids:
             [SignalPath(PathKind.NLOS, delay_chips=1.0)], [SignalPath(PathKind.LOS)]
         )
         spec = s.grid_for(Space.POSITION)
-        g = channel_caf(spec, s.channel(18), s)
+        g = channel_caf(spec, channel(s, 18), s)
         axis = spec.axis()
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
         east, north = float(axis[j]), float(axis[i])
         # the peak node lies on the displaced ridge line u_hat . p = -radius
-        az = s.channel(18).angles.azimuth
+        az = channel(s, 18).angles.azimuth
         line_offset = math.sin(az) * east + math.cos(az) * north
         assert line_offset == pytest.approx(-39.94007471783003, abs=spec.step)
         # and the truth node no longer reaches the ridge value
@@ -239,7 +251,7 @@ class TestGrids:
         s = two_sat_scenario(
             [SignalPath(PathKind.NLOS, doppler_hz=120.0)], [SignalPath(PathKind.LOS)]
         )
-        g = channel_caf(s.grid_for(Space.VELOCITY), s.channel(18), s)
+        g = channel_caf(s.grid_for(Space.VELOCITY), channel(s, 18), s)
         assert g.values.max() <= 1.0 + 1e-12
         assert g.values.max() > 0.999
 
@@ -275,7 +287,6 @@ class TestNoise:
     def noisy(self, seed):
         s = load_scenario("case1.scenario")
         return Scenario(
-            receiver_position=s.receiver_position,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -339,7 +350,6 @@ def multipath_scenario(noise_sigma=0.0):
     """Reference geometry with up to three paths per channel."""
     nlos = PathKind.NLOS
     return Scenario(
-        receiver_position=REFERENCE_RECEIVER,
         satellites=(
             reference_channel(10, [SignalPath(PathKind.LOS),
                                    SignalPath(nlos, 0.6, 0.8, 35.0),
@@ -416,21 +426,11 @@ class TestCorrelatorBits:
         t = 0.020
         rng = np.random.default_rng(20250718)
         f = np.concatenate([self.EDGES, rng.standard_normal(20000) * 300.0])
-        assert corr_doppler(f, t).tobytes() == np.sinc(f * t).tobytes()
+        assert doppler(f, t).tobytes() == np.sinc(f * t).tobytes()
         for x in self.EDGES:
-            got = corr_doppler(x, t)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.sinc(np.float64(x) * t).tobytes()
+            assert doppler(x, t).tobytes() == np.sinc(np.float64(x) * t).tobytes()
 
     def test_code_is_triangle_formula(self):
         rng = np.random.default_rng(7)
         x = np.concatenate([self.EDGES, rng.standard_normal(20000) * 2.0])
-        assert corr_code(x).tobytes() == np.maximum(0.0, 1.0 - np.abs(x)).tobytes()
-        assert type(corr_code(0.25)) is float
-
-    def test_wrappers_do_not_write_their_input(self):
-        x = np.array([0.0, 10.0, -0.5])
-        before = x.copy()
-        corr_doppler(x, 0.02)
-        corr_code(x)
-        np.testing.assert_array_equal(x, before)
+        assert code(x).tobytes() == np.maximum(0.0, 1.0 - np.abs(x)).tobytes()

@@ -42,6 +42,7 @@ from dpe_multipath.cli import (
 )
 from dpe_multipath.geom import EcefVector, LookAngles
 from dpe_multipath.scmb import center_line
+from scenario_helpers import authored_receiver, channel
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -74,7 +75,8 @@ class TestScenarioIO:
         los = (SignalPath(PathKind.LOS),)
         for name in BUNDLED:
             s = load_scenario(f"{name}.scenario")
-            assert (s.receiver_position, s.signal, s.grids, s.noise_sigma, s.seed) == (
+            assert (authored_receiver(f"{name}.scenario"), s.signal, s.grids, s.noise_sigma,
+                    s.seed) == (
                 REFERENCE_RECEIVER, SignalConfig(), DEFAULT_GRIDS, 0.0, 1)
             for ch in s.satellites:
                 assert ch.angles == LookAngles.from_degrees(*REFERENCE_ANGLES[ch.prn])
@@ -84,8 +86,8 @@ class TestScenarioIO:
                 assert all(ch.paths == los for ch in s.satellites)
             elif name == "table6":
                 assert prns == [18, 23]
-                assert s.channel(18).paths == (SignalPath(PathKind.NLOS, 1.0, 1.0, 120.3),)
-                assert s.channel(23).paths == los
+                assert channel(s, 18).paths == (SignalPath(PathKind.NLOS, 1.0, 1.0, 120.3),)
+                assert channel(s, 23).paths == los
             else:
                 assert prns == sorted(CASE_RADII[name])
                 for ch in s.satellites:
@@ -180,7 +182,7 @@ class TestScenarioIO:
 
             for sat in raw["satellites"]:
                 ch = next(c for c in base.satellites if c.prn == sat["prn"])
-                p = enu_to_ecef(enu_from_angles(ch.angles, 2.2e7), base.receiver_position)
+                p = enu_to_ecef(enu_from_angles(ch.angles, 2.2e7), REFERENCE_RECEIVER)
                 sat["position_ecef"] = [p.x, p.y, p.z]
                 del sat["elevation_deg"], sat["azimuth_deg"]
 
@@ -423,7 +425,6 @@ class TestCommands:
         # the writer as it was: field-by-field seed override, one tuple per cell
         s = load_scenario(p)
         s = Scenario(
-            receiver_position=s.receiver_position,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -448,18 +449,6 @@ class TestCommands:
         expected = table.to_csv() if fmt == "csv" else table.to_json()
         assert spec.n == 31
         assert (tmp_path / f"caf_velocity.{fmt}").read_text() == expected
-
-    def test_make_figures_matches_report(self, tmp_path):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        figs, report = tmp_path / "figs", tmp_path / "report"
-        subprocess.run([sys.executable, str(script), "--seed", "3", "--out", str(figs)],
-                       check=True, capture_output=True, env=env)
-        main(["report", "--seed", "3", "--out", str(report)])
-        stems = ["fig11_data", "fig7_data", "fig8_data"]
-        assert sorted(p.stem for p in figs.iterdir()) == stems
-        for stem in stems:
-            assert (figs / f"{stem}.csv").read_bytes() == (report / f"{stem}.csv").read_bytes()
 
     def test_run_experiments_prints_every_driver_summary(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
@@ -565,11 +554,10 @@ class TestExitCodes:
             # authored angles kept, but the position points 5 deg away
             from dpe_multipath.geom import LookAngles, enu_from_angles, enu_to_ecef
 
-            base = load_scenario("table6.scenario")
             el, az = raw["satellites"][0]["elevation_deg"], raw["satellites"][0]["azimuth_deg"]
             p = enu_to_ecef(
                 enu_from_angles(LookAngles.from_degrees(el + 5.0, az - 5.0), 2.2e7),
-                base.receiver_position,
+                REFERENCE_RECEIVER,
             )
             raw["satellites"][0]["position_ecef"] = [p.x, p.y, p.z]
 
@@ -610,10 +598,14 @@ class TestExitCodes:
         ["montecarlo", "--trials", "-5"],
         ["montecarlo", "--seed", str(2**128)],
         ["report", "--seed", str(2**128)],
+        ["bounds", "--radii", "60"],
+        ["bounds", "--radii", ""],
+        ["bounds", "--radii", "0,0"],
     ], ids=["nan-radius", "inf-radius", "nan-rho-i", "overflowing-rho-j", "inf-delay",
             "nan-doppler", "overflowing-projected-delay",
             "negative-seed", "negative-caf-seed", "zero-trials", "negative-trials",
-            "philox-key-range-montecarlo", "philox-key-range-report"])
+            "philox-key-range-montecarlo", "philox-key-range-report",
+            "one-radius", "no-radii", "zero-radii"])
     def test_flags_checked_like_scenario_numbers(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -643,7 +635,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("script, argv", [
         ("run_experiments.py", ["--trials", "0"]),
-        ("make_figures.py", ["--seed", "-1"]),
+        ("run_experiments.py", ["--seed", "-1"]),
     ])
     def test_script_flags_checked_like_cli(self, tmp_path, script, argv):
         path = Path(__file__).resolve().parents[1] / "scripts" / script
@@ -665,8 +657,20 @@ class TestExitCodes:
         assert (tmp_path / "montecarlo.csv").read_text().splitlines()[1:] == [
             "0,54.6422,1.12556e+308", "1,152.768,inf", "2,28.1043,1.03085e+308"]
 
-    def test_compute_error(self, tmp_path):
-        assert main(["bounds", "--radii", "0,0", "--out", str(tmp_path)]) == EXIT_COMPUTE
+    def test_compute_error(self, tmp_path, capsys):
+        # the biases project to finite radii, but two center lines cross
+        # farther out than a double holds
+        def far_crossing(raw):
+            _set_path(raw, 2, 0, delay_chips=1e306)
+            _set_path(raw, 0, 0, delay_chips=-1e306)
+
+        p = dump_variant(tmp_path, "case3", far_crossing)
+        out = tmp_path / "out"
+        assert main(["intersect", "--scenario", str(p), "--out", str(out)]) == EXIT_COMPUTE
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: position-space center lines of ")
+        assert "PRN 10 path 0" in err and "PRN 23 path 0" in err
+        assert not out.exists()
 
     def test_non_finite_caf_sum_is_compute_error(self, tmp_path, capsys):
         def huge_noise(raw):

@@ -23,6 +23,7 @@ from dpe_multipath.mc import (
     run_random_azimuth_mc,
 )
 from dpe_multipath.scmb import project_to_range, project_to_range_rate
+from scenario_helpers import channel
 
 
 class TestFixtureCheck:
@@ -169,11 +170,11 @@ class TestCaseStudies:
     def test_requires_single_path_channels(self):
         base = load_scenario("table1.scenario")
         two_paths = replace(
-            base.channel(18),
+            channel(base, 18),
             paths=(SignalPath(PathKind.LOS), SignalPath(PathKind.NLOS, delay_chips=1.0)),
         )
-        lone = base.channel(23)
-        s = Scenario(receiver_position=base.receiver_position, satellites=(two_paths, lone))
+        lone = channel(base, 23)
+        s = Scenario(satellites=(two_paths, lone))
         with pytest.raises(ValueError):
             run_case_study(s, None)
 
@@ -199,7 +200,6 @@ class TestOracleCompare:
     def test_noise_rejected(self):
         s = load_scenario("case1.scenario")
         noisy = Scenario(
-            receiver_position=s.receiver_position,
             signal=s.signal,
             satellites=s.satellites,
             grids=s.grids,
@@ -300,7 +300,6 @@ class TestCafValueAt:
         base = load_scenario("case3.scenario")
         extra = SignalPath(PathKind.NLOS, 0.4, -0.6, -75.0)
         s = Scenario(
-            receiver_position=base.receiver_position,
             signal=base.signal,
             satellites=[replace(ch, paths=ch.paths + (extra,)) for ch in base.satellites],
         )

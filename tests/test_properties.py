@@ -21,7 +21,6 @@ from dpe_multipath.caf import (
     scenario_caf,
     superpose_and_argmax,
 )
-from dpe_multipath.cli import load_scenario
 from dpe_multipath.geom import EnuVector
 from dpe_multipath.mc import (
     pair_error_curve,
@@ -30,15 +29,15 @@ from dpe_multipath.mc import (
 )
 from dpe_multipath.scmb import (
     CenterLine,
-    EPS_PARALLEL,
     center_lines,
     count_intersections,
     enumerate_intersections,
     intersect_lines,
     pair_bias,
 )
+from scenario_helpers import authored_receiver
 
-REFERENCE_RECEIVER = load_scenario("table1.scenario").receiver_position
+REFERENCE_RECEIVER = authored_receiver()
 D = dict(derandomize=True, deadline=None)
 
 azimuths = st.floats(0.0, 2.0 * math.pi - 1e-9)
@@ -153,7 +152,7 @@ class TestAllLosTruth:
             )
             for prn in range(count)
         )
-        s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=sats)
+        s = Scenario(satellites=sats)
         for space in (Space.POSITION, Space.VELOCITY):
             offset, peak, _ = superpose_and_argmax(scenario_caf(s, space))
             assert (offset.e, offset.n) == (0.0, 0.0)
@@ -220,7 +219,7 @@ def random_two_satellite_scenario(rng) -> tuple[Scenario, EnuVector]:
                 angles_deg=(float(el[prn]), float(az[prn])),
             )
         )
-    scenario = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=tuple(sats))
+    scenario = Scenario(satellites=tuple(sats))
     expected = intersect_lines(*center_lines(scenario, Space.POSITION))
     return scenario, expected
 
@@ -253,7 +252,7 @@ class TestMismatchLinearity:
         ch = make_channel(
             REFERENCE_RECEIVER, 1, [SignalPath(PathKind.LOS)], angles_deg=(el_deg, az_deg)
         )
-        s = Scenario(receiver_position=REFERENCE_RECEIVER, satellites=(ch,))
+        s = Scenario(satellites=(ch,))
         for space in (Space.POSITION, Space.VELOCITY):
             base = mismatch(ch, s.signal, space, EnuVector(e, n, 0.0))
             # homogeneity

@@ -169,6 +169,14 @@ class TestPairBias:
         with pytest.raises(ParallelLinesError):
             pair_bias(10.0, 20.0, 0.3, 0.3 + math.pi)
 
+    def test_crossing_beyond_a_double_names_both_lines(self):
+        li = CenterLine(Space.VELOCITY, 0.0, 1e306, (3, 1))
+        lj = CenterLine(Space.VELOCITY, 0.01, -1e306, (5, 0))
+        with pytest.raises(GeometryError, match="^velocity-space center lines of PRN 3 path 1"
+                           " and PRN 5 path 0 cross beyond a double$") as e:
+            intersect_lines(li, lj)
+        assert not isinstance(e.value, ParallelLinesError)
+
     def test_cross_space_intersections_rejected(self):
         with pytest.raises(ValueError):
             intersect_lines(
