@@ -179,7 +179,7 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         half = self.n // 2
-        return (np.arange(self.n) - half) * self.step
+        return (np.arange(self.n, dtype=float) - half) * self.step
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import mc
 from .caf import (
     DEFAULT_GRIDS,
     GeometryMismatchError,
+    Grid2D,
     GridSpec,
     PathKind,
     Scenario,
@@ -44,6 +45,7 @@ EXIT_SCHEMA = 3
 EXIT_GEOMETRY = 4
 EXIT_USAGE = 64
 EXIT_COMPUTE = 70
+EXIT_CANT_CREATE = 73
 
 SCHEMA_VERSION = 1
 
@@ -140,12 +142,15 @@ def _bundled_scenario(name: str):
 
 def _read_scenario_text(path: str | Path) -> str:
     p = Path(path)
-    if p.exists():
-        return p.read_text()
-    if p.name == str(path):  # bare name: fall back to the bundled fixtures
-        res = _bundled_scenario(p.name)
-        if res.is_file():
-            return res.read_text()
+    try:
+        if p.exists():
+            return p.read_text()
+        if p.name == str(path):  # bare name: fall back to the bundled fixtures
+            res = _bundled_scenario(p.name)
+            if res.is_file():
+                return res.read_text()
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable or not text
+        raise ScenarioParseError(f"cannot read scenario {path}: {e}") from e
     raise ScenarioParseError(f"scenario file not found: {path}")
 
 
@@ -280,66 +285,26 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioSchemaError(str(e)) from e
 
 
-# Rows per ``%`` application when writing an array table: bounds the
-# temporary tuple of Python floats to about 200k cells at three columns.
-_CSV_CHUNK_ROWS = 1 << 16
-
-
-@dataclass(frozen=True)
-class GridRows:
-    """The rows ``(east, north, value)`` of a square grid over one axis.
-
-    ``values[i, j]`` is the cell at east ``axis[j]``, north ``axis[i]``, as
-    in ``caf.Grid2D``; rows run with north as the outer index and east as
-    the inner one.  Tables write each axis label once per grid row instead
-    of once per cell.
-    """
-
-    axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.axis)
-        if (self.axis.ndim != 1 or self.values.shape != (n, n)
-                or self.axis.dtype.kind != "f" or self.values.dtype.kind != "f"):
-            raise ValueError(
-                f"grid rows need a 1-D float axis and square float values of its length,"
-                f" got {self.axis.dtype} axis of shape {self.axis.shape} and"
-                f" {self.values.dtype} values of shape {self.values.shape}"
-            )
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 @dataclass(frozen=True)
 class ResultTable:
     """Serialized table: named+united columns, uniform rows, one-line note.
 
-    ``rows`` is a tuple of row tuples, whose cells are scalars of any type;
-    a 2-D float ``np.ndarray`` of shape ``(n_rows, len(columns))``; or, for
-    three columns, a :class:`GridRows`.  CSV writes float cells of arrays
-    and grids with ``%.6g``, which gives the same text as the
-    ``format(v, '.6g')`` used for float cells of tuple rows; JSON writes them
-    as ``json`` does, at full precision.
+    ``rows`` is a tuple of row tuples, whose cells are scalars of any type,
+    or, for three columns, a ``caf.Grid2D``, written as the rows
+    ``(east, north, value)`` with north as the outer index and east as the
+    inner one.  CSV writes the float cells of a grid with ``%.6g``, which
+    gives the same text as the ``format(v, '.6g')`` used for float cells of
+    tuple rows; JSON writes them as ``json`` does, at full precision.
     """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | np.ndarray | GridRows
+    rows: tuple[tuple, ...] | Grid2D
     note: str = ""
 
     def __post_init__(self):
-        if isinstance(self.rows, GridRows):
+        if isinstance(self.rows, Grid2D):
             if len(self.columns) != 3:
                 raise ValueError(f"grid rows need 3 columns, got {len(self.columns)}")
-            return
-        if isinstance(self.rows, np.ndarray):
-            if (self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns)
-                    or self.rows.dtype.kind != "f"):
-                raise ValueError(
-                    f"array rows must be 2-D floats with {len(self.columns)} columns,"
-                    f" got {self.rows.dtype} of shape {self.rows.shape}"
-                )
             return
         for r in self.rows:
             if len(r) != len(self.columns):
@@ -352,7 +317,7 @@ class ResultTable:
         return "".join(self._pieces("json"))
 
     def _pieces(self, fmt: str) -> Iterator[str]:
-        """The file text in order, a header, row or row chunk at a time."""
+        """The file text in order, a header, tuple row or grid row at a time."""
         if fmt == "csv":
             yield ",".join(self.columns) + "\n"
             yield from _row_texts(self.rows, _CSV)
@@ -413,34 +378,23 @@ _JSON = _Layout(functools.partial(json.dumps, default=_json_cell), "%r",
                 (("nan", "NaN"), ("inf", "Infinity")), "    [\n      ", ",\n      ", "\n    ],\n")
 
 
-def _row_texts(rows: tuple[tuple, ...] | np.ndarray | GridRows, layout: _Layout) -> Iterator[str]:
-    """The rows spelled in ``layout``, one grid row, array chunk or tuple row at a time."""
-    if isinstance(rows, GridRows):
+def _row_texts(rows: tuple[tuple, ...] | Grid2D, layout: _Layout) -> Iterator[str]:
+    """The rows spelled in ``layout``, one grid row or tuple row at a time."""
+    if isinstance(rows, Grid2D):
         # the axis labels are spelled once; each grid row fills the north
         # label into one template and formats only its values
-        labels = [layout.cell(x) for x in rows.axis.tolist()]
+        labels = [layout.cell(x) for x in rows.spec.axis().tolist()]
         template = "".join(layout.row_start + x + layout.cell_sep + "\0" + layout.cell_sep
                            + layout.number + layout.row_end for x in labels)
         for label, values in zip(labels, rows.values):
-            yield _fill(template.replace("\0", label), values, layout)
-    elif isinstance(rows, np.ndarray):
-        template = (layout.row_start + layout.cell_sep.join([layout.number] * rows.shape[1])
-                    + layout.row_end)
-        for i in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[i:i + _CSV_CHUNK_ROWS]
-            yield _fill(template * len(chunk), chunk, layout)
+            text = template.replace("\0", label) % tuple(values.tolist())
+            if layout.non_finite and not np.isfinite(values).all():
+                for spelled, wanted in layout.non_finite:
+                    text = text.replace(spelled, wanted)
+            yield text
     else:
         for row in rows:
             yield layout.row_start + layout.cell_sep.join(map(layout.cell, row)) + layout.row_end
-
-
-def _fill(template: str, values: np.ndarray, layout: _Layout) -> str:
-    """``template`` with its ``layout.number`` conversions filled from ``values``."""
-    text = template % tuple(values.ravel().tolist())
-    if layout.non_finite and not np.isfinite(values).all():
-        for spelled, wanted in layout.non_finite:
-            text = text.replace(spelled, wanted)
-    return text
 
 
 def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
@@ -664,7 +618,7 @@ def cmd_caf(args) -> int:
         unit = "m" if space is Space.POSITION else "m/s"
         table = ResultTable(
             (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
-            GridRows(scenario.grid_for(space).axis(), total),
+            Grid2D(scenario.grid_for(space), total),
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))
@@ -745,10 +699,10 @@ def cmd_report(args) -> int:
     _write_table(
         ResultTable(
             ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-            np.column_stack((
-                thetas_deg,
-                mc.pair_error_curve(40.0, 0.0, thetas),
-                mc.pair_error_curve(40.0, 40.0, thetas),
+            tuple(zip(
+                thetas_deg.tolist(),
+                mc.pair_error_curve(40.0, 0.0, thetas).tolist(),
+                mc.pair_error_curve(40.0, 40.0, thetas).tolist(),
             )),
             note="pair radial error vs azimuth separation",
         ),
@@ -828,6 +782,12 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError, KeyError) as e:
         print(f"computation error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
+    except MemoryError as e:  # numpy's message names the shape it could not allocate
+        print(f"computation error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except OSError as e:  # scenario reads raise ScenarioParseError, so this is --out
+        print(f"cannot create output: {e}", file=sys.stderr)
+        return EXIT_CANT_CREATE
 
 
 if __name__ == "__main__":

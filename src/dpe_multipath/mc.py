@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .caf import (
-    EnuVector,
     Grid2D,
     Scenario,
     SignalConfig,
@@ -27,6 +26,7 @@ from .caf import (
     scenario_caf,
     superpose_and_argmax,
 )
+from .geom import EnuVector
 from .scmb import (
     EPS_PARALLEL,
     ParallelLinesError,

@@ -1,6 +1,7 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from dpe_multipath import cli
 from dpe_multipath.caf import (
     DEFAULT_GRIDS,
+    Grid2D,
     GridSpec,
     PathKind,
     Scenario,
@@ -26,6 +28,7 @@ from dpe_multipath.caf import (
     superpose_and_argmax,
 )
 from dpe_multipath.cli import (
+    EXIT_CANT_CREATE,
     EXIT_COMPUTE,
     EXIT_GEOMETRY,
     EXIT_OK,
@@ -33,7 +36,6 @@ from dpe_multipath.cli import (
     EXIT_SCHEMA,
     EXIT_USAGE,
     SCENARIO_SCHEMA,
-    GridRows,
     ResultTable,
     ScenarioParseError,
     ScenarioSchemaError,
@@ -109,6 +111,21 @@ class TestScenarioIO:
         p.write_text("{broken")
         with pytest.raises(ScenarioParseError):
             load_scenario(p)
+
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.scenario"
+        p.write_bytes(cli._bundled_scenario("case3.scenario").read_bytes() + b"\xff\n")
+        with pytest.raises(ScenarioParseError, match="codec can't decode"):
+            load_scenario(p)
+        assert main(["caf", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"parse error: cannot read scenario {p}: ")
+
+    def test_directory_is_parse_error(self, tmp_path, capsys):
+        assert main(["caf", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == (
+            EXIT_PARSE)
+        assert capsys.readouterr().err.startswith(
+            f"parse error: cannot read scenario {tmp_path}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_schema_error_names_field(self, tmp_path):
         p = dump_variant(
@@ -212,34 +229,10 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(("a", "b"), ((1,),))
 
-    def test_array_rows_must_be_2d(self):
-        with pytest.raises(ValueError):
-            ResultTable(("a",), np.zeros(3))
-        with pytest.raises(ValueError):
-            ResultTable(("a",), np.zeros((2, 1, 1)))
-
-    def test_array_width_checked(self):
-        with pytest.raises(ValueError):
-            ResultTable(("a", "b"), np.zeros((2, 3)))
-
-    def test_array_rows_must_be_float(self):
-        # integer cells would print as %.6g floats, not as str(int)
-        with pytest.raises(ValueError):
-            ResultTable(("a",), np.arange(3).reshape(3, 1))
-
     def test_grid_rows_checked(self):
-        axis = np.array([-1.0, 0.0, 1.0])
+        grid = Grid2D(GridSpec(Space.POSITION, 1.0, 1.0), np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            GridRows(axis, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            GridRows(axis.reshape(3, 1), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            GridRows(np.arange(3), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            GridRows(axis, np.zeros((3, 3), dtype=int))
-        with pytest.raises(ValueError):
-            ResultTable(("e", "n"), GridRows(axis, np.zeros((3, 3))))
-        assert len(GridRows(axis, np.zeros((3, 3)))) == 9
+            ResultTable(("e", "n"), grid)
 
 
 # Doubles where %.6g could plausibly part from format(v, ".6g"): signed
@@ -258,31 +251,30 @@ def _random_doubles(n: int, seed: int = 20250718) -> np.ndarray:
 
 
 class TestArrayTable:
-    """Array-backed tables write the same bytes as the same rows as Python floats."""
+    """Grid tables spell every float cell as ``_csv_cell`` spells it in a tuple row."""
 
     @pytest.mark.parametrize("values", [
         np.array(EDGE_FLOATS), _random_doubles(20000),
     ], ids=["edge", "random-bits"])
     def test_template_matches_csv_cell(self, values):
-        arr = ResultTable(("v",), values.reshape(-1, 1))
-        expected = "v\n" + "".join(cli._csv_cell(float(v)) + "\n" for v in values)
-        assert arr.to_csv() == expected
+        n = (math.isqrt(len(values) - 1) + 1) | 1  # the least odd n with n * n >= len(values)
+        grid = Grid2D(GridSpec(Space.POSITION, n // 2, 1.0), np.resize(values, (n, n)))
+        axis = grid.spec.axis().tolist()
+        cell = cli._csv_cell
+        expected = "e,n,v\n" + "".join(
+            f"{cell(axis[j])},{cell(axis[i])},{cell(float(grid.values[i, j]))}\n"
+            for i in range(n) for j in range(n))
+        assert ResultTable(("e", "n", "v"), grid).to_csv() == expected
 
-    @pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_CHUNK_ROWS + cli._CSV_CHUNK_ROWS // 2 + 1])
-    def test_same_bytes_as_tuple_rows(self, n_rows):
-        values = _random_doubles(3 * n_rows, seed=n_rows).reshape(n_rows, 3)
-        columns = ("a[m]", "b", "c[1]")
-        arr = ResultTable(columns, values, note="n")
-        tup = ResultTable(columns, tuple(map(tuple, values.tolist())), note="n")
-        assert len(arr.rows) == n_rows
-        assert arr.to_csv() == tup.to_csv()
-        assert arr.to_json() == tup.to_json()
+
+# Rows per ``%`` application of the old array writer below.
+_COLUMN_STACK_CHUNK_ROWS = 1 << 16
 
 
 def _column_stack_pieces(columns, rows: np.ndarray, note: str, fmt: str):
     """The table writer before grid rows, for rows held in one 2-D array.
 
-    CSV: one ``%.6g`` template per ``_CSV_CHUNK_ROWS`` rows.  JSON: ``json``'s
+    CSV: one ``%.6g`` template per ``_COLUMN_STACK_CHUNK_ROWS`` rows.  JSON: ``json``'s
     ``indent=2`` encoding of ``{"note", "columns", "rows": rows.tolist()}``
     plus a newline, which is ``json.dumps``; the row lists are made as the
     encoder reaches them, so a 1001^2 grid does not hold a million at once.
@@ -290,8 +282,8 @@ def _column_stack_pieces(columns, rows: np.ndarray, note: str, fmt: str):
     if fmt == "csv":
         yield ",".join(columns) + "\n"
         template = ",".join(["%.6g"] * rows.shape[1]) + "\n"
-        for i in range(0, len(rows), cli._CSV_CHUNK_ROWS):
-            c = rows[i:i + cli._CSV_CHUNK_ROWS]
+        for i in range(0, len(rows), _COLUMN_STACK_CHUNK_ROWS):
+            c = rows[i:i + _COLUMN_STACK_CHUNK_ROWS]
             yield (template * len(c)) % tuple(c.ravel().tolist())
         return
 
@@ -330,28 +322,22 @@ class TestGridRows:
     ], ids=["step-0.1", "step-0.2", "step-0.3", "step-2.5e-7", "n-3", "longer-than-a-chunk"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_matches_column_stack_writer(self, half_extent, step, fmt):
-        axis = GridSpec(Space.VELOCITY, half_extent, step).axis()
+        spec = GridSpec(Space.VELOCITY, half_extent, step)
+        axis = spec.axis()
         n = len(axis)
         # finite values at several magnitudes, plus random bit patterns
         # (NaN, infinities, subnormals) in the small grids
         values = np.random.default_rng(n).standard_normal((n, n)) * 10.0 ** (np.arange(n) % 9 - 4)
         if n < 100:
             values.ravel()[::3] = _random_doubles(len(values.ravel()[::3]), seed=n)
-        table = ResultTable(self.COLUMNS, GridRows(axis, values), note="n")
+        table = ResultTable(self.COLUMNS, Grid2D(spec, values), note="n")
         expected = "".join(_column_stack_pieces(
             self.COLUMNS, _grid_as_column_stack(axis, values), "n", fmt))
         assert (table.to_csv() if fmt == "csv" else table.to_json()) == expected
         if half_extent == 128.0:
-            assert n * n > cli._CSV_CHUNK_ROWS
+            assert n * n > _COLUMN_STACK_CHUNK_ROWS
         if step == 2.5e-7:
             assert "e-06," in expected  # labels in exponent form
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_array_rows_match_column_stack_writer(self, fmt):
-        values = _random_doubles(3 * 1000, seed=5).reshape(1000, 3)
-        table = ResultTable(self.COLUMNS, values, note="n")
-        expected = "".join(_column_stack_pieces(self.COLUMNS, values, "n", fmt))
-        assert (table.to_csv() if fmt == "csv" else table.to_json()) == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_caf_files_match_column_stack_writer(self, tmp_path, fmt):
@@ -449,6 +435,27 @@ class TestCommands:
         expected = table.to_csv() if fmt == "csv" else table.to_json()
         assert spec.n == 31
         assert (tmp_path / f"caf_velocity.{fmt}").read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_caf_integer_grid_literals(self, tmp_path, fmt):
+        # an int literal and the equal float literal make the same grid and
+        # the same file: labels are floats either way
+        files = []
+        for kind in (int, float):
+            def grid(raw, kind=kind):
+                raw["grid"] = [{"space": "position", "half_extent": kind(20), "step": kind(1)},
+                               {"space": "velocity", "half_extent": kind(3), "step": kind(1)}]
+
+            out = tmp_path / kind.__name__
+            p = dump_variant(tmp_path, "case3", grid)
+            assert ('"half_extent": 20,' in p.read_text()) == (kind is int)
+            assert main(["caf", "--scenario", str(p), "--format", fmt,
+                         "--out", str(out)]) == EXIT_OK
+            files.append([(out / f"caf_{space}.{fmt}").read_bytes()
+                          for space in ("position", "velocity")])
+        assert files[0] == files[1]
+        if fmt == "json":
+            assert b"      -20.0,\n" in files[0][0]
 
     def test_run_experiments_prints_every_driver_summary(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
@@ -671,6 +678,34 @@ class TestExitCodes:
         assert err.startswith("computation error: position-space center lines of ")
         assert "PRN 10 path 0" in err and "PRN 23 path 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["bounds", "--radii", "60,40,30,15"], ["report"]],
+                             ids=["bounds", "report"])
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_unusable_out_dir(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert main(command + ["--out", str(out)]) == EXIT_CANT_CREATE
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output: ")
+        assert str(blocker) in err
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.98 GiB for an array with shape (20001, 20001)"
+                     " and data type float64"),
+         "Unable to allocate 2.98 GiB for an array with shape (20001, 20001)"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_compute_error(self, tmp_path, capsys, monkeypatch, error, message):
+        def exhausted(scenario, space):
+            raise error
+
+        monkeypatch.setattr(cli, "scenario_caf", exhausted)
+        assert main(["caf", "--scenario", "case3.scenario", "--out", str(tmp_path)]) == (
+            EXIT_COMPUTE)
+        assert capsys.readouterr().err.startswith(f"computation error: {message}")
 
     def test_non_finite_caf_sum_is_compute_error(self, tmp_path, capsys):
         def huge_noise(raw):

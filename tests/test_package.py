@@ -1,4 +1,4 @@
-"""The package root holds only the version; every module-level import is used."""
+"""The package root holds only the version; every import is used and comes from its definer."""
 import ast
 from pathlib import Path
 
@@ -41,3 +41,49 @@ def test_no_unused_module_imports():
     unused = {str(p.relative_to(ROOT)): names
               for p in files if (names := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+PACKAGE = ROOT / "src" / "dpe_multipath"
+
+
+def defined_names(module: Path) -> set[str]:
+    """Names bound at the top level of ``module`` other than by an import."""
+    names = set()
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """``module.name`` for each package name ``path`` imports from a module that
+    does not define it; importing a submodule from the package is fine."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # relative: only package modules import that way
+            module = node.module or ""
+        elif node.module and node.module.split(".")[0] == "dpe_multipath":
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        if not module:  # ``from dpe_multipath import cli``
+            found += [f"dpe_multipath.{a.name}" for a in node.names
+                      if not (PACKAGE / f"{a.name}.py").is_file()
+                      and not (PACKAGE / a.name).is_dir()]
+            continue
+        source = PACKAGE / f"{module.replace('.', '/')}.py"
+        defined = defined_names(source)
+        found += [f"{module}.{a.name}" for a in node.names if a.name not in defined]
+    return found
+
+
+def test_names_imported_from_their_defining_module():
+    files = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+    foreign = {str(p.relative_to(ROOT)): names
+               for p in files if (names := foreign_imports(p))}
+    assert foreign == {}
