@@ -612,6 +612,7 @@ def cmd_caf(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the grids
     written = []
     for space in _spaces(args.space):
         offset, peak, total = superpose_and_argmax(scenario_caf(scenario, space))

@@ -10,18 +10,20 @@ module does all serialization.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .caf import (
-    Grid2D,
+    GridSpec,
+    SatelliteChannel,
     Scenario,
     SignalConfig,
     Space,
     _correlate,
-    channel_caf,
+    _mismatch_coef,
     mismatch,
     scenario_caf,
     superpose_and_argmax,
@@ -279,29 +281,103 @@ def run_random_azimuth_mc(
     )
 
 
-def _ridge_line_fit(grid: Grid2D) -> tuple[float, float, float]:
-    """Implicit line (a, b, c) with a*e + b*n = c fitted to a grid's ridge.
+# Ridge readout: positions read on each side of a scanline's ridge crossing;
+# a bound on sinc outside its main lobe (at most 0.1284 there, and -0.2172 at
+# the first sidelobe); the margin, of the path amplitude, a certificate clears.
+_WINDOW = 3
+_SIDELOBE = 0.2172
+_MARGIN = 1e-9
 
-    Grid-only readout: per-scanline argmax nodes, scanlines whose peak sits
-    on the boundary or below half the global maximum dropped (rejects sinc
-    sidelobes), least squares over both scan orientations, better residual
-    wins.  The normal (a, b) comes out unit length.
+
+def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalConfig,
+                      per_column: bool, stats: Counter) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax index and peak of each column (or row) of a one-path, noiseless grid.
+
+    Reads what ``argmax`` over :func:`caf.channel_caf` would, without the
+    grid.  The mismatch is weakly monotone along a scanline (each step is a
+    monotone rounding), so each scanline is first evaluated in a window of
+    ``2 * _WINDOW + 1`` cells around its ridge crossing, by the steps of
+    ``caf._fill_rows``, which give each cell its grid bits.  A window is used
+    if its maximum clears by ``_MARGIN`` both window ends that are not grid
+    edges and, in velocity space, the sidelobe bound; or if it lies against
+    the grid edge nearest a crossing beyond the grid and is all zero
+    (position: the scanline is zero) or below the sidelobe bound (velocity:
+    the scanline is, and its peak reads ``-inf``, dropped by the fit once a
+    certified peak exceeds twice the bound).  Other scanlines are evaluated
+    in full by the same steps.  ``stats`` counts cells and scanline outcomes.
     """
-    axis = grid.spec.axis()
-    v = grid.values
+    n = spec.n
+    axis = spec.axis()
+    az = channel.angles.azimuth
+    scan_dir, fixed_dir = (
+        (math.cos(az), math.sin(az)) if per_column else (math.sin(az), math.cos(az)))
+    scan, fixed = scan_dir * axis, fixed_dir * axis
+    coef = _mismatch_coef(channel, signal, spec.space)
+    (path,) = channel.paths
+    bias, amplitude = path.bias(spec.space), path.amplitude
+
+    def mismatch_at(lines, pos):
+        return (scan[pos] + fixed[lines, None]) * coef + bias
+
+    def peaks_of(lines, lo, width):
+        pos = lo[:, None] + np.arange(width)
+        v = mismatch_at(lines, pos)
+        _correlate(v, spec.space, signal.coherent_integration)
+        v *= amplitude
+        stats["cells"] += v.size
+        at = np.arange(len(lines)), v.argmax(axis=1)
+        return pos[at], v[at], v
+
+    width = min(2 * _WINDOW + 1, n)
+    with np.errstate(all="ignore"):  # a scan parallel to the ridge crosses it at +-inf or NaN
+        cross = (-bias / coef - fixed) / (scan_dir * spec.step) + n // 2
+    cross = np.rint(np.fmax(np.fmin(cross, n), -1.0))  # NaN lands at n
+    lo = np.clip(cross - _WINDOW, 0, n - width).astype(int)
+    lines = np.arange(n)
+    idx, peak, v = peaks_of(lines, lo, width)
+    velocity = spec.space is Space.VELOCITY
+    floor = amplitude * _SIDELOBE if velocity else -np.inf
+    inner = np.where([lo > 0, lo + width < n], v[:, [0, -1]].T, -np.inf).max(axis=0)
+    certified = peak - amplitude * _MARGIN > np.maximum(inner, floor)
+    # off the grid: the mismatch keeps one sign along the scanline and is
+    # smallest in magnitude at the grid edge the window lies against
+    m0, m1 = mismatch_at(lines, np.array([0, n - 1])).T
+    away = (np.sign(m0) == np.sign(m1)) & (((lo == 0) & (abs(m0) <= abs(m1)))
+                                           | ((lo + width == n) & (abs(m1) <= abs(m0))))
+    off = away & ~certified & ((peak < floor) if velocity else (peak == 0.0))
+    if not velocity:
+        idx[off] = 0
+    elif peak[certified].max(initial=-np.inf) > 2.0 * floor:
+        peak[off] = -np.inf
+    else:
+        off[:] = False
+    redo = ~(certified | off)
+    idx[redo], peak[redo], _ = peaks_of(lines[redo], 0 * lines[redo], n)
+    stats.update(certified=int(certified.sum()), off_grid=int(off.sum()), full=int(redo.sum()))
+    return idx, peak
+
+
+def _ridge_line_fit(axis: np.ndarray, scanlines) -> tuple[tuple, float, tuple]:
+    """Implicit line (a, b, c) with a*e + b*n = c fitted to a channel's ridge.
+
+    ``scanlines`` holds the (argmax index, peak) readouts of the grid's
+    columns, then rows (:func:`_scanline_readout`); the largest peak is the
+    grid maximum.  Scanlines whose peak sits on the boundary or below half
+    that maximum are dropped (rejects sinc sidelobes), least squares runs
+    over each scan orientation, the better residual wins.  Returns the line,
+    with a unit normal (a, b), its RMS residual and the scanlines kept per
+    orientation.
+    """
     n = len(axis)
-    vmax = float(v.max())
+    vmax = max(float(peaks.max()) for _, peaks in scanlines)
     if vmax <= 0.0:
         raise ValueError("grid has no positive ridge")
     fits = []
-    for per_column in (True, False):
-        if per_column:
-            idx, peaks = _column_argmax(v)
-        else:
-            idx = v.argmax(axis=1)
-            peaks = v[np.arange(n), idx]
+    kept = []
+    for per_column, (idx, peaks) in zip((True, False), scanlines):
         keep = (idx > 0) & (idx < n - 1) & (peaks >= 0.5 * vmax)
-        if np.count_nonzero(keep) < 8:
+        kept.append(int(np.count_nonzero(keep)))
+        if kept[-1] < 8:
             continue
         t = axis[keep]
         s = axis[idx[keep]]
@@ -315,17 +391,8 @@ def _ridge_line_fit(grid: Grid2D) -> tuple[float, float, float]:
         fits.append((resid, abc))
     if not fits:
         raise ValueError("no usable ridge scanlines in grid")
-    return min(fits)[1]
-
-
-def _column_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``v.argmax(axis=0)`` and the column maxima, for ``v`` without NaN.
-
-    Compares against the maxima instead of calling ``argmax(axis=0)``,
-    which copies ``v`` transposed; the first maximal row still wins.
-    """
-    peaks = v.max(axis=0)
-    return (v == peaks).argmax(axis=0), peaks
+    resid, abc = min(fits)
+    return abc, resid, tuple(kept)
 
 
 def _pair_label(prn_i: int, prn_j: int) -> str:
@@ -340,11 +407,16 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
 
     The analytic column intersects the exact center lines; the simulated
     column reads each channel's ridge off its own noiseless grid (scanline
-    argmax + least squares) and intersects the fitted lines.  ``case_id``
-    attaches the matching reference-table checks; simulated values are
-    checked against the analytic ones within 1.5 grid steps for in-window
-    points regardless.
+    argmax + least squares) and intersects the fitted lines.  The argmaxes
+    come from a few certified cells per scanline (:func:`_scanline_readout`),
+    so a scenario with noise raises ``ValueError``.  ``case_id`` attaches the
+    matching reference-table checks; simulated values are checked against
+    the analytic ones within 1.5 grid steps for in-window points regardless.
+    ``summary`` holds per space the readout counts and per PRN the fit's RMS
+    residual and scanlines kept (columns, rows).
     """
+    if scenario.noise_sigma > 0.0:
+        raise ValueError("case study requires a noiseless scenario")
     for ch in scenario.satellites:
         if len(ch.paths) != 1:
             raise ValueError("case study expects exactly one path per satellite")
@@ -352,13 +424,18 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
     expected_radii = EXPECTED_RADII.get(case_id, {}) if case_id else {}
     rows = []
     checks = []
+    summary = {}
     for space_index, space in enumerate((Space.POSITION, Space.VELOCITY)):
         grid = scenario.grid_for(space)
+        axis = grid.axis()
         lines = {ch.prn: center_line(ch, 0, space, scenario.signal) for ch in scenario.satellites}
-        fitted = {
-            ch.prn: _ridge_line_fit(channel_caf(grid, ch, scenario))
-            for ch in scenario.satellites
-        }
+        stats = Counter()
+        fitted, residual, kept = {}, {}, {}
+        for ch in scenario.satellites:
+            scanlines = [_scanline_readout(grid, ch, scenario.signal, per_column, stats)
+                         for per_column in (True, False)]
+            fitted[ch.prn], residual[ch.prn], kept[ch.prn] = _ridge_line_fit(axis, scanlines)
+        summary[space.value] = {**stats, "residual": residual, "kept": kept}
         for prn, (exp_pos, exp_vel) in expected_radii.items():
             exp = (exp_pos, exp_vel)[space_index]
             checks.append(
@@ -420,7 +497,7 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
             "in_window",
         ),
         rows=tuple(rows),
-        summary={},
+        summary=summary,
         checks=tuple(checks),
     )
 

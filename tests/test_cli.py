@@ -692,6 +692,20 @@ class TestExitCodes:
         assert str(blocker) in err
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_caf_checks_out_before_the_grids(self, tmp_path, capsys, monkeypatch, under):
+        def unreached(scenario, space):
+            raise AssertionError("grids built before --out was checked")
+
+        monkeypatch.setattr(cli, "scenario_caf", unreached)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert main(["caf", "--scenario", "case3.scenario", "--out", str(out)]) == (
+            EXIT_CANT_CREATE)
+        assert capsys.readouterr().err.startswith("cannot create output: ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 2.98 GiB for an array with shape (20001, 20001)"
                      " and data type float64"),

@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpe_multipath import mc
+from dpe_multipath import caf, mc
 from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, channel_caf
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
     REFERENCE_SEED,
-    _column_argmax,
     caf_value_at,
     fixture_check,
     pair_error_curve,
@@ -178,6 +177,36 @@ class TestCaseStudies:
         with pytest.raises(ValueError):
             run_case_study(s, None)
 
+    def test_noise_rejected(self):
+        s = load_scenario("case1.scenario")
+        with pytest.raises(ValueError, match="noiseless"):
+            run_case_study(replace(s, noise_sigma=0.1, seed=1), "case1")
+
+    def test_reads_ridges_without_grids(self, monkeypatch):
+        # the report's 14 channels evaluate under 1 % of the cells of their
+        # 28 grids, and no grid is filled
+        def unreached(*args):
+            raise AssertionError("channel_caf called")
+
+        monkeypatch.setattr(caf, "channel_caf", unreached)
+        monkeypatch.setattr(mc, "channel_caf", unreached, raising=False)
+        cells = full = 0
+        for case in ("case1", "case2", "case3", "table6"):
+            s = load_scenario(f"{case}.scenario")
+            rep = run_case_study(s, case)
+            assert rep.passed
+            for space in Space:
+                stats = rep.summary[space.value]
+                n = s.grid_for(space).n
+                assert stats["certified"] + stats["off_grid"] + stats["full"] == (
+                    2 * n * len(s.satellites))
+                assert set(stats["kept"]) == set(stats["residual"]) == {
+                    ch.prn for ch in s.satellites}
+                cells += stats["cells"]
+                full += n * n * len(s.satellites)
+        assert full == 14 * 2001**2 + 14 * 201**2
+        assert cells < 0.01 * full
+
     def test_table6_field_case(self):
         rep = run_case_study(load_scenario("table6.scenario"), "table6")
         assert rep.passed
@@ -249,21 +278,6 @@ class TestPairErrorCurve:
         hypot = np.hypot(rho - rho * np.cos(t), rho * np.sin(t)) / np.sin(t)
         for v, h in zip(vals[fixed], hypot[fixed]):
             assert v == pytest.approx(h, rel=1e-12)
-
-
-class TestColumnArgmax:
-    def test_matches_argmax_with_ties(self):
-        rng = np.random.default_rng(3)
-        v = rng.integers(0, 4, size=(301, 257)).astype(float)  # many tied maxima
-        idx, peaks = _column_argmax(v)
-        np.testing.assert_array_equal(idx, v.argmax(axis=0))
-        np.testing.assert_array_equal(peaks, v[v.argmax(axis=0), np.arange(v.shape[1])])
-
-    def test_matches_argmax_on_caf_grid(self):
-        s = load_scenario("case3.scenario")
-        spec = GridSpec(Space.VELOCITY, 100.0, 0.5)
-        for g in (channel_caf(spec, ch, s) for ch in s.satellites):
-            np.testing.assert_array_equal(_column_argmax(g.values)[0], g.values.argmax(axis=0))
 
 
 class TestCafValueAt:

@@ -4,6 +4,7 @@ Everything here is deterministic: hypothesis tests run derandomized, and the
 bulk-draw tests use fixed generator seeds.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,18 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath.caf import (
+    GridSpec,
     PathKind,
+    SatelliteChannel,
     Scenario,
     SignalConfig,
     SignalPath,
     Space,
     SPEED_OF_LIGHT,
+    channel_caf,
     make_channel,
     scenario_caf,
     superpose_and_argmax,
 )
-from dpe_multipath.geom import EnuVector
+from dpe_multipath.geom import EnuVector, LookAngles
 from dpe_multipath.mc import (
+    _scanline_readout,
     pair_error_curve,
     run_oracle_compare,
     run_random_azimuth_mc,
@@ -265,6 +270,52 @@ class TestMismatchLinearity:
             assert mismatch(ch, s.signal, space, both) == pytest.approx(
                 base + mismatch(ch, s.signal, space, probe), rel=1e-9, abs=1e-12
             )
+
+
+class TestWindowedRidgeReadout:
+    @given(
+        st.sampled_from(list(Space)),
+        st.integers(0, 3),
+        st.floats(-1e-6, 1e-6),
+        st.floats(5.0, 85.0),
+        st.floats(0.1, 2.0),
+        st.floats(-1.5, 1.5),
+        st.sampled_from((0.1, 0.5, 1.0)),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=150, **D)
+    def test_matches_full_grid_argmax(self, space, quadrant, tilt, el_deg, amplitude, push,
+                                      step, half_steps):
+        # azimuths within 1e-6 rad of an axis make one scan orientation
+        # nearly parallel to the ridge; |push| > 1 moves the ridge line off
+        # the grid, leaving only its tails on it
+        az = (quadrant * math.pi / 2.0 + tilt) % (2.0 * math.pi)
+        el = math.radians(el_deg)
+        signal = SignalConfig()
+        rate = signal.code_rate if space is Space.POSITION else signal.carrier
+        spec = GridSpec(space, half_steps * step, step)
+        bias = push * spec.half_extent * rate / SPEED_OF_LIGHT * math.cos(el)
+        path = (SignalPath(PathKind.NLOS, amplitude, delay_chips=bias) if space is Space.POSITION
+                else SignalPath(PathKind.NLOS, amplitude, doppler_hz=bias))
+        ch = SatelliteChannel(1, (path,), LookAngles(el, az))
+        v = channel_caf(spec, ch, Scenario(signal=signal, satellites=(ch,))).values
+        vmax = v.max()
+        readouts = [_scanline_readout(spec, ch, signal, per_column, Counter())
+                    for per_column in (True, False)]
+        assert max(peaks.max() for _, peaks in readouts) == vmax
+        n = spec.n
+        for axis, (idx, peaks) in enumerate(readouts):  # columns, then rows
+            full_idx = v.argmax(axis=axis)
+            full_peaks = np.take_along_axis(v, np.expand_dims(full_idx, axis), axis).ravel()
+            kept = (full_idx > 0) & (full_idx < n - 1) & (full_peaks >= 0.5 * vmax)
+            np.testing.assert_array_equal((idx > 0) & (idx < n - 1) & (peaks >= 0.5 * vmax), kept)
+            # a scanline read as -inf lies below the fit's cut; every other
+            # one carries the full grid's argmax and peak bits
+            read = peaks > -np.inf
+            assert np.all(full_peaks[~read] < 0.5 * vmax)
+            np.testing.assert_array_equal(idx[read], full_idx[read])
+            np.testing.assert_array_equal(peaks[read].view(np.int64),
+                                          full_peaks[read].view(np.int64))
 
 
 class TestMonteCarloPrefix:
