@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,9 +29,12 @@ RIDGE_OFFSET_SIGN = -1.0
 # Provided angles and a provided position may disagree by at most this much.
 ANGLE_CONSISTENCY_TOL = math.radians(0.1)
 
-# Grid rows filled per kernel block: at n = 2001 each block temporary is
-# about 2 MB, small enough to stay in cache between the fused passes.
-_BLOCK_ROWS = 128
+# Grid rows filled per kernel block.  Up to n = 2047 each block temporary is
+# under 128 KiB: it stays in cache between passes, and glibc's malloc serves
+# it from the heap instead of mapping fresh pages for every block (measured
+# on x86-64 Linux: 128-row blocks fault in about 90,000 more pages per
+# 4 x 2001^2 fill).
+_BLOCK_ROWS = 8
 
 
 class GeometryMismatchError(GeometryError):
@@ -240,15 +241,13 @@ class Scenario:
         raise KeyError(space)
 
 
-def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float,
-               work: np.ndarray | None = None, zero: np.ndarray | None = None) -> None:
+def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float) -> None:
     """Overwrite the mismatch array ``m`` with its correlation, in place.
 
     Position: the unit code triangle ``max(0, 1 - |m|)``.  Velocity:
     ``sinc(m * T)`` evaluated as ``sin(y) / y`` with ``y = (m * T) * pi`` and
     1.0 where ``y == 0``, which is ``np.sinc`` bit for bit (``pi * x`` is 0
-    only for ``x == 0``, and ``sin(eps) / eps == 1.0``).  ``work`` (float) and
-    ``zero`` (bool) are optional scratch arrays of ``m``'s shape.
+    only for ``x == 0``, and ``sin(eps) / eps == 1.0``).
     """
     if space is Space.POSITION:
         np.abs(m, out=m)
@@ -257,10 +256,9 @@ def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float,
         return
     m *= coherent_integration_s
     m *= np.pi
-    zero = np.equal(m, 0.0, out=zero)
-    work = np.sin(m, out=work)
+    zero = m == 0.0
     with np.errstate(invalid="ignore"):  # 0/0 at the cells reset below
-        np.divide(work, m, out=m)
+        np.divide(np.sin(m), m, out=m)
     np.copyto(m, 1.0, where=zero)
 
 
@@ -270,18 +268,32 @@ def _mismatch_coef(channel: SatelliteChannel, signal: SignalConfig, space: Space
     return -RIDGE_OFFSET_SIGN * rate / SPEED_OF_LIGHT * math.cos(channel.angles.elevation)
 
 
-def mismatch(channel: SatelliteChannel, signal: SignalConfig, space: Space,
-             offset: EnuVector) -> float:
-    """Code-delay (chips) or Doppler (Hz) mismatch of a candidate horizontal offset.
+def mismatch(channel: SatelliteChannel, signal: SignalConfig, space: Space, east, north):
+    """Code-delay (chips) or Doppler (Hz) mismatch of candidate horizontal offsets.
 
+    ``east`` and ``north`` are numbers or arrays that broadcast together.
     Linear in the offset (m in position space, m/s in velocity space): the
     rate per unit is (rate / c) * cos(elevation) along the satellite azimuth
     and zero across it, with the code rate as ``rate`` in position space and
     the carrier in velocity space.
     """
-    a = channel.angles
-    along = math.sin(a.azimuth) * offset.e + math.cos(a.azimuth) * offset.n
-    return _mismatch_coef(channel, signal, space) * along
+    az = channel.angles.azimuth
+    return (math.cos(az) * north + math.sin(az) * east) * _mismatch_coef(channel, signal, space)
+
+
+def _add_channel(out: np.ndarray, channel: SatelliteChannel, signal: SignalConfig,
+                 space: Space, east, north) -> None:
+    """Add the channel's noiseless correlation at offsets (``east``, ``north``) into ``out``.
+
+    Path by path: ``out += amplitude * correlation(mismatch + bias)``.  The
+    offsets broadcast to ``out``'s shape; a 0-d ``out`` takes one point.
+    """
+    plane = mismatch(channel, signal, space, east, north)
+    for path in channel.paths:
+        m = np.add(plane, path.bias(space), out=np.empty_like(out))
+        _correlate(m, space, signal.coherent_integration)
+        m *= path.amplitude
+        out += m
 
 
 def channel_caf(grid: GridSpec, channel: SatelliteChannel, scenario: Scenario) -> Grid2D:
@@ -292,95 +304,21 @@ def channel_caf(grid: GridSpec, channel: SatelliteChannel, scenario: Scenario) -
     Gaussian noise from a stream keyed by (seed, prn, space); each cell's
     draw is fixed by its (row, col) index, independent of evaluation order.
 
-    The grid is filled in blocks of ``_BLOCK_ROWS`` rows, spread over the
-    CPUs this process may run on; every cell's value is independent of the
-    blocking and of the worker count.
+    The grid is filled on the calling thread in blocks of ``_BLOCK_ROWS``
+    rows, which bounds the temporaries; every cell's value is independent of
+    the blocking.
     """
     n = grid.n
     axis = grid.axis()
-    a = channel.angles
-    north = math.cos(a.azimuth) * axis
-    east = math.sin(a.azimuth) * axis
-    coef = _mismatch_coef(channel, scenario.signal, grid.space)
-    paths = [(p.bias(grid.space), p.amplitude) for p in channel.paths]
-    t_coh = scenario.signal.coherent_integration
     values = np.zeros((n, n))
-    workers = _worker_count(-(-n // _BLOCK_ROWS))
-    # Scratch is allocated here, not in the workers: freed into this thread's
-    # heap it is reused by later allocations, while a worker thread's malloc
-    # arena keeps it resident (measured: 2.5 MB more peak RSS for `caf` on a
-    # 1001^2 velocity grid).
-    shape = (min(_BLOCK_ROWS, n), n)
-    scratch = [(np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-               for _ in range(workers)]
-    _run_shares(workers, lambda share: _fill_rows(
-        values, share, workers, north, east, coef, paths, grid.space, t_coh, scratch[share]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        _add_channel(values[rows], channel, scenario.signal, grid.space, axis, axis[rows, None])
     if scenario.noise_sigma > 0.0:
         rng = np.random.default_rng([scenario.seed, channel.prn, _space_key(grid.space)])
         with np.errstate(over="ignore"):  # a huge sigma is reported by superpose_and_argmax
             values += scenario.noise_sigma * rng.standard_normal((n, n))
     return Grid2D(grid, values)
-
-
-def _fill_rows(values, share, shares, north, east, coef, paths, space, coherent_integration_s,
-               scratch):
-    """Add every path's correlation into blocks ``share, share + shares, ...``.
-
-    Row ``i`` of the mismatch plane is ``coef * (cos(az) * axis[i] +
-    sin(az) * axis)``; the addition is written the other way round from the
-    point formula ``sin(az) * e + cos(az) * n``, which IEEE addition does not
-    notice.  ``scratch`` holds three float arrays and one bool array of one
-    block's shape, used by this share alone.
-    """
-    n_rows = values.shape[0]
-    plane, m, work, zero = scratch
-    for lo in range(share * _BLOCK_ROWS, n_rows, shares * _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_rows)
-        k = hi - lo
-        np.add.outer(north[lo:hi], east, out=plane[:k])
-        plane[:k] *= coef
-        for bias, amplitude in paths:
-            np.add(plane[:k], bias, out=m[:k])
-            _correlate(m[:k], space, coherent_integration_s, work[:k], zero[:k])
-            m[:k] *= amplitude
-            values[lo:hi] += m[:k]
-
-
-def _worker_count(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` blocks: one per usable CPU, at most one per block."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_blocks))
-
-
-def _run_shares(workers: int, fill) -> None:
-    """Call ``fill(share)`` for each share in ``range(workers)``, share 0 inline.
-
-    The numpy loops inside release the interpreter lock, so the shares run
-    in parallel.  The first exception raised by any share is re-raised here
-    after every thread has finished.
-    """
-    errors: list[BaseException] = []
-
-    def run(share: int) -> None:
-        try:
-            fill(share)
-        except BaseException as e:  # re-raised in the calling thread below
-            errors.append(e)
-
-    threads = []
-    try:
-        for share in range(1, workers):
-            threads.append(threading.Thread(target=run, args=(share,)))
-            threads[-1].start()
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def _space_key(space: Space) -> int:

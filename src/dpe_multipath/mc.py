@@ -22,13 +22,12 @@ from .caf import (
     Scenario,
     SignalConfig,
     Space,
-    _correlate,
+    _add_channel,
     _mismatch_coef,
     mismatch,
     scenario_caf,
     superpose_and_argmax,
 )
-from .geom import EnuVector
 from .scmb import (
     EPS_PARALLEL,
     ParallelLinesError,
@@ -296,41 +295,39 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
     Reads what ``argmax`` over :func:`caf.channel_caf` would, without the
     grid.  The mismatch is weakly monotone along a scanline (each step is a
     monotone rounding), so each scanline is first evaluated in a window of
-    ``2 * _WINDOW + 1`` cells around its ridge crossing, by the steps of
-    ``caf._fill_rows``, which give each cell its grid bits.  A window is used
-    if its maximum clears by ``_MARGIN`` both window ends that are not grid
-    edges and, in velocity space, the sidelobe bound; or if it lies against
-    the grid edge nearest a crossing beyond the grid and is all zero
+    ``2 * _WINDOW + 1`` cells around its ridge crossing by ``caf._add_channel``,
+    the grid's own evaluator, so each cell has its grid bits.  A window is
+    used if its maximum clears by ``_MARGIN`` both window ends that are not
+    grid edges and, in velocity space, the sidelobe bound; or if it lies
+    against the grid edge nearest a crossing beyond the grid and is all zero
     (position: the scanline is zero) or below the sidelobe bound (velocity:
     the scanline is, and its peak reads ``-inf``, dropped by the fit once a
     certified peak exceeds twice the bound).  Other scanlines are evaluated
-    in full by the same steps.  ``stats`` counts cells and scanline outcomes.
+    in full by the same evaluator.  ``stats`` counts cells and scanline outcomes.
     """
     n = spec.n
     axis = spec.axis()
     az = channel.angles.azimuth
     scan_dir, fixed_dir = (
         (math.cos(az), math.sin(az)) if per_column else (math.sin(az), math.cos(az)))
-    scan, fixed = scan_dir * axis, fixed_dir * axis
     coef = _mismatch_coef(channel, signal, spec.space)
     (path,) = channel.paths
     bias, amplitude = path.bias(spec.space), path.amplitude
 
-    def mismatch_at(lines, pos):
-        return (scan[pos] + fixed[lines, None]) * coef + bias
+    def east_north(lines, pos):
+        return (axis[lines, None], axis[pos]) if per_column else (axis[pos], axis[lines, None])
 
     def peaks_of(lines, lo, width):
         pos = lo[:, None] + np.arange(width)
-        v = mismatch_at(lines, pos)
-        _correlate(v, spec.space, signal.coherent_integration)
-        v *= amplitude
+        v = np.zeros(pos.shape)
+        _add_channel(v, channel, signal, spec.space, *east_north(lines, pos))
         stats["cells"] += v.size
         at = np.arange(len(lines)), v.argmax(axis=1)
         return pos[at], v[at], v
 
     width = min(2 * _WINDOW + 1, n)
     with np.errstate(all="ignore"):  # a scan parallel to the ridge crosses it at +-inf or NaN
-        cross = (-bias / coef - fixed) / (scan_dir * spec.step) + n // 2
+        cross = (-bias / coef - fixed_dir * axis) / (scan_dir * spec.step) + n // 2
     cross = np.rint(np.fmax(np.fmin(cross, n), -1.0))  # NaN lands at n
     lo = np.clip(cross - _WINDOW, 0, n - width).astype(int)
     lines = np.arange(n)
@@ -341,7 +338,8 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
     certified = peak - amplitude * _MARGIN > np.maximum(inner, floor)
     # off the grid: the mismatch keeps one sign along the scanline and is
     # smallest in magnitude at the grid edge the window lies against
-    m0, m1 = mismatch_at(lines, np.array([0, n - 1])).T
+    m0, m1 = (mismatch(channel, signal, spec.space, *east_north(lines, np.array([0, n - 1])))
+              + bias).T
     away = (np.sign(m0) == np.sign(m1)) & (((lo == 0) & (abs(m0) <= abs(m1)))
                                            | ((lo + width == n) & (abs(m1) <= abs(m0))))
     off = away & ~certified & ((peak < floor) if velocity else (peak == 0.0))
@@ -505,17 +503,17 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
 def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
     """Summed multi-channel correlation value at one exact offset point.
 
-    Evaluates the same correlation kernel as :func:`channel_caf`, adding the
-    paths one by one in channel order.
+    Each channel goes through ``caf._add_channel``, the evaluator of
+    :func:`caf.channel_caf`, into its own subtotal, and the subtotals are
+    added in channel order as :func:`caf.superpose_and_argmax` adds the
+    grids: at a grid node the value equals the summed noiseless grid's cell
+    bit for bit, multipath included.
     """
     total = 0.0
-    offset = EnuVector(e, n, 0.0)
     for ch in scenario.satellites:
-        m = mismatch(ch, scenario.signal, space, offset)
-        corr = np.array([m + path.bias(space) for path in ch.paths])
-        _correlate(corr, space, scenario.signal.coherent_integration)
-        for path, c in zip(ch.paths, corr.tolist()):
-            total += path.amplitude * c
+        value = np.zeros(())
+        _add_channel(value, ch, scenario.signal, space, e, n)
+        total += float(value)
     return total
 
 

@@ -1,6 +1,5 @@
 """Correlation model, mismatch linearization, and grid argmax."""
 import math
-import sys
 import warnings
 from dataclasses import replace
 
@@ -29,7 +28,7 @@ from dpe_multipath.caf import (
     superpose_and_argmax,
 )
 from dpe_multipath.cli import load_scenario
-from dpe_multipath.geom import EnuVector, enu_to_ecef, enu_from_angles
+from dpe_multipath.geom import enu_to_ecef, enu_from_angles
 from scenario_helpers import authored_receiver, channel
 
 TABLE1 = load_scenario("table1.scenario")
@@ -92,19 +91,19 @@ class TestMismatch:
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = channel(s, 18)
         az = ch.angles.azimuth
-        offset = EnuVector(100.0 * math.sin(az), 100.0 * math.cos(az), 0.0)
-        assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(
+        offset = (100.0 * math.sin(az), 100.0 * math.cos(az))
+        assert mismatch(ch, s.signal, Space.POSITION, *offset) == pytest.approx(
             2.5037509495533827, rel=1e-12)
-        assert mismatch(ch, s.signal, Space.VELOCITY, offset) == pytest.approx(
+        assert mismatch(ch, s.signal, Space.VELOCITY, *offset) == pytest.approx(
             287.931359198639, rel=1e-12)
 
     def test_mismatch_zero_across_azimuth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = channel(s, 18)
         az = ch.angles.azimuth
-        offset = EnuVector(50.0 * math.cos(az), -50.0 * math.sin(az), 0.0)
-        assert mismatch(ch, s.signal, Space.POSITION, offset) == pytest.approx(0.0, abs=1e-12)
-        assert mismatch(ch, s.signal, Space.VELOCITY, offset) == pytest.approx(0.0, abs=1e-12)
+        offset = (50.0 * math.cos(az), -50.0 * math.sin(az))
+        assert mismatch(ch, s.signal, Space.POSITION, *offset) == pytest.approx(0.0, abs=1e-12)
+        assert mismatch(ch, s.signal, Space.VELOCITY, *offset) == pytest.approx(0.0, abs=1e-12)
 
     @given(
         st.floats(-100.0, 100.0),
@@ -115,17 +114,17 @@ class TestMismatch:
     def test_mismatch_linear_in_offset(self, e, n, scale):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = channel(s, 23)
-        base = mismatch(ch, s.signal, Space.POSITION, EnuVector(e, n, 0.0))
-        scaled = mismatch(ch, s.signal, Space.POSITION, EnuVector(scale * e, scale * n, 0.0))
+        base = mismatch(ch, s.signal, Space.POSITION, e, n)
+        scaled = mismatch(ch, s.signal, Space.POSITION, scale * e, scale * n)
         assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-12)
 
     def test_mismatch_additive_in_offset(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         ch = channel(s, 18)
-        a, b = EnuVector(13.0, -7.0, 0.0), EnuVector(-2.0, 41.0, 0.0)
-        ab = EnuVector(a.e + b.e, a.n + b.n, 0.0)
-        assert mismatch(ch, s.signal, Space.VELOCITY, ab) == pytest.approx(
-            mismatch(ch, s.signal, Space.VELOCITY, a) + mismatch(ch, s.signal, Space.VELOCITY, b),
+        a, b = (13.0, -7.0), (-2.0, 41.0)
+        ab = (a[0] + b[0], a[1] + b[1])
+        assert mismatch(ch, s.signal, Space.VELOCITY, *ab) == pytest.approx(
+            mismatch(ch, s.signal, Space.VELOCITY, *a) + mismatch(ch, s.signal, Space.VELOCITY, *b),
             rel=1e-12,
         )
 
@@ -140,9 +139,8 @@ class TestMismatch:
         near, far = at_range(1.5e7), at_range(3.0e7)
         s = Scenario(satellites=(near,))
         t = Scenario(satellites=(far,))
-        offset = EnuVector(37.0, -12.0, 0.0)
-        assert (mismatch(near, s.signal, Space.POSITION, offset)
-                == mismatch(far, t.signal, Space.POSITION, offset))
+        assert (mismatch(near, s.signal, Space.POSITION, 37.0, -12.0)
+                == mismatch(far, t.signal, Space.POSITION, 37.0, -12.0))
 
 
 class TestChannels:
@@ -368,7 +366,7 @@ def odd_grid(space, n):
 
 
 class TestBlockKernel:
-    @pytest.mark.parametrize("n", [21, 127, 129, 257])
+    @pytest.mark.parametrize("n", [21, 127, 129, 257, 4 * caf._BLOCK_ROWS + 1])
     @pytest.mark.parametrize("space", list(Space))
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_bytes_match_whole_grid_formula(self, n, space, noise):
@@ -385,37 +383,6 @@ class TestBlockKernel:
         grid = s.grid_for(space)
         for ch in s.satellites[:2]:
             assert channel_caf(grid, ch, s).values.tobytes() == seed_caf(grid, ch, s).tobytes()
-
-    @pytest.mark.parametrize("space", list(Space))
-    def test_bytes_independent_of_worker_count(self, space, monkeypatch):
-        s = multipath_scenario(0.1)
-        grid = odd_grid(space, 4 * caf._BLOCK_ROWS + 1)  # five blocks, the last one row
-        out = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            for workers in (1, 2, 3, 7):  # 7: more threads than blocks and than CPUs
-                monkeypatch.setattr(caf, "_worker_count", lambda n_blocks, k=workers: k)
-                out[workers] = [channel_caf(grid, ch, s).values.tobytes() for ch in s.satellites]
-        finally:
-            sys.setswitchinterval(interval)
-        assert out[2] == out[1] and out[3] == out[1] and out[7] == out[1]
-
-    def test_worker_count_bounds(self):
-        assert caf._worker_count(1) == 1
-        assert 1 <= caf._worker_count(1000) <= 1000
-
-    def test_worker_exception_reaches_caller(self):
-        done = []
-
-        def fill(share):
-            if share == 1:
-                raise MemoryError("share 1")
-            done.append(share)
-
-        with pytest.raises(MemoryError, match="share 1"):
-            caf._run_shares(3, fill)
-        assert sorted(done) == [0, 2]
 
 
 class TestCorrelatorBits:

@@ -259,16 +259,16 @@ class TestMismatchLinearity:
         )
         s = Scenario(satellites=(ch,))
         for space in (Space.POSITION, Space.VELOCITY):
-            base = mismatch(ch, s.signal, space, EnuVector(e, n, 0.0))
+            base = mismatch(ch, s.signal, space, e, n)
             # homogeneity
-            assert mismatch(ch, s.signal, space, EnuVector(scale * e, scale * n, 0.0)) == (
+            assert mismatch(ch, s.signal, space, scale * e, scale * n) == (
                 pytest.approx(scale * base, rel=1e-9, abs=1e-12)
             )
             # additivity against a fixed probe offset
-            probe = EnuVector(11.0, -23.0, 0.0)
-            both = EnuVector(e + probe.e, n + probe.n, 0.0)
-            assert mismatch(ch, s.signal, space, both) == pytest.approx(
-                base + mismatch(ch, s.signal, space, probe), rel=1e-9, abs=1e-12
+            probe = (11.0, -23.0)
+            both = (e + probe[0], n + probe[1])
+            assert mismatch(ch, s.signal, space, *both) == pytest.approx(
+                base + mismatch(ch, s.signal, space, *probe), rel=1e-9, abs=1e-12
             )
 
 
