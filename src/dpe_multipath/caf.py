@@ -296,67 +296,64 @@ def _add_channel(out: np.ndarray, channel: SatelliteChannel, signal: SignalConfi
         out += m
 
 
-def channel_caf(grid: GridSpec, channel: SatelliteChannel, scenario: Scenario) -> Grid2D:
-    """Cross-ambiguity surface of one channel over a candidate-offset grid.
-
-    Sums the per-path correlation, each path's ridge displaced by its
-    delay/Doppler bias.  With ``scenario.noise_sigma > 0`` adds i.i.d.
-    Gaussian noise from a stream keyed by (seed, prn, space); each cell's
-    draw is fixed by its (row, col) index, independent of evaluation order.
-
-    The grid is filled on the calling thread in blocks of ``_BLOCK_ROWS``
-    rows, which bounds the temporaries; every cell's value is independent of
-    the blocking.
-    """
-    n = grid.n
-    axis = grid.axis()
-    values = np.zeros((n, n))
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        _add_channel(values[rows], channel, scenario.signal, grid.space, axis, axis[rows, None])
-    if scenario.noise_sigma > 0.0:
-        rng = np.random.default_rng([scenario.seed, channel.prn, _space_key(grid.space)])
-        with np.errstate(over="ignore"):  # a huge sigma is reported by superpose_and_argmax
-            values += scenario.noise_sigma * rng.standard_normal((n, n))
-    return Grid2D(grid, values)
-
-
 def _space_key(space: Space) -> int:
     return 0 if space is Space.POSITION else 1
 
 
-def scenario_caf(scenario: Scenario, space: Space) -> list[Grid2D]:
-    """Per-channel CAF grids for every satellite in the scenario."""
+def scenario_caf(scenario: Scenario, space: Space) -> Grid2D:
+    """Cross-ambiguity surface summed over every satellite channel.
+
+    Each channel sums its per-path correlation, each path's ridge displaced
+    by its delay/Doppler bias.  With ``scenario.noise_sigma > 0`` a channel
+    adds i.i.d. Gaussian noise from a stream keyed by (seed, prn, space),
+    drawn in row-major cell order.  Channels are summed in order: the first
+    channel's values, then each next channel's added to them.
+
+    The grid is filled in blocks of ``_BLOCK_ROWS`` rows, each channel's
+    block evaluated into one reused scratch block, so memory holds the sum
+    and one block; every cell's value is independent of the blocking.
+    Cells that overflow are left to :func:`grid_argmax` to report.
+    """
     spec = scenario.grid_for(space)
-    return [channel_caf(spec, ch, scenario) for ch in scenario.satellites]
+    n = spec.n
+    axis = spec.axis()
+    total = np.empty((n, n))
+    scratch = np.empty((_BLOCK_ROWS, n))
+    rngs = [np.random.default_rng([scenario.seed, ch.prn, _space_key(space)])
+            for ch in scenario.satellites] if scenario.noise_sigma > 0.0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            rows = slice(lo, hi)
+            block = scratch[:hi - lo]
+            for k, ch in enumerate(scenario.satellites):
+                block.fill(0.0)
+                _add_channel(block, ch, scenario.signal, space, axis, axis[rows, None])
+                if rngs:
+                    block += scenario.noise_sigma * rngs[k].standard_normal(block.shape)
+                if k == 0:
+                    total[rows] = block
+                else:
+                    total[rows] += block
+    return Grid2D(spec, total)
 
 
-def superpose_and_argmax(grids: Sequence[Grid2D]) -> tuple[EnuVector, float, np.ndarray]:
-    """Sum per-channel grids and locate the maximum.
+def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
+    """Locate the maximum of a grid.
 
     Exact value ties resolve to the smallest offset norm, then to the
     lexicographically smallest (row, col).  Returns the winning offset (the
-    ``u`` component is always 0), the peak value and the summed values.
-    Raises ``ValueError`` when the sum holds a NaN or an infinity.
+    ``u`` component is always 0) and the peak value.  Raises ``ValueError``
+    when the grid holds a NaN or an infinity.
     """
-    if not grids:
-        raise ValueError("need at least one grid")
-    spec = grids[0].spec
-    for g in grids[1:]:
-        if g.spec != spec:
-            raise ValueError("grids must share one spec")
-    total = grids[0].values.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        for g in grids[1:]:
-            total += g.values
-    peak = float(total.max())
-    if not (math.isfinite(peak) and math.isfinite(total.min())):
+    values = grid.values
+    peak = float(values.max())
+    if not (math.isfinite(peak) and math.isfinite(values.min())):
         raise ValueError(
             "summed CAF grid is not finite (NaN or infinite cells); noise_sigma or a path"
             " amplitude is too large for a double"
         )
-    axis = spec.axis()
-    rows, cols = np.nonzero(total == peak)
-    best = min((axis[j] ** 2 + axis[i] ** 2, i, j) for i, j in zip(rows, cols))
-    _, i, j = best
-    return EnuVector(float(axis[j]), float(axis[i]), 0.0), peak, total
+    axis = grid.spec.axis()
+    rows, cols = np.nonzero(values == peak)
+    _, i, j = min((axis[j] ** 2 + axis[i] ** 2, i, j) for i, j in zip(rows, cols))
+    return EnuVector(float(axis[j]), float(axis[i]), 0.0), peak

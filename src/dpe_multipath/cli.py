@@ -31,9 +31,9 @@ from .caf import (
     SignalConfig,
     SignalPath,
     Space,
+    grid_argmax,
     make_channel,
     scenario_caf,
-    superpose_and_argmax,
 )
 from .geom import EcefVector, GeometryError
 from .scmb import case_bound, center_line, center_lines, enumerate_intersections
@@ -615,11 +615,12 @@ def cmd_caf(args) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the grids
     written = []
     for space in _spaces(args.space):
-        offset, peak, total = superpose_and_argmax(scenario_caf(scenario, space))
+        grid = scenario_caf(scenario, space)
+        offset, peak = grid_argmax(grid)
         unit = "m" if space is Space.POSITION else "m/s"
         table = ResultTable(
             (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
-            Grid2D(scenario.grid_for(space), total),
+            grid,
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))

@@ -24,9 +24,9 @@ from .caf import (
     Space,
     _add_channel,
     _mismatch_coef,
+    grid_argmax,
     mismatch,
     scenario_caf,
-    superpose_and_argmax,
 )
 from .scmb import (
     EPS_PARALLEL,
@@ -292,7 +292,7 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
                       per_column: bool, stats: Counter) -> tuple[np.ndarray, np.ndarray]:
     """Argmax index and peak of each column (or row) of a one-path, noiseless grid.
 
-    Reads what ``argmax`` over :func:`caf.channel_caf` would, without the
+    Reads what ``argmax`` over the channel's own grid would, without the
     grid.  The mismatch is weakly monotone along a scanline (each step is a
     monotone rounding), so each scanline is first evaluated in a window of
     ``2 * _WINDOW + 1`` cells around its ridge crossing by ``caf._add_channel``,
@@ -350,7 +350,8 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
     else:
         off[:] = False
     redo = ~(certified | off)
-    idx[redo], peak[redo], _ = peaks_of(lines[redo], 0 * lines[redo], n)
+    if redo.any():
+        idx[redo], peak[redo], _ = peaks_of(lines[redo], 0 * lines[redo], n)
     stats.update(certified=int(certified.sum()), off_grid=int(off.sum()), full=int(redo.sum()))
     return idx, peak
 
@@ -504,9 +505,9 @@ def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
     """Summed multi-channel correlation value at one exact offset point.
 
     Each channel goes through ``caf._add_channel``, the evaluator of
-    :func:`caf.channel_caf`, into its own subtotal, and the subtotals are
-    added in channel order as :func:`caf.superpose_and_argmax` adds the
-    grids: at a grid node the value equals the summed noiseless grid's cell
+    :func:`caf.scenario_caf`, into its own subtotal, and the subtotals are
+    added in channel order as :func:`caf.scenario_caf` adds the channel
+    blocks: at a grid node the value equals the summed noiseless grid's cell
     bit for bit, multipath included.
     """
     total = 0.0
@@ -539,7 +540,7 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Exp
         for kind, pair, dth, e, n in candidates
     ]
     best = max(scored, key=lambda r: (r[5], -math.hypot(r[3], r[4])))
-    offset, peak, _ = superpose_and_argmax(scenario_caf(scenario, space))
+    offset, peak = grid_argmax(scenario_caf(scenario, space))
     gap = math.hypot(offset.e - best[3], offset.n - best[4])
     agree = gap <= spec.step + 1e-9
     rows = []

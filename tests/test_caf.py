@@ -1,5 +1,6 @@
 """Correlation model, mismatch linearization, and grid argmax."""
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -21,11 +22,10 @@ from dpe_multipath.caf import (
     SignalConfig,
     SignalPath,
     Space,
-    channel_caf,
+    grid_argmax,
     make_channel,
     mismatch,
     scenario_caf,
-    superpose_and_argmax,
 )
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.geom import enu_to_ecef, enu_from_angles
@@ -44,6 +44,11 @@ def two_sat_scenario(paths18, paths23):
     return Scenario(
         satellites=(reference_channel(18, paths18), reference_channel(23, paths23)),
     )
+
+
+def channel_grid(scenario, prn, space):
+    """The grid of satellite ``prn`` alone, from a one-satellite copy of ``scenario``."""
+    return scenario_caf(replace(scenario, satellites=(channel(scenario, prn),)), space)
 
 
 def code(delta_tau_chips):
@@ -211,7 +216,7 @@ class TestGrids:
     def test_los_channel_peaks_at_truth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         spec = s.grid_for(Space.POSITION)
-        g = channel_caf(spec, channel(s, 18), s)
+        g = channel_grid(s, 18, Space.POSITION)
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
         # the whole ridge line hits 1.0; the truth node is on it
         assert g.values[spec.n // 2, spec.n // 2] == pytest.approx(1.0, abs=1e-12)
@@ -225,7 +230,7 @@ class TestGrids:
             [SignalPath(PathKind.NLOS, delay_chips=1.0)], [SignalPath(PathKind.LOS)]
         )
         spec = s.grid_for(Space.POSITION)
-        g = channel_caf(spec, channel(s, 18), s)
+        g = channel_grid(s, 18, Space.POSITION)
         axis = spec.axis()
         i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
         east, north = float(axis[j]), float(axis[i])
@@ -240,7 +245,7 @@ class TestGrids:
         s = two_sat_scenario(
             [SignalPath(PathKind.NLOS, delay_chips=1.0)], [SignalPath(PathKind.LOS)]
         )
-        offset, peak, _ = superpose_and_argmax(scenario_caf(s, Space.POSITION))
+        offset, peak = grid_argmax(scenario_caf(s, Space.POSITION))
         # frozen analytic intersection of the two center lines
         assert math.hypot(offset.e - 43.20007108796537, offset.n - 19.143636458314802) <= 1.5
         assert peak > 1.9
@@ -249,36 +254,73 @@ class TestGrids:
         s = two_sat_scenario(
             [SignalPath(PathKind.NLOS, doppler_hz=120.0)], [SignalPath(PathKind.LOS)]
         )
-        g = channel_caf(s.grid_for(Space.VELOCITY), channel(s, 18), s)
+        g = channel_grid(s, 18, Space.VELOCITY)
         assert g.values.max() <= 1.0 + 1e-12
         assert g.values.max() > 0.999
 
     def test_argmax_tie_resolves_to_smallest_norm(self):
         spec = GridSpec(Space.POSITION, 5.0, 1.0)
         flat = Grid2D(spec, np.ones((spec.n, spec.n)))
-        offset, peak, _ = superpose_and_argmax([flat])
+        offset, peak = grid_argmax(flat)
         assert (offset.e, offset.n, peak) == (0.0, 0.0, 1.0)
-
-    def test_superpose_requires_matching_specs(self):
-        a = Grid2D(GridSpec(Space.POSITION, 5.0, 1.0), np.zeros((11, 11)))
-        b = Grid2D(GridSpec(Space.POSITION, 5.0, 0.5), np.zeros((21, 21)))
-        with pytest.raises(ValueError):
-            superpose_and_argmax([a, b])
 
     @pytest.mark.parametrize("cells", [
         (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 1e308), (math.inf, -math.inf),
     ], ids=["nan", "inf", "minus-inf", "overflowing-sum", "inf-minus-inf"])
     def test_superpose_rejects_non_finite_sum(self, cells):
+        # cells that path amplitudes can give are the unbiased paths of one
+        # satellite, summed by the fill (the triangle is near 1 on the grid);
+        # the others are held, already summed, by a grid
         spec = GridSpec(Space.POSITION, 1.0, 1.0)
-        grids = []
-        for v in cells:
-            values = np.zeros((3, 3))
-            values[1, 2] = v
-            grids.append(Grid2D(spec, values))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if all(v >= 0.0 and math.isfinite(v) for v in cells):
+                paths = [SignalPath(PathKind.NLOS, v) for v in cells]
+                s = Scenario(satellites=(reference_channel(18, paths),), grids=(spec,))
+                grid = scenario_caf(s, Space.POSITION)
+            else:
+                values = np.zeros((3, 3))
+                values[1, 2] = sum(cells)
+                grid = Grid2D(spec, values)
             with pytest.raises(ValueError, match="not finite"):
-                superpose_and_argmax(grids)
+                grid_argmax(grid)
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_overflow_across_channels_is_not_finite(self, space):
+        # two finite channels whose sum overflows: the fill stays silent and
+        # the argmax reports it
+        path = SignalPath(PathKind.NLOS, 1e308)
+        sats = (reference_channel(18, [path]), reference_channel(23, [path]))
+        s = Scenario(satellites=sats, grids=(GridSpec(space, 5.0, 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = scenario_caf(s, space)
+            with pytest.raises(ValueError, match="not finite"):
+                grid_argmax(grid)
+
+    def test_fill_holds_one_grid(self):
+        # eight channels on the default 201^2 position grid: the fill holds
+        # the summed grid and one block, not one grid per channel
+        angles = [(10.0 + 8.0 * k, 45.0 * k) for k in range(8)]
+        sats = tuple(
+            make_channel(REFERENCE_RECEIVER, k + 1,
+                         [SignalPath(PathKind.LOS), SignalPath(PathKind.NLOS, 0.5, 0.7, 40.0)],
+                         angles_deg=a)
+            for k, a in enumerate(angles)
+        )
+        s = Scenario(satellites=sats, noise_sigma=0.1, seed=3)
+        n = s.grid_for(Space.POSITION).n
+        assert n == 201
+        # a first fill imports numpy's random module, which is not the fill's memory
+        scenario_caf(replace(s, grids=(GridSpec(Space.POSITION, 1.0, 1.0),)), Space.POSITION)
+        tracemalloc.start()
+        try:
+            grid = scenario_caf(s, Space.POSITION)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.values.shape == (n, n)
+        assert peak < 2 * n * n * 8
 
 
 class TestNoise:
@@ -293,16 +335,17 @@ class TestNoise:
         )
 
     def test_noise_reproducible(self):
-        a = channel_caf(DEFAULT_GRIDS[0], self.noisy(7).satellites[0], self.noisy(7))
-        b = channel_caf(DEFAULT_GRIDS[0], self.noisy(7).satellites[0], self.noisy(7))
+        assert self.noisy(7).grid_for(Space.POSITION) == DEFAULT_GRIDS[0]
+        a = channel_grid(self.noisy(7), 10, Space.POSITION)
+        b = channel_grid(self.noisy(7), 10, Space.POSITION)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_noise_varies_with_seed_prn_space(self):
         s = self.noisy(7)
         t = self.noisy(8)
-        a = channel_caf(DEFAULT_GRIDS[0], s.satellites[0], s)
-        b = channel_caf(DEFAULT_GRIDS[0], s.satellites[1], s)
-        c = channel_caf(DEFAULT_GRIDS[0], t.satellites[0], t)
+        a = channel_grid(s, 10, Space.POSITION)
+        b = channel_grid(s, 18, Space.POSITION)
+        c = channel_grid(t, 10, Space.POSITION)
         assert not np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
@@ -344,6 +387,15 @@ def seed_caf(grid, channel, scenario):
     return values
 
 
+def seed_sum(grid, scenario):
+    """The channels' whole-grid formulas summed in channel order."""
+    first, *rest = scenario.satellites
+    total = seed_caf(grid, first, scenario)
+    for ch in rest:
+        total += seed_caf(grid, ch, scenario)
+    return total
+
+
 def multipath_scenario(noise_sigma=0.0):
     """Reference geometry with up to three paths per channel."""
     nlos = PathKind.NLOS
@@ -373,16 +425,15 @@ class TestBlockKernel:
         s = multipath_scenario(noise)
         grid = odd_grid(space, n)
         assert grid.n == n
-        for ch in s.satellites:
-            got = channel_caf(grid, ch, s).values
-            assert got.tobytes() == seed_caf(grid, ch, s).tobytes()
+        got = scenario_caf(replace(s, grids=(grid,)), space).values
+        assert got.tobytes() == seed_sum(grid, s).tobytes()
 
     @pytest.mark.parametrize("space", list(Space))
     def test_default_grid_matches_whole_grid_formula(self, space):
         s = load_scenario("case3.scenario")
+        s = replace(s, satellites=s.satellites[:2])
         grid = s.grid_for(space)
-        for ch in s.satellites[:2]:
-            assert channel_caf(grid, ch, s).values.tobytes() == seed_caf(grid, ch, s).tobytes()
+        assert scenario_caf(s, space).values.tobytes() == seed_sum(grid, s).tobytes()
 
 
 class TestCorrelatorBits:

@@ -25,7 +25,6 @@ from dpe_multipath.caf import (
     SignalPath,
     Space,
     scenario_caf,
-    superpose_and_argmax,
 )
 from dpe_multipath.cli import (
     EXIT_CANT_CREATE,
@@ -364,7 +363,7 @@ class TestGridRows:
             if fmt == "json":
                 assert hashlib.sha256(written).hexdigest() == self.JSON_WRITER_DIGESTS[space]
                 continue
-            _, _, total = superpose_and_argmax(scenario_caf(s, space))
+            total = scenario_caf(s, space).values
             axis = s.grid_for(space).axis()
             assert len(axis) == n
             expected = _column_stack_pieces(
@@ -430,10 +429,7 @@ class TestCommands:
             seed=7,
         )
         spec = s.grid_for(Space.VELOCITY)
-        grids = scenario_caf(s, Space.VELOCITY)
-        total = grids[0].values.copy()
-        for g in grids[1:]:
-            total += g.values
+        total = scenario_caf(s, Space.VELOCITY).values
         axis = spec.axis()
         rows = []
         for i in range(spec.n):
@@ -746,3 +742,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("computation error: summed CAF grid is not finite")
         assert "noise_sigma" in err
+
+    def test_channel_overflow_prints_only_the_error(self, tmp_path):
+        # one satellite whose two unbiased paths of amplitude 1e308 overflow
+        # within the channel: numpy's warning must not reach stderr
+        def huge_paths(raw):
+            raw["grid"] = [{"space": "position", "half_extent": 5.0, "step": 1.0},
+                           {"space": "velocity", "half_extent": 5.0, "step": 1.0}]
+            raw["satellites"] = raw["satellites"][:1]
+            raw["satellites"][0]["paths"] = [{"kind": "nlos", "amplitude": 1e308}] * 2
+
+        p = dump_variant(tmp_path, "case3", huge_paths)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "dpe_multipath", "caf", "--scenario", str(p),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert done.returncode == EXIT_COMPUTE
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("computation error: summed CAF grid is not finite")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpe_multipath import caf, mc
-from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, channel_caf
+from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, scenario_caf
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
     EXPECTED_MC_ARGMIN_DEG,
@@ -186,10 +186,10 @@ class TestCaseStudies:
         # the report's 14 channels evaluate under 1 % of the cells of their
         # 28 grids, and no grid is filled
         def unreached(*args):
-            raise AssertionError("channel_caf called")
+            raise AssertionError("scenario_caf called")
 
-        monkeypatch.setattr(caf, "channel_caf", unreached)
-        monkeypatch.setattr(mc, "channel_caf", unreached, raising=False)
+        monkeypatch.setattr(caf, "scenario_caf", unreached)
+        monkeypatch.setattr(mc, "scenario_caf", unreached)
         cells = full = 0
         for case in ("case1", "case2", "case3", "table6"):
             s = load_scenario(f"{case}.scenario")
@@ -206,6 +206,23 @@ class TestCaseStudies:
                 full += n * n * len(s.satellites)
         assert full == 14 * 2001**2 + 14 * 201**2
         assert cells < 0.01 * full
+
+    def test_two_window_reads_per_channel_and_space(self, monkeypatch):
+        # one window batch per scan orientation; no scanline needs the full
+        # readout, so the fallback evaluates nothing
+        calls = []
+
+        def counted(out, *args):
+            calls.append(out.size)
+            caf._add_channel(out, *args)
+
+        monkeypatch.setattr(mc, "_add_channel", counted)
+        for case in ("case1", "case2", "case3", "table6"):
+            s = load_scenario(f"{case}.scenario")
+            calls.clear()
+            assert run_case_study(s, case).passed
+            assert len(calls) == 2 * len(Space) * len(s.satellites)
+            assert all(calls)
 
     def test_table6_field_case(self):
         rep = run_case_study(load_scenario("table6.scenario"), "table6")
@@ -294,11 +311,7 @@ class TestCafValueAt:
 
     @staticmethod
     def summed(scenario, spec):
-        grids = [channel_caf(spec, ch, scenario) for ch in scenario.satellites]
-        total = grids[0].values.copy()
-        for g in grids[1:]:
-            total += g.values
-        return total
+        return scenario_caf(replace(scenario, grids=(spec,)), spec.space).values
 
     @pytest.mark.parametrize("case", ["case1", "case2", "case3", "table6"])
     @pytest.mark.parametrize("space", list(Space))

@@ -20,10 +20,9 @@ from dpe_multipath.caf import (
     SignalPath,
     Space,
     SPEED_OF_LIGHT,
-    channel_caf,
+    grid_argmax,
     make_channel,
     scenario_caf,
-    superpose_and_argmax,
 )
 from dpe_multipath.geom import EnuVector, LookAngles
 from dpe_multipath.mc import (
@@ -159,7 +158,7 @@ class TestAllLosTruth:
         )
         s = Scenario(satellites=sats)
         for space in (Space.POSITION, Space.VELOCITY):
-            offset, peak, _ = superpose_and_argmax(scenario_caf(s, space))
+            offset, peak = grid_argmax(scenario_caf(s, space))
             assert (offset.e, offset.n) == (0.0, 0.0)
             assert peak == pytest.approx(float(count), rel=1e-12)
 
@@ -235,7 +234,7 @@ class TestArgmaxMatchesAnalytic:
         step = 1.0
         for _ in range(50):
             scenario, expected = random_two_satellite_scenario(rng)
-            offset, peak, _ = superpose_and_argmax(scenario_caf(scenario, Space.POSITION))
+            offset, peak = grid_argmax(scenario_caf(scenario, Space.POSITION))
             assert math.hypot(offset.e - expected.e, offset.n - expected.n) <= step + 1e-9
             assert peak == pytest.approx(2.0, abs=0.15)
             rep = run_oracle_compare(scenario)
@@ -298,7 +297,7 @@ class TestWindowedRidgeReadout:
         path = (SignalPath(PathKind.NLOS, amplitude, delay_chips=bias) if space is Space.POSITION
                 else SignalPath(PathKind.NLOS, amplitude, doppler_hz=bias))
         ch = SatelliteChannel(1, (path,), LookAngles(el, az))
-        v = channel_caf(spec, ch, Scenario(signal=signal, satellites=(ch,))).values
+        v = scenario_caf(Scenario(signal=signal, satellites=(ch,), grids=(spec,)), space).values
         vmax = v.max()
         readouts = [_scanline_readout(spec, ch, signal, per_column, Counter())
                     for per_column in (True, False)]
