@@ -8,6 +8,7 @@ significant digits, JSON keeps full float precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -195,77 +196,68 @@ def _finite_int(text: str) -> int:
 
 @functools.cache
 def _scenario_validator():
-    """The schema validator, checked and built once per process.
+    """The schema validator, built once per process.
 
-    Same validator class and error choice as ``jsonschema.validate``,
-    which re-checks the schema itself on every call.
+    Same validator class and error choice as ``jsonschema.validate``.  The
+    schema itself is a constant, checked by the test suite rather than on
+    every run.
     """
-    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-    cls.check_schema(SCENARIO_SCHEMA)
-    return cls(SCENARIO_SCHEMA)
+    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
+@contextlib.contextmanager
+def _field(prefix: str):
+    """Report a model constructor's ``ValueError`` as a schema error under ``prefix``.
+
+    A :class:`GeometryMismatchError`, also a ``ValueError``, keeps its own exit code.
+    """
+    try:
+        yield
+    except GeometryMismatchError:
+        raise
+    except ValueError as e:
+        raise ScenarioSchemaError(f"{prefix}{e}") from e
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
     receiver = EcefVector.from_array(raw["receiver"]["position_ecef"])
     sig = raw.get("signal", {})
     defaults = SignalConfig()
-    try:
+    with _field("signal: "):
         signal = SignalConfig(
             code_rate=sig.get("code_rate_hz", defaults.code_rate),
             carrier=sig.get("carrier_hz", defaults.carrier),
             coherent_integration=sig.get("coherent_integration_s", defaults.coherent_integration),
         )
-    except ValueError as e:
-        raise ScenarioSchemaError(f"signal: {e}") from e
     grids = []
     for k, g in enumerate(raw.get("grid", [])):
-        try:
+        with _field(f"grid.{k}: "):
             grids.append(GridSpec(Space(g["space"]), g["half_extent"], g["step"]))
-        except ValueError as e:
-            raise ScenarioSchemaError(f"grid.{k}: {e}") from e
     satellites = []
     for i, sat in enumerate(raw["satellites"]):
         where = f"satellites.{i}"
         has_angles = "elevation_deg" in sat or "azimuth_deg" in sat
         if has_angles and not ("elevation_deg" in sat and "azimuth_deg" in sat):
             raise ScenarioSchemaError(f"{where}: elevation_deg and azimuth_deg go together")
-        if "position_ecef" not in sat and not has_angles:
-            raise ScenarioSchemaError(
-                f"{where}: need position_ecef or elevation_deg/azimuth_deg"
-            )
         paths = []
         for j, p in enumerate(sat["paths"]):
-            try:
-                paths.append(
-                    SignalPath(
-                        kind=PathKind(p["kind"]),
-                        amplitude=p.get("amplitude", 1.0),
-                        delay_chips=p.get("delay_chips", 0.0),
-                        doppler_hz=p.get("doppler_hz", 0.0),
-                    )
-                )
-            except ValueError as e:
-                raise ScenarioSchemaError(f"{where}.paths.{j}: {e}") from e
-        try:
-            satellites.append(
-                make_channel(
-                    receiver,
-                    sat["prn"],
-                    paths,
-                    position=(
-                        EcefVector.from_array(sat["position_ecef"])
-                        if "position_ecef" in sat
-                        else None
-                    ),
-                    angles_deg=(
-                        (sat["elevation_deg"], sat["azimuth_deg"]) if has_angles else None
-                    ),
-                )
-            )
-        except GeometryMismatchError:
-            raise
-        except ValueError as e:
-            raise ScenarioSchemaError(f"{where}: {e}") from e
+            with _field(f"{where}.paths.{j}: "):
+                paths.append(SignalPath(
+                    kind=PathKind(p["kind"]),
+                    amplitude=p.get("amplitude", 1.0),
+                    delay_chips=p.get("delay_chips", 0.0),
+                    doppler_hz=p.get("doppler_hz", 0.0),
+                ))
+        with _field(f"{where}: "):
+            satellites.append(make_channel(
+                receiver,
+                sat["prn"],
+                paths,
+                position=(
+                    EcefVector.from_array(sat["position_ecef"]) if "position_ecef" in sat else None
+                ),
+                angles_deg=(sat["elevation_deg"], sat["azimuth_deg"]) if has_angles else None,
+            ))
         for j in range(len(paths)):
             for space in Space:
                 if not math.isfinite(center_line(satellites[-1], j, space, signal).offset):
@@ -273,7 +265,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                         f"{where}.paths.{j}: the {space.value}-space projection of the bias"
                         " overflows a double"
                     )
-    try:
+    with _field(""):
         return Scenario(
             signal=signal,
             satellites=tuple(satellites),
@@ -281,8 +273,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             noise_sigma=raw.get("noise_sigma", 0.0),
             seed=raw.get("seed", 0),
         )
-    except ValueError as e:
-        raise ScenarioSchemaError(str(e)) from e
 
 
 @dataclass(frozen=True)
@@ -458,49 +448,53 @@ def _driver_seed(seed: int | None) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--scenario", default="table1.scenario",
-                        help="scenario file path or bundled fixture name")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=_seed, default=None,
-                        help="override the scenario/driver seed")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    # one parent per flag group; a command takes only the groups it reads,
+    # so a flag it would ignore is a usage error
+    output = _Parser(add_help=False)
+    output.add_argument("--out", default="out", help="output directory")
+    output.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table file format")
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--scenario", default="table1.scenario",
+                          help="scenario file path or bundled fixture name")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=None,
+                      help="override the scenario/driver seed")
 
     parser = _Parser(prog="dpe-multipath",
                      description="Multipath bias geometry for direct position estimation")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("project", parents=[common],
+    p = sub.add_parser("project", parents=[scenario, output],
                        help="project a delay/Doppler bias to range/range-rate biases")
     p.add_argument("--delay-chips", type=_finite_number, default=1.0)
     p.add_argument("--doppler-hz", type=_finite_number, default=120.0)
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("intersect", parents=[common],
+    p = sub.add_parser("intersect", parents=[scenario, output],
                        help="enumerate center-line intersection points")
     p.add_argument("--space", choices=("position", "velocity", "both"), default="both")
     p.set_defaults(func=cmd_intersect)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[output],
                        help="radial-error bound for a set of per-satellite radii")
     p.add_argument("--radii", required=True,
                    help="comma-separated radii, e.g. 60,40,30,15")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("caf", parents=[common],
+    p = sub.add_parser("caf", parents=[scenario, output, seed],
                        help="superposed correlation grid and its argmax")
     p.add_argument("--space", choices=("position", "velocity", "both"), default="both")
     p.set_defaults(func=cmd_caf)
 
-    p = sub.add_parser("montecarlo", parents=[common],
+    p = sub.add_parser("montecarlo", parents=[output, seed],
                        help="uniform random azimuth-separation trials")
     p.add_argument("--rho-i", type=_finite_number, default=60.0)
     p.add_argument("--rho-j", type=_finite_number, default=40.0)
     p.add_argument("--trials", type=_trials, default=10000)
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[output, seed],
                        help="run all bundled reproductions and diff against references")
     p.set_defaults(func=cmd_report)
 

@@ -1,4 +1,4 @@
-"""Local-frame geometry: ECEF/ENU conversion and satellite look angles.
+"""Local-frame geometry: ECEF-to-ENU conversion and satellite look angles.
 
 The local frame is East-North-Up anchored at the receiver truth point.
 Azimuth is measured clockwise from geodetic North, elevation up from the
@@ -71,15 +71,9 @@ class EnuVector:
         if not all(math.isfinite(v) for v in (self.e, self.n, self.u)):
             raise GeometryError("ENU components must be finite")
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.e, self.n, self.u], dtype=float)
-
     @classmethod
     def from_array(cls, a) -> "EnuVector":
         return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def norm(self) -> float:
-        return math.hypot(self.e, self.n, self.u)
 
     def horizontal_norm(self) -> float:
         return math.hypot(self.e, self.n)
@@ -165,13 +159,6 @@ def ecef_to_enu(point: EcefVector, origin: EcefVector) -> EnuVector:
     return EnuVector.from_array(rot @ (point.to_array() - origin.to_array()))
 
 
-def enu_to_ecef(local: EnuVector, origin: EcefVector) -> EcefVector:
-    """Inverse of :func:`ecef_to_enu`."""
-    lat, lon = geodetic_latlon(origin)
-    rot = _enu_rotation(lat, lon)
-    return EcefVector.from_array(origin.to_array() + rot.T @ local.to_array())
-
-
 def look_angles(sat_enu: EnuVector) -> LookAngles:
     """Elevation and azimuth of a satellite given in the receiver ENU frame."""
     h = sat_enu.horizontal_norm()
@@ -181,14 +168,3 @@ def look_angles(sat_enu: EnuVector) -> LookAngles:
     azimuth = math.atan2(sat_enu.e, sat_enu.n)
     return LookAngles(elevation, azimuth)
 
-
-def enu_from_angles(angles: LookAngles, range_m: float) -> EnuVector:
-    """ENU vector of length ``range_m`` pointing along ``angles``."""
-    if range_m <= 0.0:
-        raise GeometryError("range must be positive")
-    ce = math.cos(angles.elevation)
-    return EnuVector(
-        range_m * ce * math.sin(angles.azimuth),
-        range_m * ce * math.cos(angles.azimuth),
-        range_m * math.sin(angles.elevation),
-    )

@@ -43,13 +43,15 @@ def _check_elevation(elevation: float) -> None:
         )
 
 
-def project_to_range(delay_chips: float, elevation: float, code_rate: float = 10.23e6) -> float:
+def project_to_range(delay_chips: float, elevation: float,
+                     code_rate: float = SignalConfig.code_rate) -> float:
     """Range bias (m) of a code-delay bias: chip length times delay times sec(elevation)."""
     _check_elevation(elevation)
     return SPEED_OF_LIGHT / code_rate * delay_chips / math.cos(elevation)
 
 
-def project_to_range_rate(doppler_hz: float, elevation: float, carrier: float = 1176.45e6) -> float:
+def project_to_range_rate(doppler_hz: float, elevation: float,
+                          carrier: float = SignalConfig.carrier) -> float:
     """Range-rate bias (m/s) of a Doppler bias: wavelength times Doppler times sec(elevation)."""
     _check_elevation(elevation)
     return SPEED_OF_LIGHT / carrier * doppler_hz / math.cos(elevation)
@@ -82,11 +84,6 @@ class CenterLine:
     @property
     def radius(self) -> float:
         return abs(self.offset)
-
-    def tangent_point(self) -> EnuVector:
-        """Foot of the perpendicular from the truth point (the tangency point)."""
-        ne, nn = self.normal
-        return EnuVector(self.constant * ne, self.constant * nn, 0.0)
 
 
 @dataclass(frozen=True)
@@ -222,11 +219,6 @@ def pair_bias(
     )
 
 
-def pair_bias_velocity(rho_i: float, rho_j: float, theta_i: float, theta_j: float) -> BiasResult:
-    """Velocity-space twin of :func:`pair_bias`; radii in m/s."""
-    return pair_bias(rho_i, rho_j, theta_i, theta_j, space=Space.VELOCITY)
-
-
 def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:
     """Azimuth separation minimizing the pair's radial error, and that minimum.
 
@@ -319,8 +311,3 @@ def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
         for cl in clusters
     ]
 
-
-def count_intersections(path_counts: Sequence[int]) -> int:
-    """Cross-satellite line-pair count: half of (sum N)**2 - sum N**2."""
-    total = sum(path_counts)
-    return (total * total - sum(k * k for k in path_counts)) // 2

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from dpe_multipath import mc
 from dpe_multipath.cli import load_scenario
-from dpe_multipath.scmb import pair_bias, pair_bias_velocity, project_to_range, project_to_range_rate
+from dpe_multipath.caf import Space
+from dpe_multipath.scmb import pair_bias, project_to_range, project_to_range_rate
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -78,8 +79,8 @@ def test_criterion_3_case_tables_theoretical(acceptance_log):
             i, j = PAIRS[label]
             tol = 0.4 if label == "OA" else 0.1
             pos = pair_bias(radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j])).dr
-            vel = pair_bias_velocity(
-                radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j])
+            vel = pair_bias(
+                radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j]), space=Space.VELOCITY
             ).dr
             good = close(pos, expected, tol) and close(vel, expected, tol)
             if not good:
@@ -124,8 +125,8 @@ def test_criterion_6_field_replay_theoretical(acceptance_log):
     d_rho = project_to_range(1.0, phi)
     d_rho_dot = project_to_range_rate(120.3, phi)
     d_r = pair_bias(d_rho, 0.0, math.radians(AZ[18]), math.radians(AZ[23])).dr
-    d_r_dot = pair_bias_velocity(
-        d_rho_dot, 0.0, math.radians(AZ[18]), math.radians(AZ[23])
+    d_r_dot = pair_bias(
+        d_rho_dot, 0.0, math.radians(AZ[18]), math.radians(AZ[23]), space=Space.VELOCITY
     ).dr
     ok = (
         close(d_rho, 39.9)

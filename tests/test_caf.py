@@ -28,8 +28,7 @@ from dpe_multipath.caf import (
     scenario_caf,
 )
 from dpe_multipath.cli import load_scenario
-from dpe_multipath.geom import enu_to_ecef, enu_from_angles
-from scenario_helpers import authored_receiver, channel
+from scenario_helpers import authored_receiver, channel, enu_from_angles, enu_to_ecef
 
 TABLE1 = load_scenario("table1.scenario")
 REFERENCE_RECEIVER = authored_receiver()

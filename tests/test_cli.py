@@ -43,7 +43,7 @@ from dpe_multipath.cli import (
 )
 from dpe_multipath.geom import EcefVector, LookAngles
 from dpe_multipath.scmb import center_line
-from scenario_helpers import authored_receiver, channel
+from scenario_helpers import authored_receiver, channel, enu_from_angles, enu_to_ecef
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -156,7 +156,8 @@ class TestScenarioIO:
             raw["satellites"][0].pop("azimuth_deg")
 
         p = dump_variant(tmp_path, "table6", strip)
-        with pytest.raises(ScenarioSchemaError):
+        with pytest.raises(ScenarioSchemaError,
+                           match=r"^satellites\.0: PRN 18: need a position or look angles$"):
             load_scenario(p)
 
     def test_angles_must_come_in_pairs(self, tmp_path):
@@ -194,8 +195,6 @@ class TestScenarioIO:
         base = load_scenario("table6.scenario")
 
         def positionize(raw):
-            from dpe_multipath.geom import enu_from_angles, enu_to_ecef
-
             for sat in raw["satellites"]:
                 ch = next(c for c in base.satellites if c.prn == sat["prn"])
                 p = enu_to_ecef(enu_from_angles(ch.angles, 2.2e7), REFERENCE_RECEIVER)
@@ -515,6 +514,10 @@ MALFORMED = {
 
 
 class TestSchemaValidation:
+    def test_schema_is_a_valid_schema(self):
+        # the loader builds its validator without checking the constant schema
+        jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
     @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
     def test_message_matches_jsonschema_validate(self, tmp_path, mutate):
         p = dump_variant(tmp_path, "case3", mutate)
@@ -567,8 +570,6 @@ class TestExitCodes:
     def test_geometry_error(self, tmp_path):
         def clash(raw):
             # authored angles kept, but the position points 5 deg away
-            from dpe_multipath.geom import LookAngles, enu_from_angles, enu_to_ecef
-
             el, az = raw["satellites"][0]["elevation_deg"], raw["satellites"][0]["azimuth_deg"]
             p = enu_to_ecef(
                 enu_from_angles(LookAngles.from_degrees(el + 5.0, az - 5.0), 2.2e7),
@@ -627,6 +628,23 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert [a for a in argv if a.startswith("--")][-1] in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["project", "--seed", "9"],
+        ["intersect", "--seed", "9"],
+        ["bounds", "--radii", "60,40", "--seed", "9"],
+        ["bounds", "--radii", "60,40", "--scenario", "case3.scenario"],
+        ["montecarlo", "--scenario", "case3.scenario"],
+        ["report", "--scenario", "/no/such.scenario"],
+    ], ids=["project-seed", "intersect-seed", "bounds-seed", "bounds-scenario",
+            "montecarlo-scenario", "report-scenario"])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert argv[-2] in err
+        assert not out.exists()
 
     def test_overflowing_projected_doppler_flag(self, tmp_path, capsys):
         # the wavelength is below a meter, so only sec(elevation) can push

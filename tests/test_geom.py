@@ -15,11 +15,10 @@ from dpe_multipath.geom import (
     LookAngles,
     ZenithError,
     ecef_to_enu,
-    enu_from_angles,
-    enu_to_ecef,
     geodetic_latlon,
     look_angles,
 )
+from scenario_helpers import enu_from_angles, enu_to_ecef
 
 RECEIVER = EcefVector(-2851838.0, 4653607.0, 3289209.0)
 
@@ -120,7 +119,7 @@ class TestEnuFrame:
         assert back.u == pytest.approx(u, abs=1e-6)
         # rotation + translation: distances survive exactly up to roundoff
         distance = np.linalg.norm(point.to_array() - RECEIVER.to_array())
-        assert distance == pytest.approx(local.norm(), rel=1e-12, abs=1e-9)
+        assert distance == pytest.approx(math.hypot(e, n, u), rel=1e-12, abs=1e-9)
 
 
 class TestLookAngles:
@@ -136,7 +135,7 @@ class TestLookAngles:
         got = look_angles(local)
         assert got.elevation_deg == pytest.approx(el_deg, abs=1e-9)
         assert got.azimuth_deg == pytest.approx(az_deg, abs=1e-9)
-        assert local.norm() == pytest.approx(rng, rel=1e-12)
+        assert math.hypot(local.e, local.n, local.u) == pytest.approx(rng, rel=1e-12)
 
     def test_azimuth_quadrants(self):
         for az, (e_sign, n_sign) in ((45.0, (1, 1)), (135.0, (1, -1)),

@@ -1,4 +1,5 @@
-"""The package root holds only the version; every import is used and comes from its definer."""
+"""The package root holds only the version; every import is used and comes from its
+definer; every public name is read by the program."""
 import ast
 from pathlib import Path
 
@@ -87,3 +88,61 @@ def test_names_imported_from_their_defining_module():
     foreign = {str(p.relative_to(ROOT)): names
                for p in files if (names := foreign_imports(p))}
     assert foreign == {}
+
+
+# Public names that no command or driver reads, each kept for a reason.
+UNREAD_ALLOWED = {
+    # perfbench's tracer wraps these through ``vars(cls)[meth]``, so every
+    # ``--trace 1`` run would crash without them
+    "cli.ResultTable.to_csv",
+    "cli.ResultTable.to_json",
+    # the acceptance criteria compute the pair formula through it, and
+    # ``mc.pair_error_curve``'s docstring is held against it
+    "scmb.pair_bias",
+}
+
+
+def public_definitions(module: str, tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """``(qualified name, node)`` of each public top-level function and class of
+    ``tree``, and of each public method or property of its top-level classes."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((f"{module}.{node.name}", node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not m.name.startswith("_")]
+    return found
+
+
+def unread_public_names(files: list[Path]) -> set[str]:
+    """Public names defined in ``files`` that no ``Name`` or ``Attribute`` of
+    ``files`` reads outside the name's own definition."""
+    trees = [(p.stem, ast.parse(p.read_text())) for p in files]
+    reads = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+             for _, tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    unread = set()
+    for module, tree in trees:
+        for qualname, node in public_definitions(module, tree):
+            name = qualname.rpartition(".")[2]
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(r == name and id(n) not in inside for r, n in reads):
+                unread.add(qualname)
+    return unread
+
+
+def test_unread_public_names_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used(): pass\ndef orphan(): orphan()\n"
+                   "class C:\n    def m(self): pass\n    def _p(self): pass\n")
+    (tmp_path / "app.py").write_text("from lib import used, C\nused()\nC()\n")
+    assert unread_public_names([lib, tmp_path / "app.py"]) == {"lib.orphan", "lib.C.m"}
+
+
+def test_every_public_name_is_read_by_the_program():
+    files = sorted(p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py"))
+    assert unread_public_names(files) == UNREAD_ALLOWED

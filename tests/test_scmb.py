@@ -14,16 +14,15 @@ from dpe_multipath.scmb import (
     UndefinedCriticalPointError,
     case_bound,
     center_lines,
-    count_intersections,
     critical_points,
     enumerate_intersections,
     fold_azimuth_separation,
     intersect_lines,
     pair_bias,
-    pair_bias_velocity,
     project_to_range,
     project_to_range_rate,
 )
+from scenario_helpers import count_intersections, tangent_point
 
 # Reference geometry: azimuths (deg) and the projected case-3 radii (m).
 AZ = {10: 320.2, 18: 213.8, 23: 336.1, 24: 45.1}
@@ -75,7 +74,7 @@ class TestProjection:
 class TestCenterLine:
     def test_tangency(self):
         ln = CenterLine(Space.POSITION, math.radians(213.8), 39.94)
-        t = ln.tangent_point()
+        t = tangent_point(ln)
         assert t.horizontal_norm() == pytest.approx(ln.radius, rel=1e-9)
         ne, nn = ln.normal
         assert ne * t.e + nn * t.n == pytest.approx(ln.constant, rel=1e-12)
@@ -85,7 +84,7 @@ class TestCenterLine:
         # of the truth point from the satellite azimuth
         az = math.radians(45.0)
         ln = CenterLine(Space.POSITION, az, 10.0)
-        t = ln.tangent_point()
+        t = tangent_point(ln)
         along = math.sin(az) * t.e + math.cos(az) * t.n
         assert along == pytest.approx(RIDGE_OFFSET_SIGN * 10.0, rel=1e-12)
         assert along < 0.0
@@ -142,7 +141,7 @@ class TestPairBias:
         tj = ti + math.radians(sep_deg)
         li = CenterLine(Space.POSITION, ti, ri)
         lj = CenterLine(Space.POSITION, tj, rj)
-        a, b = li.tangent_point(), lj.tangent_point()
+        a, b = tangent_point(li), tangent_point(lj)
         chord = math.hypot(a.e - b.e, a.n - b.n)
         dth = fold_azimuth_separation(ti, tj)
         assert chord == pytest.approx(
@@ -184,7 +183,7 @@ class TestPairBias:
             )
 
     def test_velocity_twin(self):
-        res = pair_bias_velocity(41.78, 0.0, math.radians(213.8), math.radians(336.1))
+        res = pair_bias(41.78, 0.0, math.radians(213.8), math.radians(336.1), space=Space.VELOCITY)
         assert res.space is Space.VELOCITY
         assert res.dr == pytest.approx(
             41.78 / math.sin(math.radians(122.3)), rel=1e-12
