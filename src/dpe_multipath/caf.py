@@ -355,5 +355,6 @@ def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
         )
     axis = grid.spec.axis()
     rows, cols = np.nonzero(values == peak)
-    _, i, j = min((axis[j] ** 2 + axis[i] ** 2, i, j) for i, j in zip(rows, cols))
-    return EnuVector(float(axis[j]), float(axis[i]), 0.0), peak
+    # the tied cells come in row-major order, so the first of least norm wins
+    k = np.argmin(axis[cols] ** 2 + axis[rows] ** 2)
+    return EnuVector(float(axis[cols[k]]), float(axis[rows[k]]), 0.0), peak

@@ -258,10 +258,27 @@ class TestGrids:
         assert g.values.max() > 0.999
 
     def test_argmax_tie_resolves_to_smallest_norm(self):
-        spec = GridSpec(Space.POSITION, 5.0, 1.0)
-        flat = Grid2D(spec, np.ones((spec.n, spec.n)))
-        offset, peak = grid_argmax(flat)
-        assert (offset.e, offset.n, peak) == (0.0, 0.0, 1.0)
+        spec = GridSpec(Space.POSITION, 5.0, 1.0)  # offsets -5..5 m on both axes
+        axis = spec.axis().tolist()
+
+        def peaks(*cells, level=1.0):
+            """A zero grid with ``level`` at each (east, north) offset of ``cells``."""
+            values = np.zeros((spec.n, spec.n))
+            for e, n in cells:
+                values[axis.index(n), axis.index(e)] = level
+            return values
+
+        row = peaks(*((e, 4.0) for e in axis), level=0.5)
+        for values, winner in (
+            (np.ones((spec.n, spec.n)), (0.0, 0.0)),  # flat
+            (np.zeros((spec.n, spec.n)), (0.0, 0.0)),  # flat at zero: no ridge in the window
+            (peaks((3.0, -2.0), (-3.0, 2.0)), (3.0, -2.0)),  # mirror images: lower row wins
+            (peaks((-3.0, 2.0), (3.0, 2.0)), (-3.0, 2.0)),  # mirror images in one row
+            (peaks((4.0, -4.0), (1.0, 1.0)), (1.0, 1.0)),  # the norm comes before the row
+            (row, (0.0, 4.0)),  # ties along one row
+        ):
+            offset, peak = grid_argmax(Grid2D(spec, values))
+            assert (offset.e, offset.n, peak) == (*winner, values.max())
 
     @pytest.mark.parametrize("cells", [
         (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 1e308), (math.inf, -math.inf),

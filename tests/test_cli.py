@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpe_multipath import cli
 from dpe_multipath.caf import (
@@ -233,13 +236,26 @@ class TestResultTable:
             ResultTable(("e", "n"), grid)
 
 
-# Doubles where %.6g could plausibly part from format(v, ".6g"): signed
-# zero, non-finite values, subnormal and normal extremes, integer-valued
-# floats and ties at the sixth significant digit.
+def _ulp_neighbours(v: float) -> list[float]:
+    """``v`` and the doubles 1 and 2 ulps either side of it."""
+    up, down = math.nextafter(v, math.inf), math.nextafter(v, -math.inf)
+    return [math.nextafter(down, -math.inf), down, v, up, math.nextafter(up, math.inf)]
+
+
+# Doubles where a grid cell could plausibly part from format(v, ".6g"):
+# signed zero, non-finite values, subnormal and normal extremes,
+# integer-valued floats, the edges of the fixed-point form, and ties at the
+# sixth significant digit: for each decade X in -5..6, the doubles nearest
+# (M + 0.5) * 10**(X - 5) and their neighbours 1 and 2 ulps away.
 EDGE_FLOATS = (
     0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
     sys.float_info.min, sys.float_info.max, 1234567.0, -1234567.0, 123456.0, 1e16,
     0.0001234565, 9.999995, 0.5, 1e-5, 1e-4, 999999.5, 2.5e-7,
+    9.999995e-5, 99999.95, 123000.0, 12340.0, 1.0, 100.0,
+) + tuple(
+    sign * v
+    for x in range(-5, 7) for m in (100000, 123456, 314159, 999999)
+    for v in _ulp_neighbours((m + 0.5) * 10.0 ** (x - 5)) for sign in (1.0, -1.0)
 )
 
 
@@ -248,12 +264,45 @@ def _random_doubles(n: int, seed: int = 20250718) -> np.ndarray:
     return bits.view(np.float64)
 
 
+def _mostly_zero_position_grid() -> np.ndarray:
+    """table1's summed position-space CAF on a +/-5 km grid: narrow code
+    ridges among exact zeros."""
+    grid = GridSpec(Space.POSITION, 5000.0, 50.0)
+    values = scenario_caf(replace(load_scenario("table1.scenario"), grids=(grid,)),
+                          Space.POSITION).values
+    assert (values == 0.0).mean() >= 0.9
+    return values
+
+
+def _exponent_form_doubles(n: int, seed: int = 15) -> np.ndarray:
+    """Doubles that ``.6g`` spells with an exponent: 0 < |v| < 1e-4 or |v| >= 1e6."""
+    rng = np.random.default_rng(seed)
+    exponents = np.concatenate([rng.uniform(-323.0, -4.001, n // 2),
+                                rng.uniform(6.0, 308.0, n - n // 2)])
+    return 10.0 ** exponents * rng.choice([-1.0, 1.0], n)
+
+
+def _hypothesis_doubles() -> np.ndarray:
+    """Doubles drawn by a derandomized Hypothesis ``floats()`` run."""
+    drawn = []
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    def draw(values):
+        drawn.extend(values)
+
+    draw()
+    return np.array(drawn)
+
+
 class TestArrayTable:
     """Grid tables spell every float cell as ``_csv_cell`` spells it in a tuple row."""
 
     @pytest.mark.parametrize("values", [
-        np.array(EDGE_FLOATS), _random_doubles(20000),
-    ], ids=["edge", "random-bits"])
+        np.array(EDGE_FLOATS), _random_doubles(20000), _mostly_zero_position_grid(),
+        _exponent_form_doubles(4000), _hypothesis_doubles(),
+    ], ids=["edge", "random-bits", "mostly-zero-position-grid", "exponent-form",
+            "hypothesis-floats"])
     def test_template_matches_csv_cell(self, values):
         n = (math.isqrt(len(values) - 1) + 1) | 1  # the least odd n with n * n >= len(values)
         grid = Grid2D(GridSpec(Space.POSITION, n // 2, 1.0), np.resize(values, (n, n)))
@@ -263,6 +312,22 @@ class TestArrayTable:
             f"{cell(axis[j])},{cell(axis[i])},{cell(float(grid.values[i, j]))}\n"
             for i in range(n) for j in range(n))
         assert ResultTable(("e", "n", "v"), grid).to_csv() == expected
+
+    def test_writer_holds_one_block(self, tmp_path):
+        # a 1001^2 grid table: beyond the grid, the writer holds one block of
+        # rows and its text, not the 19 MB of the file
+        spec = GridSpec(Space.VELOCITY, 100.0, 0.2)
+        assert spec.n == 1001
+        table = ResultTable(("e", "n", "v"), Grid2D(
+            spec, np.random.default_rng(8).standard_normal((spec.n, spec.n))))
+        cli._csv_digit_tables()  # built once per process
+        tracemalloc.start()
+        try:
+            cli._write_table(table, tmp_path, "grid", "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 # Rows per ``%`` application of the old array writer below.
