@@ -9,5 +9,9 @@ error bounds, and bundles deterministic sweep / Monte Carlo drivers plus a
 CLI that reproduces the reference tables and figure data.  Names are
 imported from the module that defines them, e.g. ``dpe_multipath.scmb``.
 """
+import os
+
+# Set before numpy loads: OpenBLAS's thread pool costs more start-up than our tiny BLAS calls save.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

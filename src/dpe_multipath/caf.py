@@ -347,14 +347,22 @@ def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
     when the grid holds a NaN or an infinity.
     """
     values = grid.values
-    peak = float(values.max())
+    row_peaks = values.max(axis=1)
+    peak = float(row_peaks.max())
     if not (math.isfinite(peak) and math.isfinite(values.min())):
         raise ValueError(
             "summed CAF grid is not finite (NaN or infinite cells); noise_sigma or a path"
             " amplitude is too large for a double"
         )
     axis = grid.spec.axis()
-    rows, cols = np.nonzero(values == peak)
-    # the tied cells come in row-major order, so the first of least norm wins
-    k = np.argmin(axis[cols] ** 2 + axis[rows] ** 2)
-    return EnuVector(float(axis[cols[k]]), float(axis[rows[k]]), 0.0), peak
+    # the rows that hold the peak, a block at a time: a flat grid ties every cell
+    tied = np.flatnonzero(row_peaks == peak)
+    best = []  # the (norm, row, col)-least tied cell of each block
+    for lo in range(0, tied.size, _BLOCK_ROWS):
+        at = tied[lo:lo + _BLOCK_ROWS]
+        rows, cols = np.nonzero(values[at] == peak)
+        norms = axis[cols] ** 2 + axis[at[rows]] ** 2
+        k = np.argmin(norms)  # tied cells come in row-major order, so the first least wins
+        best.append((norms[k], at[rows[k]], cols[k]))
+    _, row, col = min(best)
+    return EnuVector(float(axis[col]), float(axis[row]), 0.0), peak

@@ -18,7 +18,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
 
-import jsonschema
 import numpy as np
 
 from . import mc
@@ -170,10 +169,13 @@ def load_scenario(path: str | Path) -> Scenario:
                          parse_int=_finite_int)
     except ValueError as e:  # json.JSONDecodeError or a non-finite number
         raise ScenarioParseError(f"invalid JSON in {path}: {e}") from e
-    error = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(raw))
+    # jsonschema's best match: the shallowest error, then the greatest path, then the first.
+    # (Its type-match tie-break never decides: one subschema applies at each path.)
+    error = max(_schema_errors(raw, SCENARIO_SCHEMA, ()), default=None,
+                key=lambda e: (-len(e[0]), e[0]))
     if error is not None:
-        where = ".".join(str(k) for k in error.absolute_path) or "(root)"
-        raise ScenarioSchemaError(f"{where}: {error.message}") from error
+        where = ".".join(map(str, error[0])) or "(root)"
+        raise ScenarioSchemaError(f"{where}: {error[1]}")
     return _scenario_from_dict(raw)
 
 
@@ -194,15 +196,56 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
-@functools.cache
-def _scenario_validator():
-    """The schema validator, built once per process.
+_JSON_TYPES = {"number": (int, float), "integer": int, "array": list, "object": dict}
 
-    Same validator class and error choice as ``jsonschema.validate``.  The
-    schema itself is a constant, checked by the test suite rather than on
-    every run.
+
+def _is_type(value, name: str) -> bool:
+    """Draft 2020-12 typing: a boolean is no number, and an integral float is an integer."""
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
+
+
+def _schema_errors(value, schema: dict, path: tuple) -> Iterator[tuple[tuple, str]]:
+    """``(path, message)`` for each way ``value`` at ``path`` breaks ``schema``.
+
+    Covers the keywords ``SCENARIO_SCHEMA`` uses, visited in the schema's
+    order, each with jsonschema 4.x's message.
     """
-    return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+    number, array, obj = _is_type(value, "number"), isinstance(value, list), isinstance(value, dict)
+    for key, rule in schema.items():
+        message = None
+        if key == "type" and not _is_type(value, rule):
+            message = f"{value!r} is not of type {rule!r}"
+        elif key == "const" and (isinstance(value, bool) or value != rule):
+            message = f"{rule!r} was expected"
+        elif key == "enum" and value not in rule:
+            message = f"{value!r} is not one of {rule!r}"
+        elif key == "minimum" and number and value < rule:
+            message = f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum" and number and value <= rule:
+            message = f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "minItems" and array and len(value) < rule:
+            message = f"{value!r} " + ("should be non-empty" if rule == 1 else "is too short")
+        elif key == "maxItems" and array and len(value) > rule:
+            message = f"{value!r} is too long"  # jsonschema words maxItems 0 otherwise
+        elif key == "required" and obj:
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and not rule and obj and (
+                extras := sorted(set(value) - set(schema.get("properties", ())))):
+            message = (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                       f" {'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "properties" and obj:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, (*path, name))
+        elif key == "items" and array:
+            for k, item in enumerate(value):
+                yield from _schema_errors(item, rule, (*path, k))
+        if message:
+            yield path, message
 
 
 @contextlib.contextmanager
@@ -251,7 +294,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         with _field(f"{where}: "):
             satellites.append(make_channel(
                 receiver,
-                sat["prn"],
+                int(sat["prn"]),  # an integral float passes the schema too
                 paths,
                 position=(
                     EcefVector.from_array(sat["position_ecef"]) if "position_ecef" in sat else None
@@ -271,7 +314,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             satellites=tuple(satellites),
             grids=tuple(grids) or DEFAULT_GRIDS,
             noise_sigma=raw.get("noise_sigma", 0.0),
-            seed=raw.get("seed", 0),
+            seed=int(raw.get("seed", 0)),  # the schema lets 2.0 through as an integer
         )
 
 
@@ -632,7 +675,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("bounds", parents=[output],
-                       help="radial-error bound for a set of per-satellite radii")
+                       help="position-space (code-triangle) radial-error bound for"
+                       " per-satellite radii; velocity-space estimates may land below it")
     p.add_argument("--radii", required=True,
                    help="comma-separated radii, e.g. 60,40,30,15")
     p.set_defaults(func=cmd_bounds)

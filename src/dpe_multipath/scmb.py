@@ -237,27 +237,29 @@ def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:
 
 
 def case_bound(radii: Sequence[float]) -> ErrorBound:
-    """Radial-error bound for a set of per-satellite radii (one path each).
+    """Position-space (code-triangle) radial-error bound for per-satellite radii (one path each).
 
-    Case 1: exactly one nonzero radius; the error ranges over [radius, inf),
-    the lower end at a separation of pi/2.  Case 2: all radii equal and
-    positive; the bound (radius, inf) is open.  Case 3: otherwise; the lower
-    bound is the second smallest nonzero radius, from pairing the two
-    smallest-radius satellites at their critical separation.
+    The lower bound pairs the two smallest radii, zeros included, at their
+    critical separation: a zero radius is a LOS satellite, whose center line
+    passes through the truth and meets one of radius r at r / sin(separation)
+    >= r; two LOS lines meet at the truth.  Case 1: exactly one nonzero
+    radius; the bound is that radius, or 0 beside two LOS satellites.  Case 2:
+    all radii equal and positive; the bound (radius, inf) is open.  Case 3:
+    otherwise.
     """
-    rs = [abs(float(r)) for r in radii]
+    rs = sorted(abs(float(r)) for r in radii)
     if len(rs) < 2:
         raise ValueError("need at least two satellites for a bound")
-    nonzero = sorted(r for r in rs if r > 0.0)
-    if not nonzero:
+    if rs[-1] == 0.0:
         raise ValueError("all radii are zero; no multipath bound exists")
-    if len(nonzero) == 1:
-        return ErrorBound(case=1, lower=nonzero[0], attained=True, attained_at=math.pi / 2.0)
-    if len(nonzero) == len(rs) and nonzero[-1] - nonzero[0] <= EQUAL_RADII_RTOL * nonzero[-1]:
-        return ErrorBound(case=2, lower=nonzero[0], attained=False, attained_at=None)
-    cp = critical_points(nonzero[0], nonzero[1])
+    if rs[-1] - rs[0] <= EQUAL_RADII_RTOL * rs[-1]:
+        return ErrorBound(case=2, lower=rs[0], attained=False, attained_at=None)
+    case = 1 if rs[-2] == 0.0 else 3
+    if rs[1] == 0.0:  # two LOS lines: they cross at the truth at any separation
+        return ErrorBound(case=case, lower=0.0, attained=True, attained_at=math.pi / 2.0)
+    cp = critical_points(rs[0], rs[1])
     return ErrorBound(
-        case=3,
+        case=case,
         lower=cp.dr_min,
         attained=cp.attained,
         attained_at=cp.delta_theta if cp.attained else None,

@@ -280,6 +280,21 @@ class TestGrids:
             offset, peak = grid_argmax(Grid2D(spec, values))
             assert (offset.e, offset.n, peak) == (*winner, values.max())
 
+    def test_argmax_holds_one_block_of_ties(self):
+        # a flat 1001^2 grid ties every cell: beyond the grid, the argmax holds
+        # one block of rows, not index arrays and norms of every tied cell (32 MB)
+        spec = GridSpec(Space.VELOCITY, 100.0, 0.2)
+        grid = Grid2D(spec, np.zeros((spec.n, spec.n)))
+        assert spec.n == 1001
+        tracemalloc.start()
+        try:
+            offset, peak = grid_argmax(grid)
+            _, held = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (offset.e, offset.n, peak) == (0.0, 0.0, 0.0)
+        assert held < 2**20
+
     @pytest.mark.parametrize("cells", [
         (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1e308, 1e308), (math.inf, -math.inf),
     ], ids=["nan", "inf", "minus-inf", "overflowing-sum", "inf-minus-inf"])

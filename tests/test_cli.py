@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath import cli
@@ -61,11 +61,15 @@ CASE_RADII = {
 }
 
 
-def dump_variant(tmp_path: Path, name: str, mutate) -> Path:
+def _fixture_with(name: str, mutate) -> dict:
     raw = json.loads(cli._bundled_scenario(f"{name}.scenario").read_text())
     mutate(raw)
+    return raw
+
+
+def dump_variant(tmp_path: Path, name: str, mutate) -> Path:
     path = tmp_path / "variant.scenario"
-    path.write_text(json.dumps(raw) + "\n")
+    path.write_text(json.dumps(_fixture_with(name, mutate)) + "\n")
     return path
 
 
@@ -529,6 +533,29 @@ class TestCommands:
         if fmt == "json":
             assert b"      -20.0,\n" in files[0][0]
 
+    def test_integral_float_seed_and_prn(self, tmp_path):
+        # the schema takes 2.0 as an integer, so the noise seed and the PRNs do too
+        files = []
+        for kind in (int, float):
+            def noisy(raw, kind=kind):
+                raw["grid"] = [{"space": "position", "half_extent": 20.0, "step": 2.0},
+                               {"space": "velocity", "half_extent": 3.0, "step": 0.2}]
+                raw["noise_sigma"] = 0.05
+                raw["seed"] = kind(2)
+                for sat in raw["satellites"]:
+                    sat["prn"] = kind(sat["prn"])
+
+            out = tmp_path / kind.__name__
+            p = dump_variant(tmp_path, "case3", noisy)
+            assert ('"seed": 2,' in p.read_text()) == (kind is int)
+            for argv in (["caf"], ["project", "--format", "json"],
+                         ["intersect", "--format", "json"]):
+                assert main([*argv, "--scenario", str(p), "--out", str(out)]) == EXIT_OK
+            files.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert files[0] == files[1]
+        assert sorted(files[0]) == ["caf_position.csv", "caf_velocity.csv", "intersect.json",
+                                    "project.json"]
+
     def test_run_experiments_prints_every_driver_summary(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -593,6 +620,83 @@ class TestSchemaValidation:
             load_scenario(p)
         assert str(err.value) == f"{where}: {ref.value.message}"
         assert main(["project", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_SCHEMA
+
+
+# Values that mutations write into a fixture: every JSON type, with the
+# numbers and strings near the schema's bounds and enums.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([2.0, -0.0, 0.5, -1.5, 1e300])
+    | st.sampled_from(["", "los", "nlos", "position", "velocity", "1"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "prn", "step", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_nodes(value, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_nodes(child, (*path, key))
+
+
+@st.composite
+def _mutated_fixtures(draw):
+    """A bundled fixture with one to three values replaced (a number also by a
+    nearby one), keys deleted or added, or items appended."""
+    raw = _fixture_with(draw(st.sampled_from(BUNDLED)), lambda raw: None)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_nodes(raw))))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else raw
+        action = draw(st.sampled_from(["replace", "nudge", "delete", "add", "append"]))
+        if action in ("replace", "nudge") or (action == "delete" and not path):
+            number = type(node) in (int, float)
+            value = draw(st.sampled_from([0, -node, node - 1, node + 0.5, float(node), bool(node)])
+                         if action == "nudge" and number else _JSON_VALUES)
+            if path:
+                parent[path[-1]] = value
+            else:
+                raw = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["x", "seed", "grid", "kind", "prn"]))] = draw(_JSON_VALUES)
+        elif action == "append" and isinstance(node, list):
+            node.append(json.loads(json.dumps(node[-1])) if node and draw(st.booleans())
+                        else draw(_JSON_VALUES))
+    return raw
+
+
+class TestSchemaDifferential:
+    """``_schema_errors`` against jsonschema, the reference it replaces."""
+
+    @given(raw=_mutated_fixtures())
+    @example(raw=_fixture_with("table1", lambda raw: raw.update(schema_version=True)))
+    @example(raw=_fixture_with("table1", lambda raw: raw["receiver"].update(
+        position_ecef=[1.0, 2.0, 3.0, 4.0], velocity_ecef=[True, 0.0])))
+    @example(raw=_fixture_with("case3", lambda raw: raw.update(noise_sigma=-0.0, seed=-1.0)))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    def test_errors_and_best_match_agree(self, tmp_path_factory, raw):
+        validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+        expected = [(tuple(e.absolute_path), e.message) for e in validator.iter_errors(raw)]
+        assert list(cli._schema_errors(raw, SCENARIO_SCHEMA, ())) == expected
+        best = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+        if best is None:
+            return
+        p = tmp_path_factory.getbasetemp() / "differential.scenario"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioSchemaError) as err:
+            load_scenario(p)
+        where = ".".join(str(k) for k in best.absolute_path) or "(root)"
+        assert str(err.value) == f"{where}: {best.message}"
 
 
 NON_FINITE = {

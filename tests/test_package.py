@@ -1,6 +1,10 @@
-"""The package root holds only the version; every import is used and comes from its
-definer; every public name is read by the program."""
+"""The package root holds only the version and the start-up settings; every import is
+used and comes from its definer; every public name is read by the program; no command
+loads jsonschema."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,40 @@ def test_version_matches_pyproject():
     pyproject = ROOT / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert dpe_multipath.__version__ == tomllib.load(f)["project"]["version"]
+
+
+def _run(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` on ``src/``, with ``env`` over a copy
+    of this one's environment that lacks ``OPENBLAS_NUM_THREADS``."""
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child.update(PYTHONPATH=str(ROOT / "src"), **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child, cwd=ROOT, check=True)
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")], ids=["default", "caller"])
+def test_one_blas_thread_unless_the_caller_says(caller, seen):
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    code = "import os, dpe_multipath; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run(["-c", code], **env).stdout == f"{seen}\n"
+
+
+def test_report_does_not_load_jsonschema(tmp_path):
+    # -X importtime lists every module the run imports on stderr
+    done = _run(["-X", "importtime", "-m", "dpe_multipath", "report", "--out", str(tmp_path)])
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert {"numpy", "dpe_multipath.cli"} <= imported
+    assert not {m for m in imported if m.partition(".")[0] == "jsonschema"}
+
+
+def test_no_src_module_imports_jsonschema():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {n}" for n in names if n.partition(".")[0] == "jsonschema"]
+    assert found == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -269,10 +269,13 @@ class TestCriticalPoints:
 
 class TestCaseBounds:
     def test_case1_single_nonzero(self):
-        b = case_bound([0.0, 40.0, 0.0, 0.0])
+        b = case_bound([0.0, 40.0])
         assert (b.case, b.lower, b.attained) == (1, 40.0, True)
         assert b.attained_at == pytest.approx(math.pi / 2.0)
         assert b.upper == math.inf
+        # with a second LOS satellite the two LOS lines cross at the truth
+        b = case_bound([0.0, 40.0, 0.0, 0.0])
+        assert (b.case, b.lower, b.attained, b.attained_at) == (1, 0.0, True, math.pi / 2.0)
 
     def test_case2_all_equal(self):
         b = case_bound([40.0, 40.0, 40.0, 40.0])
@@ -283,11 +286,17 @@ class TestCaseBounds:
         assert (b.case, b.lower, b.attained) == (3, 30.0, True)
         assert math.degrees(b.attained_at) == pytest.approx(60.0, rel=1e-12)
 
-    def test_case3_zeros_use_nonzero_radii_only(self):
-        # documented resolution: zeros are LOS satellites and do not shrink
-        # the bound; the two smallest nonzero radii set it
+    def test_case3_zero_radii_count(self):
+        # a LOS satellite (radius 0) meets the line of radius r at
+        # r / sin(separation) >= r, so the zero is one of the two smallest
         b = case_bound([0.0, 30.0, 40.0])
-        assert (b.case, b.lower) == (3, 40.0)
+        assert (b.case, b.lower, b.attained) == (3, 30.0, True)
+        assert b.attained_at == pytest.approx(math.pi / 2.0)
+        assert pair_bias(0.0, 30.0, 0.0, b.attained_at).dr == pytest.approx(30.0, rel=1e-12)
+        b = case_bound([0.0, 0.0, 9.3])
+        assert (b.case, b.lower, b.attained) == (1, 0.0, True)
+        assert pair_bias(0.0, 0.0, 0.3, 1.9).dr == 0.0
+        assert case_bound([30.0, 0.0, 40.0, 0.0]).lower == 0.0
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
