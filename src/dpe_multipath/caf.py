@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,10 @@ ANGLE_CONSISTENCY_TOL = math.radians(0.1)
 # on x86-64 Linux: 128-row blocks fault in about 90,000 more pages per
 # 4 x 2001^2 fill).
 _BLOCK_ROWS = 8
+
+# Most samples per grid axis (4e8 cells, 100x the default velocity grid): no
+# grid is held whole, so this stops a tiny step from writing terabytes of text.
+MAX_GRID_N = 20001
 
 
 class GeometryMismatchError(GeometryError):
@@ -159,7 +163,7 @@ class GridSpec:
     """Square candidate-offset grid centered on the truth point.
 
     The sample count per axis is odd so the truth offset (0, 0) falls
-    exactly on a node.
+    exactly on a node, and at most ``MAX_GRID_N``.
     """
 
     space: Space
@@ -173,6 +177,8 @@ class GridSpec:
             raise ValueError("grid half extent / step overflows a double")
         if round(self.half_extent / self.step) < 1:
             raise ValueError("grid must span at least one step from center")
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"grid has {self.n} samples per axis, more than {MAX_GRID_N}")
 
     @property
     def n(self) -> int:
@@ -185,16 +191,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Correlation values on a grid; ``values[i, j]`` is the cell at
-    east = axis[j], north = axis[i]."""
+    """Correlation values on a grid, as a stream of row blocks.
+
+    ``blocks`` yields the rows in order, top to bottom, as ``(rows, n)``
+    arrays: row ``i`` holds the cells at north = axis[i], its column ``j``
+    the cell at east = axis[j].  It may be a one-shot iterator that reuses
+    its array, so a block is valid only until the next one is drawn.
+    """
 
     spec: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.spec.n
-        if self.values.shape != (n, n):
-            raise ValueError(f"values shape {self.values.shape} != ({n}, {n})")
+    blocks: Iterable[np.ndarray]
 
 
 DEFAULT_GRIDS = (
@@ -309,60 +315,85 @@ def scenario_caf(scenario: Scenario, space: Space) -> Grid2D:
     drawn in row-major cell order.  Channels are summed in order: the first
     channel's values, then each next channel's added to them.
 
-    The grid is filled in blocks of ``_BLOCK_ROWS`` rows, each channel's
-    block evaluated into one reused scratch block, so memory holds the sum
-    and one block; every cell's value is independent of the blocking.
-    Cells that overflow are left to :func:`grid_argmax` to report.
+    Blocks of ``_BLOCK_ROWS`` rows are filled as they are drawn, each channel
+    evaluated into the reused sum block or a scratch block added to it, so a
+    block is valid only until the next one is drawn and no grid is held;
+    every cell's value is independent of the blocking.  Cells that overflow
+    are left to :func:`grid_argmax` to report.
     """
     spec = scenario.grid_for(space)
-    n = spec.n
+    return Grid2D(spec, _summed_blocks(scenario, space, spec))
+
+
+def _summed_blocks(scenario: Scenario, space: Space, spec: GridSpec) -> Iterator[np.ndarray]:
     axis = spec.axis()
-    total = np.empty((n, n))
-    scratch = np.empty((_BLOCK_ROWS, n))
+    total, scratch = np.empty((2, _BLOCK_ROWS, spec.n))
     rngs = [np.random.default_rng([scenario.seed, ch.prn, _space_key(space)])
             for ch in scenario.satellites] if scenario.noise_sigma > 0.0 else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            rows = slice(lo, hi)
-            block = scratch[:hi - lo]
+    for lo in range(0, spec.n, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, spec.n))
+        block = total[:rows.stop - lo]
+        with np.errstate(over="ignore", invalid="ignore"):  # not across the yield
             for k, ch in enumerate(scenario.satellites):
-                block.fill(0.0)
-                _add_channel(block, ch, scenario.signal, space, axis, axis[rows, None])
+                out = scratch[:len(block)] if k else block
+                out.fill(0.0)
+                _add_channel(out, ch, scenario.signal, space, axis, axis[rows, None])
                 if rngs:
-                    block += scenario.noise_sigma * rngs[k].standard_normal(block.shape)
-                if k == 0:
-                    total[rows] = block
-                else:
-                    total[rows] += block
-    return Grid2D(spec, total)
+                    out += scenario.noise_sigma * rngs[k].standard_normal(out.shape)
+                if k:
+                    block += out
+        yield block
 
 
 def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
-    """Locate the maximum of a grid.
+    """Locate the maximum of a grid, drawing its blocks once, each read
+    before the next is drawn (a block is valid only until then).
 
     Exact value ties resolve to the smallest offset norm, then to the
     lexicographically smallest (row, col).  Returns the winning offset (the
     ``u`` component is always 0) and the peak value.  Raises ``ValueError``
     when the grid holds a NaN or an infinity.
     """
-    values = grid.values
-    row_peaks = values.max(axis=1)
-    peak = float(row_peaks.max())
-    if not (math.isfinite(peak) and math.isfinite(values.min())):
-        raise ValueError(
-            "summed CAF grid is not finite (NaN or infinite cells); noise_sigma or a path"
-            " amplitude is too large for a double"
-        )
-    axis = grid.spec.axis()
-    # the rows that hold the peak, a block at a time: a flat grid ties every cell
-    tied = np.flatnonzero(row_peaks == peak)
-    best = []  # the (norm, row, col)-least tied cell of each block
-    for lo in range(0, tied.size, _BLOCK_ROWS):
-        at = tied[lo:lo + _BLOCK_ROWS]
-        rows, cols = np.nonzero(values[at] == peak)
-        norms = axis[cols] ** 2 + axis[at[rows]] ** 2
-        k = np.argmin(norms)  # tied cells come in row-major order, so the first least wins
-        best.append((norms[k], at[rows[k]], cols[k]))
-    _, row, col = min(best)
-    return EnuVector(float(axis[col]), float(axis[row]), 0.0), peak
+    fold = _ArgmaxFold(grid.spec)
+    for block in grid.blocks:
+        fold.add(block)
+    return fold.result()
+
+
+class _ArgmaxFold:
+    """:func:`grid_argmax` as a fold over a grid's row blocks, added in order."""
+
+    def __init__(self, spec: GridSpec):
+        self.axis = spec.axis()
+        self.rows = 0  # grid row of the next block
+        self.peak = -math.inf
+        self.best = None  # the (norm, row, col)-least cell holding the peak
+
+    def add(self, block: np.ndarray) -> np.ndarray:
+        """Fold in the next block of rows and return it; raise if a cell is not finite."""
+        row_peaks = block.max(axis=1)
+        peak = float(row_peaks.max())
+        if not (math.isfinite(peak) and math.isfinite(block.min())):
+            raise ValueError(
+                "summed CAF grid is not finite (NaN or infinite cells); noise_sigma or a path"
+                " amplitude is too large for a double"
+            )
+        if peak > self.peak:
+            self.peak, self.best = peak, None
+        if peak == self.peak:
+            # the rows that hold the peak, a few at a time: a flat grid ties every cell
+            tied = np.flatnonzero(row_peaks == peak)
+            for lo in range(0, tied.size, _BLOCK_ROWS):
+                at = tied[lo:lo + _BLOCK_ROWS]
+                rows, cols = np.nonzero(block[at] == peak)
+                rows = self.rows + at[rows]
+                norms = self.axis[cols] ** 2 + self.axis[rows] ** 2
+                k = np.argmin(norms)  # tied cells come in row-major order, so the first least wins
+                cell = (norms[k], rows[k], cols[k])
+                self.best = cell if self.best is None else min(self.best, cell)
+        self.rows += len(block)
+        return block
+
+    def result(self) -> tuple[EnuVector, float]:
+        _, row, col = self.best
+        return EnuVector(float(self.axis[col]), float(self.axis[row]), 0.0), self.peak

@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -31,7 +32,7 @@ from .caf import (
     SignalConfig,
     SignalPath,
     Space,
-    grid_argmax,
+    _ArgmaxFold,
     make_channel,
     scenario_caf,
 )
@@ -46,6 +47,7 @@ EXIT_GEOMETRY = 4
 EXIT_USAGE = 64
 EXIT_COMPUTE = 70
 EXIT_CANT_CREATE = 73
+EXIT_BROKEN_PIPE = 141  # as a shell reports a filter killed by SIGPIPE: 128 + 13
 
 SCHEMA_VERSION = 1
 
@@ -325,9 +327,10 @@ class ResultTable:
     ``rows`` is a tuple of row tuples, whose cells are scalars of any type,
     or, for three columns, a ``caf.Grid2D``, written as the rows
     ``(east, north, value)`` with north as the outer index and east as the
-    inner one.  CSV spells every float cell, of tuple rows or of a grid, as
-    ``format(v, '.6g')``; JSON writes them as ``json`` does, at full
-    precision.
+    inner one.  A grid's blocks are spelled as they are drawn, each before
+    the next is drawn, so a one-shot grid can be written once.  CSV spells
+    every float cell, of tuple rows or of a grid, as ``format(v, '.6g')``;
+    JSON writes them as ``json`` does, at full precision.
     """
 
     columns: tuple[str, ...]
@@ -416,7 +419,7 @@ def _row_texts(rows: tuple[tuple, ...] | Grid2D, layout: _Layout) -> Iterator[st
 
 
 def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
-    """JSON grid rows, one grid row at a time.
+    """JSON grid rows, one grid row at a time, as each block of rows arrives.
 
     The axis labels are spelled once; each grid row fills its north label
     into one template and formats only its values, with ``%r``, which is
@@ -425,11 +428,13 @@ def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
     labels = [_JSON.cell(x) for x in grid.spec.axis().tolist()]
     template = "".join(_JSON.row_start + x + _JSON.cell_sep + "\0" + _JSON.cell_sep + "%r"
                        + _JSON.row_end for x in labels)
-    for label, values in zip(labels, grid.values):
-        text = template.replace("\0", label) % tuple(values.tolist())
-        if not np.isfinite(values).all():
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        yield text
+    north = iter(labels)
+    for block in grid.blocks:
+        for values, label in zip(block, north):  # the block first: it ends the zip
+            text = template.replace("\0", label) % tuple(values.tolist())
+            if not np.isfinite(values).all():
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield text
 
 
 # CSV grid cells are spelled by a numpy kernel, a block of grid rows at a
@@ -438,9 +443,9 @@ def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
 # bytes pad every field and are deleted when a block becomes text.
 _WORD = np.dtype("<u8")
 
-# Bytes of one block's records.  Under glibc's 128 KiB mmap threshold, as
+# Bytes of records spelled at once.  Under glibc's 128 KiB mmap threshold, as
 # the grid fill's blocks are (``caf._BLOCK_ROWS``), so the record buffer and
-# the block's temporaries come from the heap: a 1001-wide grid is spelled 4
+# the part's temporaries come from the heap: a 1001-wide grid is spelled 4
 # rows at a time, a 2001-wide one 2.
 _CSV_BLOCK_BYTES = 127 * 1024
 
@@ -559,10 +564,12 @@ def _csv_value_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _csv_grid_texts(grid: Grid2D) -> Iterator[str]:
-    """CSV grid rows, one block of rows at a time, each cell as ``format(v, '.6g')``.
+    """CSV grid rows, each cell as ``format(v, '.6g')``.
 
-    Cells the kernel cannot prove are spelled by :func:`_csv_cell` into
-    their record, so every cell equals it by construction.
+    Each block is spelled as it arrives, in parts of at most
+    ``_CSV_BLOCK_BYTES`` of records.  Cells the kernel cannot prove are
+    spelled by :func:`_csv_cell` into their record, so every cell equals it
+    by construction.
     """
     labels = [_csv_cell(x) + "," for x in grid.spec.axis().tolist()]
     n = len(labels)
@@ -573,23 +580,32 @@ def _csv_grid_texts(grid: Grid2D) -> Iterator[str]:
     buf = bytearray(min(rows, n) * n * record)
     records = np.frombuffer(buf, _WORD).reshape(-1, n, 2 * width + 2)
     records[:, :, :width] = words
-    for lo in range(0, n, rows):
-        block = grid.values[lo:lo + rows]
-        here = records[:len(block)]
-        records[len(block):] = 0  # a short last block: the rows past it spell nothing
-        here[:, :, width:2 * width] = words[lo:lo + rows, None, :]
-        left = _csv_value_words(block, here[:, :, -2:])
-        for k, v in zip(left.tolist(), block.ravel()[left].tolist()):
-            at = (k + 1) * record - 16  # the two value words end the record
-            buf[at:at + 16] = (_csv_cell(v) + "\n").encode("ascii").ljust(16, b"\0")
-        yield buf.translate(None, b"\0").decode("ascii")
+    north = 0  # grid row of the next part
+    for block in grid.blocks:
+        for lo in range(0, len(block), rows):
+            part = block[lo:lo + rows]
+            here = records[:len(part)]
+            here[:, :, width:2 * width] = words[north:north + len(part), None, :]
+            north += len(part)
+            left = _csv_value_words(part, here[:, :, -2:])
+            for k, v in zip(left.tolist(), part.ravel()[left].tolist()):
+                at = (k + 1) * record - 16  # the two value words end the record
+                buf[at:at + 16] = (_csv_cell(v) + "\n").encode("ascii").ljust(16, b"\0")
+            text = buf if len(part) == len(records) else buf[:len(part) * n * record]
+            yield text.translate(None, b"\0").decode("ascii")
 
 
 def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
+    """Write ``table`` to ``outdir/stem.fmt``; if its rows or the write fail, remove the file."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{stem}.{fmt}"
-    with path.open("w") as f:
-        f.writelines(table._pieces(fmt))
+    f = path.open("w")
+    try:
+        with f:
+            f.writelines(table._pieces(fmt))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -809,14 +825,16 @@ def cmd_caf(args) -> int:
     written = []
     for space in _spaces(args.space):
         grid = scenario_caf(scenario, space)
-        offset, peak = grid_argmax(grid)
+        # the argmax sees each block, and raises on a non-finite one, before it is spelled
+        fold = _ArgmaxFold(grid.spec)
         unit = "m" if space is Space.POSITION else "m/s"
         table = ResultTable(
             (f"offset_e[{unit}]", f"offset_n[{unit}]", "caf[1]"),
-            grid,
+            replace(grid, blocks=map(fold.add, grid.blocks)),
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))
+        offset, peak = fold.result()
         print(
             f"{space.value}: argmax offset ({offset.e:g}, {offset.n:g}) {unit}, peak {peak:.6g}"
         )
@@ -954,14 +972,15 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:  # stdout's reader left, as ``| head`` does: end quietly
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

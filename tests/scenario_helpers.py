@@ -5,10 +5,13 @@ import math
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
 from dpe_multipath.scmb import CenterLine
+
+BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
 
 def authored_receiver(name: str = "table1.scenario") -> EcefVector:
@@ -38,6 +41,12 @@ def enu_from_angles(angles: LookAngles, range_m: float) -> EnuVector:
     )
 
 
+def grid_values(grid) -> np.ndarray:
+    """A grid's blocks as one ``(n, n)`` array, of copies: a block may be
+    reused once the next is drawn."""
+    return np.concatenate([block.copy() for block in grid.blocks])
+
+
 def tangent_point(line: CenterLine) -> EnuVector:
     """Foot of the perpendicular from the truth point to ``line`` (the tangency point)."""
     ne, nn = line.normal
@@ -48,3 +57,64 @@ def count_intersections(path_counts: Sequence[int]) -> int:
     """Cross-satellite line-pair count: half of (sum N)**2 - sum N**2."""
     total = sum(path_counts)
     return (total * total - sum(k * k for k in path_counts)) // 2
+
+
+def fixture_with(name: str, mutate) -> dict:
+    """The bundled fixture ``name`` as a JSON dict, changed in place by ``mutate``."""
+    raw = json.loads(_bundled_scenario(f"{name}.scenario").read_text())
+    mutate(raw)
+    return raw
+
+
+# Values that mutations write into a fixture: every JSON type, with the
+# numbers and strings near the schema's bounds and enums.
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([2.0, -0.0, 0.5, -1.5, 1e300])
+    | st.sampled_from(["", "los", "nlos", "position", "velocity", "1"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "prn", "step", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_nodes(value, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_nodes(child, (*path, key))
+
+
+@st.composite
+def mutated_fixtures(draw, prepare=lambda raw: None):
+    """A bundled fixture, changed in place by ``prepare``, with one to three
+    values replaced (a number also by a nearby one), keys deleted or added,
+    or items appended."""
+    raw = fixture_with(draw(st.sampled_from(BUNDLED)), prepare)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_nodes(raw))))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else raw
+        action = draw(st.sampled_from(["replace", "nudge", "delete", "add", "append"]))
+        if action in ("replace", "nudge") or (action == "delete" and not path):
+            number = type(node) in (int, float)
+            value = draw(st.sampled_from([0, -node, node - 1, node + 0.5, float(node), bool(node)])
+                         if action == "nudge" and number else _JSON_VALUES)
+            if path:
+                parent[path[-1]] = value
+            else:
+                raw = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["x", "seed", "grid", "kind", "prn"]))] = draw(_JSON_VALUES)
+        elif action == "append" and isinstance(node, list):
+            node.append(json.loads(json.dumps(node[-1])) if node and draw(st.booleans())
+                        else draw(_JSON_VALUES))
+    return raw

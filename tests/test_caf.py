@@ -28,7 +28,13 @@ from dpe_multipath.caf import (
     scenario_caf,
 )
 from dpe_multipath.cli import load_scenario
-from scenario_helpers import authored_receiver, channel, enu_from_angles, enu_to_ecef
+from scenario_helpers import (
+    authored_receiver,
+    channel,
+    enu_from_angles,
+    enu_to_ecef,
+    grid_values,
+)
 
 TABLE1 = load_scenario("table1.scenario")
 REFERENCE_RECEIVER = authored_receiver()
@@ -46,8 +52,9 @@ def two_sat_scenario(paths18, paths23):
 
 
 def channel_grid(scenario, prn, space):
-    """The grid of satellite ``prn`` alone, from a one-satellite copy of ``scenario``."""
-    return scenario_caf(replace(scenario, satellites=(channel(scenario, prn),)), space)
+    """The grid values of satellite ``prn`` alone, from a one-satellite copy of ``scenario``."""
+    return grid_values(
+        scenario_caf(replace(scenario, satellites=(channel(scenario, prn),)), space))
 
 
 def code(delta_tau_chips):
@@ -201,26 +208,29 @@ class TestGrids:
         axis = spec.axis()
         assert axis[0] == -100.0 and axis[-1] == 100.0 and axis[100] == 0.0
 
+    def test_grid_size_limit(self):
+        # checked on the spec alone: no grid of that size is filled
+        assert GridSpec(Space.VELOCITY, 1000.0, 0.1).n == caf.MAX_GRID_N == 20001
+        with pytest.raises(ValueError, match="^grid has 20003 samples per axis, more than 20001$"):
+            GridSpec(Space.VELOCITY, 1000.1, 0.1)
+        with pytest.raises(ValueError, match="1000001 samples"):
+            GridSpec(Space.VELOCITY, 50.0, 1e-4)
+
     def test_default_grids(self):
         pos, vel = DEFAULT_GRIDS
         assert (pos.space, pos.half_extent, pos.step) == (Space.POSITION, 100.0, 1.0)
         assert (vel.space, vel.half_extent, vel.step) == (Space.VELOCITY, 100.0, 0.1)
         assert vel.n == 2001
 
-    def test_grid_shape_checked(self):
-        spec = GridSpec(Space.POSITION, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            Grid2D(spec, np.zeros((3, 3)))
-
     def test_los_channel_peaks_at_truth(self):
         s = two_sat_scenario([SignalPath(PathKind.LOS)], [SignalPath(PathKind.LOS)])
         spec = s.grid_for(Space.POSITION)
         g = channel_grid(s, 18, Space.POSITION)
-        i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
+        i, j = np.unravel_index(np.argmax(g), g.shape)
         # the whole ridge line hits 1.0; the truth node is on it
-        assert g.values[spec.n // 2, spec.n // 2] == pytest.approx(1.0, abs=1e-12)
-        assert g.values.max() <= 1.0 + 1e-12
-        assert g.values[i, j] == pytest.approx(1.0, abs=1e-12)
+        assert g[spec.n // 2, spec.n // 2] == pytest.approx(1.0, abs=1e-12)
+        assert g.max() <= 1.0 + 1e-12
+        assert g[i, j] == pytest.approx(1.0, abs=1e-12)
 
     def test_nlos_ridge_sits_at_tangent_point(self):
         # PRN 18, 1 chip of delay: the ridge is tangent to the bias circle at
@@ -231,14 +241,14 @@ class TestGrids:
         spec = s.grid_for(Space.POSITION)
         g = channel_grid(s, 18, Space.POSITION)
         axis = spec.axis()
-        i, j = np.unravel_index(np.argmax(g.values), g.values.shape)
+        i, j = np.unravel_index(np.argmax(g), g.shape)
         east, north = float(axis[j]), float(axis[i])
         # the peak node lies on the displaced ridge line u_hat . p = -radius
         az = channel(s, 18).angles.azimuth
         line_offset = math.sin(az) * east + math.cos(az) * north
         assert line_offset == pytest.approx(-39.94007471783003, abs=spec.step)
         # and the truth node no longer reaches the ridge value
-        assert g.values[spec.n // 2, spec.n // 2] < 0.1
+        assert g[spec.n // 2, spec.n // 2] < 0.1
 
     def test_superposed_argmax_lands_on_pair_intersection(self):
         s = two_sat_scenario(
@@ -254,8 +264,8 @@ class TestGrids:
             [SignalPath(PathKind.NLOS, doppler_hz=120.0)], [SignalPath(PathKind.LOS)]
         )
         g = channel_grid(s, 18, Space.VELOCITY)
-        assert g.values.max() <= 1.0 + 1e-12
-        assert g.values.max() > 0.999
+        assert g.max() <= 1.0 + 1e-12
+        assert g.max() > 0.999
 
     def test_argmax_tie_resolves_to_smallest_norm(self):
         spec = GridSpec(Space.POSITION, 5.0, 1.0)  # offsets -5..5 m on both axes
@@ -277,14 +287,14 @@ class TestGrids:
             (peaks((4.0, -4.0), (1.0, 1.0)), (1.0, 1.0)),  # the norm comes before the row
             (row, (0.0, 4.0)),  # ties along one row
         ):
-            offset, peak = grid_argmax(Grid2D(spec, values))
+            offset, peak = grid_argmax(Grid2D(spec, (values,)))
             assert (offset.e, offset.n, peak) == (*winner, values.max())
 
     def test_argmax_holds_one_block_of_ties(self):
         # a flat 1001^2 grid ties every cell: beyond the grid, the argmax holds
         # one block of rows, not index arrays and norms of every tied cell (32 MB)
         spec = GridSpec(Space.VELOCITY, 100.0, 0.2)
-        grid = Grid2D(spec, np.zeros((spec.n, spec.n)))
+        grid = Grid2D(spec, (np.zeros((spec.n, spec.n)),))
         assert spec.n == 1001
         tracemalloc.start()
         try:
@@ -312,7 +322,7 @@ class TestGrids:
             else:
                 values = np.zeros((3, 3))
                 values[1, 2] = sum(cells)
-                grid = Grid2D(spec, values)
+                grid = Grid2D(spec, (values,))
             with pytest.raises(ValueError, match="not finite"):
                 grid_argmax(grid)
 
@@ -329,9 +339,9 @@ class TestGrids:
             with pytest.raises(ValueError, match="not finite"):
                 grid_argmax(grid)
 
-    def test_fill_holds_one_grid(self):
+    def test_fill_holds_one_block(self):
         # eight channels on the default 201^2 position grid: the fill holds
-        # the summed grid and one block, not one grid per channel
+        # a summed block and a scratch block, not the grid or one grid per channel
         angles = [(10.0 + 8.0 * k, 45.0 * k) for k in range(8)]
         sats = tuple(
             make_channel(REFERENCE_RECEIVER, k + 1,
@@ -343,15 +353,16 @@ class TestGrids:
         n = s.grid_for(Space.POSITION).n
         assert n == 201
         # a first fill imports numpy's random module, which is not the fill's memory
-        scenario_caf(replace(s, grids=(GridSpec(Space.POSITION, 1.0, 1.0),)), Space.POSITION)
+        grid_argmax(scenario_caf(replace(s, grids=(GridSpec(Space.POSITION, 1.0, 1.0),)),
+                                 Space.POSITION))
         tracemalloc.start()
         try:
-            grid = scenario_caf(s, Space.POSITION)
+            rows = sum(len(block) for block in scenario_caf(s, Space.POSITION).blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grid.values.shape == (n, n)
-        assert peak < 2 * n * n * 8
+        assert rows == n
+        assert peak < n * n * 8 // 4
 
 
 class TestNoise:
@@ -369,7 +380,7 @@ class TestNoise:
         assert self.noisy(7).grid_for(Space.POSITION) == DEFAULT_GRIDS[0]
         a = channel_grid(self.noisy(7), 10, Space.POSITION)
         b = channel_grid(self.noisy(7), 10, Space.POSITION)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_noise_varies_with_seed_prn_space(self):
         s = self.noisy(7)
@@ -377,8 +388,8 @@ class TestNoise:
         a = channel_grid(s, 10, Space.POSITION)
         b = channel_grid(s, 18, Space.POSITION)
         c = channel_grid(t, 10, Space.POSITION)
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_noiseless_is_default(self):
         s = load_scenario("case1.scenario")
@@ -456,7 +467,7 @@ class TestBlockKernel:
         s = multipath_scenario(noise)
         grid = odd_grid(space, n)
         assert grid.n == n
-        got = scenario_caf(replace(s, grids=(grid,)), space).values
+        got = grid_values(scenario_caf(replace(s, grids=(grid,)), space))
         assert got.tobytes() == seed_sum(grid, s).tobytes()
 
     @pytest.mark.parametrize("space", list(Space))
@@ -464,7 +475,7 @@ class TestBlockKernel:
         s = load_scenario("case3.scenario")
         s = replace(s, satellites=s.satellites[:2])
         grid = s.grid_for(space)
-        assert scenario_caf(s, space).values.tobytes() == seed_sum(grid, s).tobytes()
+        assert grid_values(scenario_caf(s, space)).tobytes() == seed_sum(grid, s).tobytes()
 
 
 class TestCorrelatorBits:

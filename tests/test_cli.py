@@ -1,11 +1,15 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -14,10 +18,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath import cli
+from dpe_multipath import caf, cli
 from dpe_multipath.caf import (
     DEFAULT_GRIDS,
     Grid2D,
@@ -30,6 +34,7 @@ from dpe_multipath.caf import (
     scenario_caf,
 )
 from dpe_multipath.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CANT_CREATE,
     EXIT_COMPUTE,
     EXIT_GEOMETRY,
@@ -46,9 +51,16 @@ from dpe_multipath.cli import (
 )
 from dpe_multipath.geom import EcefVector, LookAngles
 from dpe_multipath.scmb import center_line
-from scenario_helpers import authored_receiver, channel, enu_from_angles, enu_to_ecef
-
-BUNDLED = ("table1", "case1", "case2", "case3", "table6")
+from scenario_helpers import (
+    BUNDLED,
+    authored_receiver,
+    channel,
+    enu_from_angles,
+    enu_to_ecef,
+    fixture_with,
+    grid_values,
+    mutated_fixtures,
+)
 
 # The reference the bundled fixtures encode: receiver truth, satellite look
 # angles (deg), and per-case bias-circle radii, equal in m and m/s.
@@ -61,15 +73,9 @@ CASE_RADII = {
 }
 
 
-def _fixture_with(name: str, mutate) -> dict:
-    raw = json.loads(cli._bundled_scenario(f"{name}.scenario").read_text())
-    mutate(raw)
-    return raw
-
-
 def dump_variant(tmp_path: Path, name: str, mutate) -> Path:
     path = tmp_path / "variant.scenario"
-    path.write_text(json.dumps(_fixture_with(name, mutate)) + "\n")
+    path.write_text(json.dumps(fixture_with(name, mutate)) + "\n")
     return path
 
 
@@ -235,7 +241,7 @@ class TestResultTable:
             ResultTable(("a", "b"), ((1,),))
 
     def test_grid_rows_checked(self):
-        grid = Grid2D(GridSpec(Space.POSITION, 1.0, 1.0), np.zeros((3, 3)))
+        grid = Grid2D(GridSpec(Space.POSITION, 1.0, 1.0), (np.zeros((3, 3)),))
         with pytest.raises(ValueError):
             ResultTable(("e", "n"), grid)
 
@@ -272,8 +278,8 @@ def _mostly_zero_position_grid() -> np.ndarray:
     """table1's summed position-space CAF on a +/-5 km grid: narrow code
     ridges among exact zeros."""
     grid = GridSpec(Space.POSITION, 5000.0, 50.0)
-    values = scenario_caf(replace(load_scenario("table1.scenario"), grids=(grid,)),
-                          Space.POSITION).values
+    values = grid_values(scenario_caf(replace(load_scenario("table1.scenario"), grids=(grid,)),
+                                      Space.POSITION))
     assert (values == 0.0).mean() >= 0.9
     return values
 
@@ -309,11 +315,12 @@ class TestArrayTable:
             "hypothesis-floats"])
     def test_template_matches_csv_cell(self, values):
         n = (math.isqrt(len(values) - 1) + 1) | 1  # the least odd n with n * n >= len(values)
-        grid = Grid2D(GridSpec(Space.POSITION, n // 2, 1.0), np.resize(values, (n, n)))
+        values = np.resize(values, (n, n))
+        grid = Grid2D(GridSpec(Space.POSITION, n // 2, 1.0), (values,))
         axis = grid.spec.axis().tolist()
         cell = cli._csv_cell
         expected = "e,n,v\n" + "".join(
-            f"{cell(axis[j])},{cell(axis[i])},{cell(float(grid.values[i, j]))}\n"
+            f"{cell(axis[j])},{cell(axis[i])},{cell(float(values[i, j]))}\n"
             for i in range(n) for j in range(n))
         assert ResultTable(("e", "n", "v"), grid).to_csv() == expected
 
@@ -323,7 +330,7 @@ class TestArrayTable:
         spec = GridSpec(Space.VELOCITY, 100.0, 0.2)
         assert spec.n == 1001
         table = ResultTable(("e", "n", "v"), Grid2D(
-            spec, np.random.default_rng(8).standard_normal((spec.n, spec.n))))
+            spec, (np.random.default_rng(8).standard_normal((spec.n, spec.n)),)))
         cli._csv_digit_tables()  # built once per process
         tracemalloc.start()
         try:
@@ -332,6 +339,41 @@ class TestArrayTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestGridStream:
+    """Grid tables are spelled a block at a time, as the blocks are drawn."""
+
+    @pytest.mark.parametrize("texts", [cli._csv_grid_texts, cli._json_grid_texts],
+                             ids=["csv", "json"])
+    def test_non_finite_block_raises_before_it_is_spelled(self, texts):
+        spec = GridSpec(Space.POSITION, 2.0, 1.0)
+        blocks = [np.zeros((2, spec.n)), np.ones((1, spec.n)), np.full((2, spec.n), np.nan)]
+        fold = caf._ArgmaxFold(spec)
+        spelled = []
+        with pytest.raises(ValueError, match="not finite"):
+            spelled.extend(texts(Grid2D(spec, map(fold.add, blocks))))
+        # the cells of the three finite rows, and nothing of the NaN block
+        text = "".join(spelled)
+        assert text.count("\n" if texts is cli._csv_grid_texts else "    [") == 3 * spec.n
+        assert "nan" not in text.lower()
+
+    def test_blocks_are_spelled_before_the_next_is_drawn(self):
+        # a stream that reuses one array, as the fill does, writes every row
+        spec = GridSpec(Space.POSITION, 3.0, 1.0)
+        values = np.arange(spec.n * spec.n, dtype=float).reshape(spec.n, spec.n)
+        reused = np.empty((3, spec.n))
+
+        def blocks():
+            for lo in range(0, spec.n, 3):
+                part = reused[:len(values[lo:lo + 3])]
+                part[:] = values[lo:lo + 3]
+                yield part
+
+        for fmt in ("csv", "json"):
+            table = ResultTable(("e", "n", "v"), Grid2D(spec, blocks()), note="n")
+            expected = ResultTable(("e", "n", "v"), Grid2D(spec, (values,)), note="n")
+            assert "".join(table._pieces(fmt)) == "".join(expected._pieces(fmt))
 
 
 # Rows per ``%`` application of the old array writer below.
@@ -397,7 +439,7 @@ class TestGridRows:
         values = np.random.default_rng(n).standard_normal((n, n)) * 10.0 ** (np.arange(n) % 9 - 4)
         if n < 100:
             values.ravel()[::3] = _random_doubles(len(values.ravel()[::3]), seed=n)
-        table = ResultTable(self.COLUMNS, Grid2D(spec, values), note="n")
+        table = ResultTable(self.COLUMNS, Grid2D(spec, (values,)), note="n")
         expected = "".join(_column_stack_pieces(
             self.COLUMNS, _grid_as_column_stack(axis, values), "n", fmt))
         assert (table.to_csv() if fmt == "csv" else table.to_json()) == expected
@@ -431,7 +473,7 @@ class TestGridRows:
             if fmt == "json":
                 assert hashlib.sha256(written).hexdigest() == self.JSON_WRITER_DIGESTS[space]
                 continue
-            total = scenario_caf(s, space).values
+            total = grid_values(scenario_caf(s, space))
             axis = s.grid_for(space).axis()
             assert len(axis) == n
             expected = _column_stack_pieces(
@@ -497,7 +539,7 @@ class TestCommands:
             seed=7,
         )
         spec = s.grid_for(Space.VELOCITY)
-        total = scenario_caf(s, Space.VELOCITY).values
+        total = grid_values(scenario_caf(s, Space.VELOCITY))
         axis = spec.axis()
         rows = []
         for i in range(spec.n):
@@ -511,6 +553,30 @@ class TestCommands:
         expected = table.to_csv() if fmt == "csv" else table.to_json()
         assert spec.n == 31
         assert (tmp_path / f"caf_velocity.{fmt}").read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_caf_holds_no_grid(self, tmp_path, fmt):
+        # four channels on a 1001^2 velocity grid: beyond start-up, the
+        # command holds a few blocks of rows and their text, not the 8 MB grid
+        def velocity_grid(half_extent):
+            def mutate(raw):
+                raw["grid"] = [{"space": "velocity", "half_extent": half_extent, "step": 0.2}]
+            return mutate
+
+        def caf_velocity(half_extent):
+            p = dump_variant(tmp_path, "case3", velocity_grid(half_extent))
+            return main(["caf", "--space", "velocity", "--scenario", str(p), "--format", fmt,
+                         "--out", str(tmp_path / "out")])
+
+        assert caf_velocity(1.0) == EXIT_OK  # first-use imports and tables
+        tracemalloc.start()
+        try:
+            assert caf_velocity(100.0) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_scenario(tmp_path / "variant.scenario").grid_for(Space.VELOCITY).n == 1001
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_caf_integer_grid_literals(self, tmp_path, fmt):
@@ -622,67 +688,14 @@ class TestSchemaValidation:
         assert main(["project", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_SCHEMA
 
 
-# Values that mutations write into a fixture: every JSON type, with the
-# numbers and strings near the schema's bounds and enums.
-_JSON_LEAVES = (
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([2.0, -0.0, 0.5, -1.5, 1e300])
-    | st.sampled_from(["", "los", "nlos", "position", "velocity", "1"])
-)
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["kind", "prn", "step", "x"]), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _json_nodes(value, path=()):
-    """The path of every node of a JSON tree, the root first."""
-    yield path
-    if isinstance(value, (dict, list)):
-        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _json_nodes(child, (*path, key))
-
-
-@st.composite
-def _mutated_fixtures(draw):
-    """A bundled fixture with one to three values replaced (a number also by a
-    nearby one), keys deleted or added, or items appended."""
-    raw = _fixture_with(draw(st.sampled_from(BUNDLED)), lambda raw: None)
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_json_nodes(raw))))
-        parent = raw
-        for key in path[:-1]:
-            parent = parent[key]
-        node = parent[path[-1]] if path else raw
-        action = draw(st.sampled_from(["replace", "nudge", "delete", "add", "append"]))
-        if action in ("replace", "nudge") or (action == "delete" and not path):
-            number = type(node) in (int, float)
-            value = draw(st.sampled_from([0, -node, node - 1, node + 0.5, float(node), bool(node)])
-                         if action == "nudge" and number else _JSON_VALUES)
-            if path:
-                parent[path[-1]] = value
-            else:
-                raw = value
-        elif action == "delete":
-            del parent[path[-1]]
-        elif action == "add" and isinstance(node, dict):
-            node[draw(st.sampled_from(["x", "seed", "grid", "kind", "prn"]))] = draw(_JSON_VALUES)
-        elif action == "append" and isinstance(node, list):
-            node.append(json.loads(json.dumps(node[-1])) if node and draw(st.booleans())
-                        else draw(_JSON_VALUES))
-    return raw
-
-
 class TestSchemaDifferential:
     """``_schema_errors`` against jsonschema, the reference it replaces."""
 
-    @given(raw=_mutated_fixtures())
-    @example(raw=_fixture_with("table1", lambda raw: raw.update(schema_version=True)))
-    @example(raw=_fixture_with("table1", lambda raw: raw["receiver"].update(
+    @given(raw=mutated_fixtures())
+    @example(raw=fixture_with("table1", lambda raw: raw.update(schema_version=True)))
+    @example(raw=fixture_with("table1", lambda raw: raw["receiver"].update(
         position_ecef=[1.0, 2.0, 3.0, 4.0], velocity_ecef=[True, 0.0])))
-    @example(raw=_fixture_with("case3", lambda raw: raw.update(noise_sigma=-0.0, seed=-1.0)))
+    @example(raw=fixture_with("case3", lambda raw: raw.update(noise_sigma=-0.0, seed=-1.0)))
     @settings(derandomize=True, database=None, deadline=None, max_examples=500)
     def test_errors_and_best_match_agree(self, tmp_path_factory, raw):
         validator = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
@@ -754,9 +767,11 @@ class TestExitCodes:
         (lambda raw: raw["signal"].update(carrier_hz=1e6), "signal: "),
         (lambda raw: raw["grid"][1].update(half_extent=1.0, step=2.5), "grid.1: "),
         (lambda raw: raw["grid"][0].update(half_extent=1e300, step=1e-300), "grid.0: "),
+        (lambda raw: raw["grid"][1].update(half_extent=50.0, step=1e-4), "grid.1: "),
         (lambda raw: _set_path(raw, 2, 0, delay_chips=1e308), "satellites.2.paths.0: "),
     ], ids=["huge-code-rate", "carrier-below-code-rate", "step-beyond-extent",
-            "overflowing-grid-count", "overflowing-projected-delay"])
+            "overflowing-grid-count", "grid-over-the-size-limit",
+            "overflowing-projected-delay"])
     def test_signal_and_grid_domain_errors(self, tmp_path, capsys, mutate, prefix):
         p = dump_variant(tmp_path, "case3", mutate)
         with pytest.raises(ScenarioSchemaError, match=f"^{prefix}"):
@@ -929,6 +944,69 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("computation error: summed CAF grid is not finite")
         assert "noise_sigma" in err
+        assert not list(tmp_path.glob("caf_*"))
+
+    def test_velocity_failure_keeps_the_position_table(self, tmp_path, capsys):
+        # two paths of amplitude 1e308 delayed 50 chips: their code ridges lie
+        # far off the position grid, which is all zeros, while their sincs
+        # peak on the velocity grid and overflow there
+        def velocity_overflow(raw):
+            raw["grid"] = [{"space": "position", "half_extent": 5.0, "step": 1.0},
+                           {"space": "velocity", "half_extent": 5.0, "step": 1.0}]
+            raw["satellites"] = raw["satellites"][:1]
+            raw["satellites"][0]["paths"] = [
+                {"kind": "nlos", "amplitude": 1e308, "delay_chips": 50.0}] * 2
+
+        p = dump_variant(tmp_path, "case3", velocity_overflow)
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert main(["caf", "--scenario", str(p), "--out", str(both)]) == EXIT_COMPUTE
+        assert "summed CAF grid is not finite" in capsys.readouterr().err
+        assert main(["caf", "--scenario", str(p), "--space", "position",
+                     "--out", str(alone)]) == EXIT_OK
+        assert [f.name for f in both.iterdir()] == ["caf_position.csv"]
+        assert (both / "caf_position.csv").read_bytes() == (
+            alone / "caf_position.csv").read_bytes()
+
+    @pytest.mark.parametrize("error, status", [
+        (OSError(errno.ENOSPC, "No space left on device"), EXIT_CANT_CREATE),
+        (MemoryError(), EXIT_COMPUTE),
+    ], ids=["write-error", "out-of-memory"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_failing_midway_is_removed(self, tmp_path, monkeypatch, error, status, fmt):
+        # the default 201^2 grid: its first block's text fills the file's buffer
+        def failing(scenario, space):
+            grid = scenario_caf(scenario, space)
+
+            def blocks():
+                yield next(iter(grid.blocks))
+                raise error
+
+            return replace(grid, blocks=blocks())
+
+        monkeypatch.setattr(cli, "scenario_caf", failing)
+        out = tmp_path / "out"
+        assert main(["caf", "--scenario", "table6.scenario", "--space", "position",
+                     "--format", fmt, "--out", str(out)]) == status
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered):
+        # the reader of stdout is gone before anything is printed, as with `| head -0`
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "dpe_multipath", "bounds", "--radii", "60,40,30,15",
+                 "--out", str(tmp_path)], stdout=write, stderr=subprocess.PIPE, text=True,
+                env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")
+        assert (tmp_path / "bounds.csv").read_text().startswith("case,")
 
     def test_channel_overflow_prints_only_the_error(self, tmp_path):
         # one satellite whose two unbiased paths of amplitude 1e308 overflow
@@ -947,3 +1025,51 @@ class TestExitCodes:
         assert done.returncode == EXIT_COMPUTE
         (line,) = done.stderr.splitlines()
         assert line.startswith("computation error: summed CAF grid is not finite")
+
+
+def _tiny_grids(raw):
+    raw["grid"] = [{"space": "position", "half_extent": 3.0, "step": 1.0},
+                   {"space": "velocity", "half_extent": 0.6, "step": 0.2}]
+
+
+FUZZ_COMMANDS = (("caf", "--space", "position"), ("caf", "--space", "velocity"),
+                 ("project",), ("intersect",))
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_GEOMETRY, EXIT_USAGE, EXIT_COMPUTE,
+                    EXIT_CANT_CREATE}
+
+
+class TestMainFuzz:
+    """``main`` on mutated bundled fixtures with tiny grids: documented exits only."""
+
+    @given(raw=mutated_fixtures(_tiny_grids), command=st.sampled_from(FUZZ_COMMANDS),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(raw=fixture_with("case3", lambda raw: raw.update(
+        grid=[{"space": "velocity", "half_extent": 50.0, "step": 1e-4}])),
+        command=FUZZ_COMMANDS[1], fmt="csv")
+    @example(raw=fixture_with("table6", lambda raw: (_tiny_grids(raw), raw["satellites"][1].update(
+        paths=[{"kind": "nlos", "amplitude": 1e308}] * 2))), command=FUZZ_COMMANDS[0], fmt="json")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_exits_are_documented_and_leave_no_table_on_failure(self, raw, command, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "fuzz.scenario"
+            p.write_text(json.dumps(raw))
+            if command[0] == "caf":  # keep to tiny grids: a dropped grid falls back to 2001^2
+                try:
+                    n = load_scenario(p).grid_for(Space(command[2])).n
+                except (ScenarioParseError, ScenarioSchemaError, ValueError):
+                    n = 0  # main fails the same way
+                assume(n <= 201)
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = main([*command, "--scenario", str(p), "--format", fmt,
+                               "--out", str(out)])
+            event(f"{command[0]} exits {status}")
+            assert status in DOCUMENTED_EXITS
+            assert "Traceback" not in err.getvalue()
+            tables = sorted(f.name for f in out.iterdir()) if out.exists() else []
+            if status == EXIT_OK:
+                name = f"caf_{command[2]}" if command[0] == "caf" else command[0]
+                assert tables == [f"{name}.{fmt}"]
+            else:
+                assert tables == []

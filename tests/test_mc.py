@@ -1,5 +1,6 @@
 """Experiment drivers: sweeps, Monte Carlo, case studies, oracle comparison."""
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from dpe_multipath.mc import (
     run_random_azimuth_mc,
 )
 from dpe_multipath.scmb import project_to_range, project_to_range_rate
-from scenario_helpers import channel
+from scenario_helpers import channel, grid_values
 
 
 class TestFixtureCheck:
@@ -255,6 +256,22 @@ class TestOracleCompare:
         with pytest.raises(ValueError):
             run_oracle_compare(noisy)
 
+    def test_holds_no_grid(self):
+        # a 1001^2 velocity grid over four channels: the argmax draws the
+        # grid a block at a time and holds no more than a few blocks
+        s = load_scenario("case3.scenario")
+        run_oracle_compare(replace(s, grids=(GridSpec(Space.VELOCITY, 1.0, 0.2),)), Space.VELOCITY)
+        wide = replace(s, grids=(GridSpec(Space.VELOCITY, 100.0, 0.2),))
+        assert wide.grid_for(Space.VELOCITY).n == 1001
+        tracemalloc.start()
+        try:
+            rep = run_oracle_compare(wide, Space.VELOCITY)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rep.summary["argmax_e"], rep.summary["argmax_n"]) == (84.4, -5.800000000000001)
+        assert peak < 2 * 2**20
+
     def test_truth_wins_without_multipath(self):
         rep = run_oracle_compare(load_scenario("table1.scenario"))
         best = [r for r in rep.rows if r[-1] == 1]
@@ -311,7 +328,7 @@ class TestCafValueAt:
 
     @staticmethod
     def summed(scenario, spec):
-        return scenario_caf(replace(scenario, grids=(spec,)), spec.space).values
+        return grid_values(scenario_caf(replace(scenario, grids=(spec,)), spec.space))
 
     @pytest.mark.parametrize("case", ["case1", "case2", "case3", "table6"])
     @pytest.mark.parametrize("space", list(Space))

@@ -8,10 +8,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpe_multipath.caf import (
+    Grid2D,
     GridSpec,
     PathKind,
     SatelliteChannel,
@@ -38,7 +40,7 @@ from dpe_multipath.scmb import (
     intersect_lines,
     pair_bias,
 )
-from scenario_helpers import authored_receiver, count_intersections, tangent_point
+from scenario_helpers import authored_receiver, count_intersections, grid_values, tangent_point
 
 REFERENCE_RECEIVER = authored_receiver()
 D = dict(derandomize=True, deadline=None)
@@ -160,6 +162,63 @@ class TestAllLosTruth:
             offset, peak = grid_argmax(scenario_caf(s, space))
             assert (offset.e, offset.n) == (0.0, 0.0)
             assert peak == pytest.approx(float(count), rel=1e-12)
+
+
+def dense_argmax(spec, values):
+    """The argmax rule on a whole array: the global maximum, then the
+    (norm, row, col)-least cell holding it."""
+    if not np.isfinite(values).all():
+        raise ValueError("not finite")
+    axis = spec.axis()
+    rows, cols = np.nonzero(values == values.max())
+    k = np.lexsort((cols, rows, axis[cols] ** 2 + axis[rows] ** 2))[0]
+    return float(axis[cols[k]]), float(axis[rows[k]]), float(values.max())
+
+
+@st.composite
+def split_grids(draw):
+    """A small grid of few distinct levels (so ties abound), at most one
+    non-finite cell, and the rows where its blocks start."""
+    spec = GridSpec(Space.POSITION, float(draw(st.integers(1, 6))), 1.0)
+    values = draw(arrays(np.float64, (spec.n, spec.n),
+                         elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])))
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, spec.n - 1)), draw(st.integers(0, spec.n - 1))
+        values[cell] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    cuts = sorted(draw(st.sets(st.integers(1, spec.n - 1))))
+    return spec, values, cuts
+
+
+def _seven(cells, level=1.0, fill=0.0):
+    """A 7 x 7 grid of ``fill`` with ``level`` at each (row, col) of ``cells``."""
+    values = np.full((7, 7), fill)
+    for cell in cells:
+        values[cell] = level
+    return values
+
+
+SEVEN = GridSpec(Space.POSITION, 3.0, 1.0)
+
+
+class TestArgmaxFold:
+    @given(split_grids())
+    @example((SEVEN, _seven([(1, 3), (5, 3)]), [3]))  # mirror ties either side of a cut
+    @example((SEVEN, _seven([(0, 0), (4, 3)]), [2]))  # the later block's tie is nearer
+    @example((SEVEN, _seven([(6, 6)], 2.0, fill=1.0), [2, 4]))  # a later, higher peak
+    @example((SEVEN, np.zeros((7, 7)), [1, 2, 3]))  # flat
+    @example((SEVEN, _seven([(6, 0)], math.nan), [3]))  # NaN in a later block only
+    @example((SEVEN, _seven([(5, 2)], math.inf), [1, 4]))  # an infinity in a later block only
+    @settings(max_examples=300, **D)
+    def test_block_fold_equals_the_dense_rule(self, case):
+        spec, values, cuts = case
+        try:
+            expected = dense_argmax(spec, values)
+        except ValueError:
+            with pytest.raises(ValueError, match="summed CAF grid is not finite"):
+                grid_argmax(Grid2D(spec, iter(np.split(values, cuts))))
+            return
+        offset, peak = grid_argmax(Grid2D(spec, iter(np.split(values, cuts))))
+        assert (offset.e, offset.n, peak) == expected
 
 
 class TestIntersectionCount:
@@ -296,7 +355,8 @@ class TestWindowedRidgeReadout:
         path = (SignalPath(PathKind.NLOS, amplitude, delay_chips=bias) if space is Space.POSITION
                 else SignalPath(PathKind.NLOS, amplitude, doppler_hz=bias))
         ch = SatelliteChannel(1, (path,), LookAngles(el, az))
-        v = scenario_caf(Scenario(signal=signal, satellites=(ch,), grids=(spec,)), space).values
+        v = grid_values(scenario_caf(Scenario(signal=signal, satellites=(ch,), grids=(spec,)),
+                                     space))
         vmax = v.max()
         readouts = [_scanline_readout(spec, ch, signal, per_column, Counter())
                     for per_column in (True, False)]
