@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geom import EcefVector, EnuVector, GeometryError, LookAngles, ecef_to_enu, look_angles
+from .geom import (EcefVector, EnuVector, GeometryError, LookAngles, ecef_to_enu,
+                   fold_azimuth_separation, look_angles)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -143,8 +144,7 @@ def make_channel(
         if angles_deg is not None:
             authored = LookAngles.from_degrees(*angles_deg)
             d_el = abs(authored.elevation - derived.elevation)
-            d_az = abs(authored.azimuth - derived.azimuth) % (2.0 * math.pi)
-            d_az = min(d_az, 2.0 * math.pi - d_az)
+            d_az = fold_azimuth_separation(authored.azimuth, derived.azimuth)
             if d_el > ANGLE_CONSISTENCY_TOL or d_az > ANGLE_CONSISTENCY_TOL:
                 raise GeometryMismatchError(
                     f"PRN {prn}: authored angles ({authored.elevation_deg:.3f}, "

@@ -329,8 +329,9 @@ class ResultTable:
     ``(east, north, value)`` with north as the outer index and east as the
     inner one.  A grid's blocks are spelled as they are drawn, each before
     the next is drawn, so a one-shot grid can be written once.  CSV spells
-    every float cell, of tuple rows or of a grid, as ``format(v, '.6g')``;
-    JSON writes them as ``json`` does, at full precision.
+    every float cell, of tuple rows or of a grid, as ``format(v, '.6g')``.
+    JSON is ``json.dumps(..., indent=2)`` of the note, columns and rows, at
+    full precision; a grid's rows come from one row template.
     """
 
     columns: tuple[str, ...]
@@ -354,38 +355,20 @@ class ResultTable:
 
     def _pieces(self, fmt: str) -> Iterator[str]:
         """The file text in order, a header, tuple row or grid row at a time."""
+        grid = isinstance(self.rows, Grid2D)
         if fmt == "csv":
             yield ",".join(self.columns) + "\n"
-            yield from _row_texts(self.rows, _CSV)
+            yield from _csv_grid_texts(self.rows) if grid else map(_csv_row, self.rows)
             return
-        # json.dumps(..., indent=2) of the whole payload, with the rows
-        # spliced in where the empty list stands
-        head = json.dumps({"note": self.note, "columns": list(self.columns), "rows": []},
-                          indent=2)
-        rows = _row_texts(self.rows, _JSON)
-        last = next(rows, None)
-        if last is None:
-            yield head + "\n"
+        payload = {"note": self.note, "columns": list(self.columns),
+                   "rows": [] if grid else self.rows}
+        if grid:  # the grid rows go where the empty list stands
+            yield json.dumps(payload, indent=2)[:-len("]\n}")]
+            yield from _json_grid_texts(self.rows)
+            yield "\n  ]\n}\n"
             return
-        yield head[:-len("]\n}")] + "\n"
-        for text in rows:
-            yield last
-            last = text
-        yield last[:-len(",\n")] + "\n  ]\n}\n"
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """How one output format spells cells and rows.
-
-    ``cell`` spells one scalar.  A row is ``row_start``, its cells joined
-    by ``cell_sep``, then ``row_end``.
-    """
-
-    cell: Callable[[object], str]
-    row_start: str
-    cell_sep: str
-    row_end: str
+        yield from json.JSONEncoder(indent=2, default=_json_cell).iterencode(payload)
+        yield "\n"
 
 
 def _csv_cell(v) -> str:
@@ -402,20 +385,8 @@ def _json_cell(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-_CSV = _Layout(_csv_cell, "", ",", "\n")
-# One row of the ``rows`` list under ``indent=2``; the last row's ``,\n`` is
-# replaced when the list is closed.
-_JSON = _Layout(functools.partial(json.dumps, default=_json_cell),
-                "    [\n      ", ",\n      ", "\n    ],\n")
-
-
-def _row_texts(rows: tuple[tuple, ...] | Grid2D, layout: _Layout) -> Iterator[str]:
-    """The rows spelled in ``layout``, a block of grid rows or one tuple row at a time."""
-    if isinstance(rows, Grid2D):
-        yield from _csv_grid_texts(rows) if layout is _CSV else _json_grid_texts(rows)
-        return
-    for row in rows:
-        yield layout.row_start + layout.cell_sep.join(map(layout.cell, row)) + layout.row_end
+def _csv_row(row: tuple) -> str:
+    return ",".join(map(_csv_cell, row)) + "\n"
 
 
 def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
@@ -423,18 +394,20 @@ def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
 
     The axis labels are spelled once; each grid row fills its north label
     into one template and formats only its values, with ``%r``, which is
-    ``float.__repr__`` as ``json`` writes finite floats.
+    ``float.__repr__`` as ``json`` writes finite floats.  Each JSON row
+    starts with its separator, which the first one drops.
     """
-    labels = [_JSON.cell(x) for x in grid.spec.axis().tolist()]
-    template = "".join(_JSON.row_start + x + _JSON.cell_sep + "\0" + _JSON.cell_sep + "%r"
-                       + _JSON.row_end for x in labels)
+    labels = [json.dumps(x) for x in grid.spec.axis().tolist()]
+    template = "".join(",\n    [\n      " + x + ",\n      \0,\n      %r\n    ]" for x in labels)
     north = iter(labels)
+    start = 1
     for block in grid.blocks:
         for values, label in zip(block, north):  # the block first: it ends the zip
             text = template.replace("\0", label) % tuple(values.tolist())
             if not np.isfinite(values).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            yield text
+            yield text[start:]
+            start = 0
 
 
 # CSV grid cells are spelled by a numpy kernel, a block of grid rows at a
@@ -603,15 +576,17 @@ def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
     try:
         with f:
             f.writelines(table._pieces(fmt))
-    except BaseException:
+    except BaseException as e:
         path.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename is None:  # a write's or close's error
+            e.filename = str(path)
         raise
     return path
 
 
 def _print_table(table: ResultTable) -> None:
     print(",".join(table.columns))
-    print("".join(_row_texts(table.rows[:40], _CSV)), end="")
+    print("".join(map(_csv_row, table.rows[:40])), end="")
     if len(table.rows) > 40:
         print(f"... ({len(table.rows)} rows total)")
 

@@ -122,6 +122,12 @@ class LookAngles:
         return math.degrees(self.azimuth)
 
 
+def fold_azimuth_separation(theta_i: float, theta_j: float) -> float:
+    """Azimuth separation folded into [0, pi]."""
+    d = abs(theta_i - theta_j) % (2.0 * math.pi)
+    return 2.0 * math.pi - d if d > math.pi else d
+
+
 def geodetic_latlon(origin: EcefVector) -> tuple[float, float]:
     """Geodetic latitude and longitude (radians) of an ECEF point.
 

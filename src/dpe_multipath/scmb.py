@@ -20,7 +20,7 @@ from .caf import (
     SignalConfig,
     Space,
 )
-from .geom import EPS_ZENITH, EnuVector, GeometryError
+from .geom import EPS_ZENITH, EnuVector, GeometryError, fold_azimuth_separation
 
 EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines are parallel
 EPS_MERGE = 1e-6  # m (m/s); intersection points closer than this are one point
@@ -150,12 +150,6 @@ def center_lines(scenario: Scenario, space: Space) -> list[CenterLine]:
         for ch in scenario.satellites
         for k in range(len(ch.paths))
     ]
-
-
-def fold_azimuth_separation(theta_i: float, theta_j: float) -> float:
-    """Azimuth separation folded into [0, pi]."""
-    d = abs(theta_i - theta_j) % (2.0 * math.pi)
-    return 2.0 * math.pi - d if d > math.pi else d
 
 
 def _cramer(p: tuple[float, float, float], q: tuple[float, float, float]):

@@ -236,6 +236,17 @@ class TestResultTable:
         assert loaded["rows"][0][0] == 39.94007471783003
         assert loaded["note"] == "n"
 
+    @pytest.mark.parametrize("rows", [
+        ((math.nan, math.inf, -math.inf, -0.0), (5e-324, True, False, 2**70 + 1)),
+        (('say "hi"', "back\\slash", "caf\u00e9 \u03a9 \u2192 \U0001f6f0", ""),),
+        ((Space.POSITION, Space.VELOCITY, PathKind.LOS, PathKind.NLOS),),
+        (),
+    ], ids=["numbers", "strings", "enums", "no-rows"])
+    def test_json_is_json_dumps(self, rows):
+        t = ResultTable(("a", "b[m]", "c", "d"), rows, note='a "note" \u00e9')
+        payload = {"note": t.note, "columns": list(t.columns), "rows": rows}
+        assert t.to_json() == json.dumps(payload, indent=2, default=cli._json_cell) + "\n"
+
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
             ResultTable(("a", "b"), ((1,),))
@@ -502,6 +513,15 @@ class TestCommands:
                      "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "intersect.csv").read_text().splitlines()
         assert len(lines) == 1 + 6  # header + C(4,2) cross-satellite points
+
+    def test_intersect_of_one_satellite_writes_an_empty_table(self, tmp_path):
+        p = dump_variant(tmp_path, "case3", lambda raw: raw.update(satellites=raw["satellites"][:1]))
+        for fmt in ("csv", "json"):
+            assert main(["intersect", "--scenario", str(p), "--format", fmt,
+                         "--out", str(tmp_path)]) == EXIT_OK
+        header = (tmp_path / "intersect.csv").read_text()
+        assert header.startswith("space,prn_i,") and header.count("\n") == 1
+        assert '\n  "rows": []\n}\n' in (tmp_path / "intersect.json").read_text()
 
     def test_bounds_case3(self, tmp_path, capsys):
         assert main(["bounds", "--radii", "60,40,30,15", "--out", str(tmp_path)]) == EXIT_OK
@@ -968,18 +988,19 @@ class TestExitCodes:
             alone / "caf_position.csv").read_bytes()
 
     @pytest.mark.parametrize("error, status", [
-        (OSError(errno.ENOSPC, "No space left on device"), EXIT_CANT_CREATE),
-        (MemoryError(), EXIT_COMPUTE),
+        (lambda: OSError(errno.ENOSPC, "No space left on device"), EXIT_CANT_CREATE),
+        (MemoryError, EXIT_COMPUTE),
     ], ids=["write-error", "out-of-memory"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_table_failing_midway_is_removed(self, tmp_path, monkeypatch, error, status, fmt):
+    def test_table_failing_midway_is_removed(self, tmp_path, monkeypatch, capsys, error, status,
+                                             fmt):
         # the default 201^2 grid: its first block's text fills the file's buffer
         def failing(scenario, space):
             grid = scenario_caf(scenario, space)
 
             def blocks():
                 yield next(iter(grid.blocks))
-                raise error
+                raise error()
 
             return replace(grid, blocks=blocks())
 
@@ -988,6 +1009,8 @@ class TestExitCodes:
         assert main(["caf", "--scenario", "table6.scenario", "--space", "position",
                      "--format", fmt, "--out", str(out)]) == status
         assert not any(out.iterdir())
+        if status == EXIT_CANT_CREATE:  # the message names the file
+            assert str(out / f"caf_position.{fmt}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered):

@@ -11,12 +11,11 @@ import pytest
 
 import dpe_multipath
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = ROOT / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert dpe_multipath.__version__ == tomllib.load(f)["project"]["version"]

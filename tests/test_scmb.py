@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath.caf import RIDGE_OFFSET_SIGN, Space
-from dpe_multipath.geom import GeometryError
+from dpe_multipath.geom import GeometryError, fold_azimuth_separation
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.scmb import (
     CenterLine,
@@ -16,7 +16,6 @@ from dpe_multipath.scmb import (
     center_lines,
     critical_points,
     enumerate_intersections,
-    fold_azimuth_separation,
     intersect_lines,
     pair_bias,
     project_to_range,
