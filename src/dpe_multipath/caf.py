@@ -319,7 +319,7 @@ def scenario_caf(scenario: Scenario, space: Space) -> Grid2D:
     evaluated into the reused sum block or a scratch block added to it, so a
     block is valid only until the next one is drawn and no grid is held;
     every cell's value is independent of the blocking.  Cells that overflow
-    are left to :func:`grid_argmax` to report.
+    are left to :class:`_ArgmaxFold` to report.
     """
     spec = scenario.grid_for(space)
     return Grid2D(spec, _summed_blocks(scenario, space, spec))
@@ -345,23 +345,15 @@ def _summed_blocks(scenario: Scenario, space: Space, spec: GridSpec) -> Iterator
         yield block
 
 
-def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
-    """Locate the maximum of a grid, drawing its blocks once, each read
-    before the next is drawn (a block is valid only until then).
+class _ArgmaxFold:
+    """The maximum of a grid, folded over its row blocks: each block is added
+    in order and read before the next is drawn (a block is valid only until then).
 
     Exact value ties resolve to the smallest offset norm, then to the
-    lexicographically smallest (row, col).  Returns the winning offset (the
-    ``u`` component is always 0) and the peak value.  Raises ``ValueError``
-    when the grid holds a NaN or an infinity.
+    lexicographically smallest (row, col).  :meth:`result` returns the winning
+    offset (the ``u`` component is always 0) and the peak value; :meth:`add`
+    raises ``ValueError`` when a block holds a NaN or an infinity.
     """
-    fold = _ArgmaxFold(grid.spec)
-    for block in grid.blocks:
-        fold.add(block)
-    return fold.result()
-
-
-class _ArgmaxFold:
-    """:func:`grid_argmax` as a fold over a grid's row blocks, added in order."""
 
     def __init__(self, spec: GridSpec):
         self.axis = spec.axis()

@@ -146,11 +146,11 @@ def _read_scenario_text(path: str | Path) -> str:
     p = Path(path)
     try:
         if p.exists():
-            return p.read_text()
+            return p.read_text(encoding="utf-8")
         if p.name == str(path):  # bare name: fall back to the bundled fixtures
             res = _bundled_scenario(p.name)
             if res.is_file():
-                return res.read_text()
+                return res.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable or not text
         raise ScenarioParseError(f"cannot read scenario {path}: {e}") from e
     raise ScenarioParseError(f"scenario file not found: {path}")
@@ -572,7 +572,7 @@ def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
     """Write ``table`` to ``outdir/stem.fmt``; if its rows or the write fail, remove the file."""
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{stem}.{fmt}"
-    f = path.open("w")
+    f = path.open("w", encoding="utf-8")
     try:
         with f:
             f.writelines(table._pieces(fmt))
@@ -876,8 +876,7 @@ def cmd_report(args) -> int:
     criteria.append((4, "case-tables-grid-readout", tuple(sim_checks)))
 
     # 2: full elevation sweep, zero-elevation anchors and monotonicity;
-    # 5: Monte Carlo over random azimuth separations.  Built after the grids
-    # of the case studies are freed, so the trial rows do not add to the peak.
+    # 5: Monte Carlo over random azimuth separations.
     sweep = mc.run_elevation_sweep()
     mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
     thetas_deg = 0.5 * np.arange(1, 360)
@@ -940,7 +939,8 @@ def cmd_report(args) -> int:
         )
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(
-        json.dumps({"all_passed": all_ok, "criteria": payload}, indent=2) + "\n"
+        json.dumps({"all_passed": all_ok, "criteria": payload}, indent=2) + "\n",
+        encoding="utf-8",
     )
     print(f"report: {'PASS' if all_ok else 'FAIL'}; details in {outdir / 'report.json'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

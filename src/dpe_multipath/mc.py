@@ -2,11 +2,10 @@
 
 Reproduces the reference tables and figure data bundled with the package:
 elevation sweeps of the bias projection, uniform random azimuth-separation
-trials, grid-vs-analytic case studies, and an oracle comparison pitting the
-summed-grid argmax against the enumerated line intersections.  Every driver
-returns an :class:`ExperimentReport` whose rows are plain tuples; the cli
-module does all serialization, and its ``ResultTable`` checks each row's
-width when the rows are written.
+trials, and grid-vs-analytic case studies.  Every driver returns an
+:class:`ExperimentReport` whose rows are plain tuples; the cli module does
+all serialization, and its ``ResultTable`` checks each row's width when the
+rows are written.
 """
 from __future__ import annotations
 
@@ -25,9 +24,7 @@ from .caf import (
     Space,
     _add_channel,
     _mismatch_coef,
-    grid_argmax,
     mismatch,
-    scenario_caf,
 )
 from .geom import fold_azimuth_separation
 from .scmb import (
@@ -35,8 +32,6 @@ from .scmb import (
     ParallelLinesError,
     _cramer,
     center_line,
-    center_lines,
-    enumerate_intersections,
     intersect_lines,
     project_to_range,
     project_to_range_rate,
@@ -492,79 +487,4 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
         rows=tuple(rows),
         summary=summary,
         checks=tuple(checks),
-    )
-
-
-def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
-    """Summed multi-channel correlation value at one exact offset point.
-
-    Each channel goes through ``caf._add_channel``, the evaluator of
-    :func:`caf.scenario_caf`, into its own subtotal, and the subtotals are
-    added in channel order as :func:`caf.scenario_caf` adds the channel
-    blocks: at a grid node the value equals the summed noiseless grid's cell
-    bit for bit, multipath included.
-    """
-    total = 0.0
-    for ch in scenario.satellites:
-        value = np.zeros(())
-        _add_channel(value, ch, scenario.signal, space, e, n)
-        total += float(value)
-    return total
-
-
-def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> ExperimentReport:
-    """Grid argmax vs analytic intersection points for a noiseless scenario.
-
-    Candidates are the truth point plus every enumerated cross-satellite
-    intersection; the best candidate is the one with the highest exact
-    summed correlation.  The check passes when the summed-grid argmax falls
-    within one grid step of it; disagreement is reported, not raised.
-    """
-    if scenario.noise_sigma != 0.0:
-        raise ValueError("oracle comparison requires a noiseless scenario")
-    spec = scenario.grid_for(space)
-    points = enumerate_intersections(center_lines(scenario, space))
-    candidates = [("truth", (0, 0, 0, 0), 0.0, 0.0, 0.0)]
-    for res in points:
-        candidates.append(
-            ("intersection", res.pair, math.degrees(res.delta_theta), res.point.e, res.point.n)
-        )
-    scored = [
-        (kind, pair, dth, e, n, caf_value_at(scenario, space, e, n))
-        for kind, pair, dth, e, n in candidates
-    ]
-    best = max(scored, key=lambda r: (r[5], -math.hypot(r[3], r[4])))
-    offset, peak = grid_argmax(scenario_caf(scenario, space))
-    gap = math.hypot(offset.e - best[3], offset.n - best[4])
-    agree = gap <= spec.step + 1e-9
-    rows = []
-    for entry in scored:
-        kind, pair, dth, e, n, value = entry
-        rows.append(
-            (kind, "-".join(map(str, pair)), dth, e, n, math.hypot(e, n), value, int(entry is best))
-        )
-    return ExperimentReport(
-        columns=(
-            "kind",
-            "pair",
-            "delta_theta[deg]",
-            "offset_e",
-            "offset_n",
-            "radial_error",
-            "caf_value",
-            "is_best",
-        ),
-        rows=tuple(rows),
-        summary={
-            "space": space.value,
-            "argmax_e": offset.e,
-            "argmax_n": offset.n,
-            "argmax_peak": peak,
-            "best_e": best[3],
-            "best_n": best[4],
-            "best_value": best[5],
-            "argmax_to_best": gap,
-            "grid_step": spec.step,
-        },
-        checks=(fixture_check("argmax_within_one_step", 1.0, float(agree), 0.0, None),),
     )

@@ -1,5 +1,7 @@
-"""Test-side helpers: the bundled scenarios' authored receiver and channels, and
-geometry that only the tests read (fixture building and reference formulas)."""
+"""Test-side helpers: the bundled scenarios' authored receiver and channels,
+geometry that only the tests read (fixture building and reference formulas), and
+the grid oracle: a whole-grid argmax, a single-point CAF value and their
+comparison against the enumerated line intersections."""
 import json
 import math
 from typing import Sequence
@@ -7,9 +9,11 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from dpe_multipath.caf import Grid2D, Scenario, Space, _add_channel, _ArgmaxFold, scenario_caf
 from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
-from dpe_multipath.scmb import CenterLine
+from dpe_multipath.mc import ExperimentReport, fixture_check
+from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -64,6 +68,96 @@ def fixture_with(name: str, mutate) -> dict:
     raw = json.loads(_bundled_scenario(f"{name}.scenario").read_text())
     mutate(raw)
     return raw
+
+
+def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
+    """Locate the maximum of a grid, drawing its blocks once, each read
+    before the next is drawn (a block is valid only until then).
+
+    Exact value ties resolve to the smallest offset norm, then to the
+    lexicographically smallest (row, col).  Returns the winning offset (the
+    ``u`` component is always 0) and the peak value.  Raises ``ValueError``
+    when the grid holds a NaN or an infinity.
+    """
+    fold = _ArgmaxFold(grid.spec)
+    for block in grid.blocks:
+        fold.add(block)
+    return fold.result()
+
+
+def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
+    """Summed multi-channel correlation value at one exact offset point.
+
+    Each channel goes through ``caf._add_channel``, the evaluator of
+    :func:`caf.scenario_caf`, into its own subtotal, and the subtotals are
+    added in channel order as :func:`caf.scenario_caf` adds the channel
+    blocks: at a grid node the value equals the summed noiseless grid's cell
+    bit for bit, multipath included.
+    """
+    total = 0.0
+    for ch in scenario.satellites:
+        value = np.zeros(())
+        _add_channel(value, ch, scenario.signal, space, e, n)
+        total += float(value)
+    return total
+
+
+def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> ExperimentReport:
+    """Grid argmax vs analytic intersection points for a noiseless scenario.
+
+    Candidates are the truth point plus every enumerated cross-satellite
+    intersection; the best candidate is the one with the highest exact
+    summed correlation.  The check passes when the summed-grid argmax falls
+    within one grid step of it; disagreement is reported, not raised.
+    """
+    if scenario.noise_sigma != 0.0:
+        raise ValueError("oracle comparison requires a noiseless scenario")
+    spec = scenario.grid_for(space)
+    points = enumerate_intersections(center_lines(scenario, space))
+    candidates = [("truth", (0, 0, 0, 0), 0.0, 0.0, 0.0)]
+    for res in points:
+        candidates.append(
+            ("intersection", res.pair, math.degrees(res.delta_theta), res.point.e, res.point.n)
+        )
+    scored = [
+        (kind, pair, dth, e, n, caf_value_at(scenario, space, e, n))
+        for kind, pair, dth, e, n in candidates
+    ]
+    best = max(scored, key=lambda r: (r[5], -math.hypot(r[3], r[4])))
+    offset, peak = grid_argmax(scenario_caf(scenario, space))
+    gap = math.hypot(offset.e - best[3], offset.n - best[4])
+    agree = gap <= spec.step + 1e-9
+    rows = []
+    for entry in scored:
+        kind, pair, dth, e, n, value = entry
+        rows.append(
+            (kind, "-".join(map(str, pair)), dth, e, n, math.hypot(e, n), value, int(entry is best))
+        )
+    return ExperimentReport(
+        columns=(
+            "kind",
+            "pair",
+            "delta_theta[deg]",
+            "offset_e",
+            "offset_n",
+            "radial_error",
+            "caf_value",
+            "is_best",
+        ),
+        rows=tuple(rows),
+        summary={
+            "space": space.value,
+            "argmax_e": offset.e,
+            "argmax_n": offset.n,
+            "argmax_peak": peak,
+            "best_e": best[3],
+            "best_n": best[4],
+            "best_value": best[5],
+            "argmax_to_best": gap,
+            "grid_step": spec.step,
+        },
+        checks=(fixture_check("argmax_within_one_step", 1.0, float(agree), 0.0, None),),
+    )
 
 
 # Values that mutations write into a fixture: every JSON type, with the

@@ -22,7 +22,6 @@ from dpe_multipath.caf import (
     SignalConfig,
     SignalPath,
     Space,
-    grid_argmax,
     make_channel,
     mismatch,
     scenario_caf,
@@ -33,6 +32,7 @@ from scenario_helpers import (
     channel,
     enu_from_angles,
     enu_to_ecef,
+    grid_argmax,
     grid_values,
 )
 

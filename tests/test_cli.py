@@ -1,4 +1,5 @@
 """Scenario file I/O, CLI subcommands, exit codes, output stability."""
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -79,6 +80,14 @@ def dump_variant(tmp_path: Path, name: str, mutate) -> Path:
     return path
 
 
+def run_module(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter with the package on its path and
+    ``env`` over this one's environment."""
+    child = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **env}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          encoding="utf-8", env=child)
+
+
 class TestScenarioIO:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_fixtures_load(self, name):
@@ -138,6 +147,26 @@ class TestScenarioIO:
         assert capsys.readouterr().err.startswith(
             f"parse error: cannot read scenario {tmp_path}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_no_io_takes_the_locale_encoding(self, tmp_path):
+        # EncodingWarning marks every open, read or write that names no encoding
+        p = dump_variant(tmp_path, "table6", _tiny_grids)
+        for argv in (["project", "--scenario", str(p)],
+                     ["project", "--scenario", "table6.scenario"],
+                     ["caf", "--scenario", str(p)], ["report"]):
+            done = run_module(["-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "dpe_multipath", *argv, "--out", str(tmp_path / "out")])
+            assert (done.returncode, "Traceback" in done.stderr) == (EXIT_OK, False), argv
+
+    def test_scenario_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        raw = fixture_with("table6", lambda raw: raw.update({"cl\u00e9": 1}))
+        p = tmp_path / "accent.scenario"
+        p.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+        done = run_module(["-X", "utf8=0", "-m", "dpe_multipath", "project", "--scenario", str(p),
+                           "--out", str(tmp_path / "out")], LC_ALL="C", PYTHONIOENCODING="utf-8")
+        assert done.returncode == EXIT_SCHEMA
+        assert done.stderr == ("schema error: (root): Additional properties are not allowed"
+                               " ('cl\u00e9' was unexpected)\n")
 
     def test_schema_error_names_field(self, tmp_path):
         p = dump_variant(
@@ -642,24 +671,21 @@ class TestCommands:
         assert sorted(files[0]) == ["caf_position.csv", "caf_velocity.csv", "intersect.json",
                                     "project.json"]
 
-    def test_run_experiments_prints_every_driver_summary(self):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                              env=env)
-        assert done.returncode == 0
-        assert done.stderr == ""
-        assert done.stdout.splitlines() == [
-            "elevation sweep: PASS (4/4 checks, 171 rows)",
-            "azimuth monte carlo: PASS (3/3 checks, 10000 rows)",
-            "case study case1: PASS (14/14 checks, 12 rows)",
-            "case study case2: PASS (20/20 checks, 12 rows)",
-            "case study case3: PASS (16/16 checks, 12 rows)",
-            "case study table6: PASS (6/6 checks, 2 rows)",
-            "oracle compare case1 (position): PASS (1/1 checks, 5 rows)",
-            "oracle compare case3 (position): PASS (1/1 checks, 7 rows)",
-            "oracle compare table6 (position): PASS (1/1 checks, 2 rows)",
-        ]
+    def test_readme_synopsis_matches_parser(self):
+        # each command's line in the README's synopsis lists the flags it
+        # takes, besides the --out and --format that every command takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+        (commands,) = [a.choices for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        documented = {}
+        for line in block.splitlines():
+            name, _, flags = line.partition(" ")
+            if name in commands:
+                documented[name] = {*re.findall(r"--[a-z-]+", flags), "--out", "--format"}
+        assert documented == {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in commands.items()}
 
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -870,21 +896,6 @@ class TestExitCodes:
         assert main(["caf", "--scenario", str(noisy), "--space", "position",
                      "--seed", str(2**128), "--out", str(tmp_path)]) == EXIT_OK
 
-    @pytest.mark.parametrize("script, argv", [
-        ("run_experiments.py", ["--trials", "0"]),
-        ("run_experiments.py", ["--seed", "-1"]),
-    ])
-    def test_script_flags_checked_like_cli(self, tmp_path, script, argv):
-        path = Path(__file__).resolve().parents[1] / "scripts" / script
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, str(path), *argv], capture_output=True,
-                              text=True, env=env, cwd=tmp_path)
-        assert done.returncode == 2
-        assert done.stderr.startswith("usage: ")
-        assert f"argument {argv[0]}: expected an integer" in done.stderr
-        assert "Traceback" not in done.stderr
-        assert not any(tmp_path.iterdir())
-
     def test_huge_radii_curve_is_silent(self, tmp_path, capsys):
         # 1e308 overflows inside the law of cosines; the hypot fallback and
         # the division give the right values without a RuntimeWarning
@@ -1041,10 +1052,8 @@ class TestExitCodes:
             raw["satellites"][0]["paths"] = [{"kind": "nlos", "amplitude": 1e308}] * 2
 
         p = dump_variant(tmp_path, "case3", huge_paths)
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "dpe_multipath", "caf", "--scenario", str(p),
-             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        done = run_module(["-m", "dpe_multipath", "caf", "--scenario", str(p),
+                           "--out", str(tmp_path / "out")])
         assert done.returncode == EXIT_COMPUTE
         (line,) = done.stderr.splitlines()
         assert line.startswith("computation error: summed CAF grid is not finite")

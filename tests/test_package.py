@@ -74,7 +74,7 @@ def test_unused_imports_found():
 
 
 def test_no_unused_module_imports():
-    files = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+    files = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
     assert len(files) > 10
     unused = {str(p.relative_to(ROOT)): names
               for p in files if (names := unused_imports(p.read_text()))}
@@ -121,7 +121,7 @@ def foreign_imports(path: Path) -> list[str]:
 
 
 def test_names_imported_from_their_defining_module():
-    files = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+    files = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
     foreign = {str(p.relative_to(ROOT)): names
                for p in files if (names := foreign_imports(p))}
     assert foreign == {}
@@ -181,5 +181,5 @@ def test_unread_public_names_found(tmp_path):
 
 
 def test_every_public_name_is_read_by_the_program():
-    files = sorted(p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py"))
+    files = sorted((ROOT / "src").rglob("*.py"))
     assert unread_public_names(files) == UNREAD_ALLOWED

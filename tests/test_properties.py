@@ -22,7 +22,6 @@ from dpe_multipath.caf import (
     SignalPath,
     Space,
     SPEED_OF_LIGHT,
-    grid_argmax,
     make_channel,
     scenario_caf,
 )
@@ -30,7 +29,6 @@ from dpe_multipath.geom import EnuVector, LookAngles
 from dpe_multipath.mc import (
     _scanline_readout,
     pair_error_curve,
-    run_oracle_compare,
     run_random_azimuth_mc,
 )
 from dpe_multipath.scmb import (
@@ -40,7 +38,14 @@ from dpe_multipath.scmb import (
     intersect_lines,
     pair_bias,
 )
-from scenario_helpers import authored_receiver, count_intersections, grid_values, tangent_point
+from scenario_helpers import (
+    authored_receiver,
+    count_intersections,
+    grid_argmax,
+    grid_values,
+    run_oracle_compare,
+    tangent_point,
+)
 
 REFERENCE_RECEIVER = authored_receiver()
 D = dict(derandomize=True, deadline=None)
