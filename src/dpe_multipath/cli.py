@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -324,8 +324,8 @@ def _scenario_from_dict(raw: dict) -> Scenario:
 class ResultTable:
     """Serialized table: named+united columns, uniform rows, one-line note.
 
-    ``rows`` is a tuple of row tuples, whose cells are scalars of any type,
-    or, for three columns, a ``caf.Grid2D``, written as the rows
+    ``rows`` is a tuple of row tuples, whose cells are ``str``, ``int`` or
+    ``float``, or, for three columns, a ``caf.Grid2D``, written as the rows
     ``(east, north, value)`` with north as the outer index and east as the
     inner one.  A grid's blocks are spelled as they are drawn, each before
     the next is drawn, so a one-shot grid can be written once.  CSV spells
@@ -367,22 +367,12 @@ class ResultTable:
             yield from _json_grid_texts(self.rows)
             yield "\n  ]\n}\n"
             return
-        yield from json.JSONEncoder(indent=2, default=_json_cell).iterencode(payload)
+        yield from json.JSONEncoder(indent=2).iterencode(payload)
         yield "\n"
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, (Space, PathKind)):
-        return v.value
-    raise TypeError(f"not JSON serializable: {type(v)}")
+    return format(v, ".6g") if isinstance(v, float) else str(v)
 
 
 def _csv_row(row: tuple) -> str:
@@ -569,13 +559,17 @@ def _csv_grid_texts(grid: Grid2D) -> Iterator[str]:
 
 
 def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
-    """Write ``table`` to ``outdir/stem.fmt``; if its rows or the write fail, remove the file."""
+    return _write_text(outdir, f"{stem}.{fmt}", table._pieces(fmt))
+
+
+def _write_text(outdir: Path, name: str, pieces: Iterable[str]) -> Path:
+    """Write ``pieces`` to ``outdir/name``; if they or the write fail, remove the file."""
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{stem}.{fmt}"
+    path = outdir / name
     f = path.open("w", encoding="utf-8")
     try:
         with f:
-            f.writelines(table._pieces(fmt))
+            f.writelines(pieces)
     except BaseException as e:
         path.unlink(missing_ok=True)
         if isinstance(e, OSError) and e.filename is None:  # a write's or close's error
@@ -833,116 +827,48 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _criterion_line(cid: int, name: str, checks) -> tuple[bool, str]:
-    ok = all(c.passed for c in checks)
-    n_pass = sum(1 for c in checks if c.passed)
-    status = "PASS" if ok else "FAIL"
-    return ok, f"criterion-{cid} {name}: {status} ({n_pass}/{len(checks)} checks)"
-
-
 def cmd_report(args) -> int:
     outdir = Path(args.out)
-    fmt = args.format
     seed = _driver_seed(args.seed)
-    criteria: list[tuple[int, str, tuple]] = []
 
-    # 1: projection of the reference biases at the four reference elevations
+    def write(stem: str, note: str, columns: tuple[str, ...], rows) -> None:
+        _write_table(ResultTable(columns, rows, note), outdir, stem, args.format)
+
     proj = mc.run_elevation_sweep(1.0, 120.0, sorted(mc.EXPECTED_PROJECTION))
-    _write_table(
-        ResultTable(proj.columns, proj.rows, "bias projection at reference elevations"),
-        outdir, "projection_table", fmt,
-    )
-    criteria.append((1, "projection-table", tuple(
-        c for c in proj.checks if c.name.startswith("projection:"))))
-
-    # 3 and 4: case studies, analytic and grid-readout columns
-    theo_checks: list = []
-    sim_checks: list = []
+    write("projection_table", "bias projection at reference elevations", proj.columns, proj.rows)
+    cases = {}
     for case in ("case1", "case2", "case3"):
         scenario = load_scenario(f"{case}.scenario")
-        rep = mc.run_case_study(scenario, case)
-        _write_table(
-            ResultTable(rep.columns, rep.rows, f"pair biases, {case}"), outdir, f"{case}_table",
-            fmt
-        )
-        theo_checks += [c for c in rep.checks if c.name.endswith(":theoretical")]
-        sim_checks += [c for c in rep.checks if c.name.endswith(":simulated")]
-    criteria.append((3, "case-tables-analytic", tuple(theo_checks)))
-
-    # 6 computed before 4 so the field replay's grid readouts join criterion 4
-    t6 = load_scenario("table6.scenario")
-    rep6 = mc.run_case_study(t6, "table6")
-    sim_checks += [c for c in rep6.checks if c.name.endswith(":simulated")]
-    criteria.append((4, "case-tables-grid-readout", tuple(sim_checks)))
-
-    # 2: full elevation sweep, zero-elevation anchors and monotonicity;
-    # 5: Monte Carlo over random azimuth separations.
+        rep = mc.run_case_study(scenario)
+        cases[case] = scenario, rep
+        write(f"{case}_table", f"pair biases, {case}", rep.columns, rep.rows)
+    table6 = load_scenario("table6.scenario")  # the field replay writes only its reference table
+    field = table6, mc.run_case_study(table6)
     sweep = mc.run_elevation_sweep()
     mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
     thetas_deg = 0.5 * np.arange(1, 360)
     thetas = np.radians(thetas_deg)
-    _write_table(ResultTable(sweep.columns, sweep.rows, "bias projection sweep over elevation"),
-                 outdir, "fig7_data", fmt)
-    _write_table(
-        ResultTable(
-            ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
-            tuple(zip(
-                thetas_deg.tolist(),
-                mc.pair_error_curve(40.0, 0.0, thetas).tolist(),
-                mc.pair_error_curve(40.0, 40.0, thetas).tolist(),
-            )),
-            note="pair radial error vs azimuth separation",
-        ),
-        outdir, "fig8_data", fmt,
-    )
-    _write_table(
-        ResultTable(
-            ("delta_theta[deg]", "radial_error[m]", "trial"),
-            tuple((r[1], r[2], r[0]) for r in mcrep.rows),
-            note="random azimuth-separation trials, radii (60, 40)",
-        ),
-        outdir, "fig11_data", fmt,
-    )
-    criteria.append((2, "elevation-sweep-anchors", sweep.checks))
-    criteria.append((5, "monte-carlo", mcrep.checks))
+    write("fig7_data", "bias projection sweep over elevation", sweep.columns, sweep.rows)
+    write("fig8_data", "pair radial error vs azimuth separation",
+          ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"),
+          tuple(zip(thetas_deg.tolist(), mc.pair_error_curve(40.0, 0.0, thetas).tolist(),
+                    mc.pair_error_curve(40.0, 40.0, thetas).tolist())))
+    write("fig11_data", "random azimuth-separation trials, radii (60, 40)",
+          ("delta_theta[deg]", "radial_error[m]", "trial"),
+          tuple((r[1], r[2], r[0]) for r in mcrep.rows))
+    criteria, field_rows = mc.reference_criteria(proj, sweep, mcrep, cases, field)
+    write("field_reference", "field replay; measured column is documentation, not a check",
+          ("quantity", "theoretical", "field_measured"), field_rows)
 
-    # 6: field replay, theoretical column (the measured column is reference-only)
-    checks6 = tuple(c for c in rep6.checks if not c.name.endswith(":simulated"))
-    quantities = {
-        "range_bias[m]": "table6:prn18:position:radius",
-        "range_rate_bias[m/s]": "table6:prn18:velocity:radius",
-        "radial_error[m]": "table6:OB:position:theoretical",
-        "radial_rate_error[m/s]": "table6:OB:velocity:theoretical",
-    }
-    by_name = {c.name: c for c in rep6.checks}
-    field_rows = tuple(
-        (q, by_name[n].actual, mc.FIELD_MEASURED[q]) for q, n in quantities.items()
-    )
-    _write_table(
-        ResultTable(
-            ("quantity", "theoretical", "field_measured"),
-            field_rows,
-            note="field replay; measured column is documentation, not a check",
-        ),
-        outdir, "field_reference", fmt,
-    )
-    criteria.append((6, "field-replay-theoretical", checks6))
-
-    all_ok = True
-    payload = []
-    for cid, name, checks in sorted(criteria):
-        ok, line = _criterion_line(cid, name, checks)
-        all_ok &= ok
-        print(line)
-        payload.append(
-            {"id": cid, "name": name, "passed": ok, "checks": [asdict(c) for c in checks]}
-        )
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(
-        json.dumps({"all_passed": all_ok, "criteria": payload}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    print(f"report: {'PASS' if all_ok else 'FAIL'}; details in {outdir / 'report.json'}")
+    all_ok = all(c.passed for c in criteria)
+    for c in criteria:
+        print(f"criterion-{c.id} {c.name}: {'PASS' if c.passed else 'FAIL'}"
+              f" ({sum(k.passed for k in c.checks)}/{len(c.checks)} checks)")
+    payload = [{"id": c.id, "name": c.name, "passed": c.passed,
+                "checks": [asdict(k) for k in c.checks]} for c in criteria]
+    path = _write_text(outdir, "report.json",
+                       (json.dumps({"all_passed": all_ok, "criteria": payload}, indent=2), "\n"))
+    print(f"report: {'PASS' if all_ok else 'FAIL'}; details in {path}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 

@@ -3,9 +3,10 @@
 Reproduces the reference tables and figure data bundled with the package:
 elevation sweeps of the bias projection, uniform random azimuth-separation
 trials, and grid-vs-analytic case studies.  Every driver returns an
-:class:`ExperimentReport` whose rows are plain tuples; the cli module does
-all serialization, and its ``ResultTable`` checks each row's width when the
-rows are written.
+:class:`ExperimentReport` of columns, plain tuple rows of ``str``, ``int``
+and ``float`` cells, and a summary; the cli module does all serialization.
+The reference values live here, and :func:`reference_criteria` builds every
+check of ``report`` from the drivers' rows.
 """
 from __future__ import annotations
 
@@ -63,7 +64,8 @@ EXPECTED_CASE_BIAS = {  # case -> pair label -> (position m, velocity m/s)
     "case3": {"OA": (60.8, 60.8), "OB": (72.8, 72.8), "OC": (84.4, 84.4), "OD": (30.3, 30.3)},
     "table6": {"OB": (47.2, 49.5)},
 }
-EXPECTED_RADII = {"table6": {18: (39.9, 41.8)}}  # prn -> (m, m/s)
+FIELD_PRN = 18  # table6's biased satellite
+EXPECTED_FIELD_RADII = (39.9, 41.8)  # (m, m/s) of its center lines
 FIXTURE_TOL = 0.1
 FIXTURE_TOL_OA = 0.4  # the reference prints 85.1 deg for the OA separation; its
 # azimuths give 84.9 deg, so this pair gets a wider band
@@ -72,12 +74,13 @@ EXPECTED_MC_MIN_RTOL = 0.005
 EXPECTED_MC_ARGMIN_DEG = 48.2
 EXPECTED_MC_ARGMIN_TOL_DEG = 1.0
 
-# Field-measured reference values (same dataset); not reproducible from the
-# simulation and therefore never checked, only reported alongside.
+# Field-measured reference values (same dataset), in the field reference
+# table's order; not reproducible from the simulation and therefore never
+# checked, only reported alongside.
 FIELD_MEASURED = {
     "range_bias[m]": 39.7,
-    "radial_error[m]": 46.1,
     "range_rate_bias[m/s]": 41.8,
+    "radial_error[m]": 46.1,
     "radial_rate_error[m/s]": 47.6,
 }
 
@@ -94,17 +97,25 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
-    """Rows plus summary statistics and fixture checks of one driver run."""
+class Criterion:
+    """One numbered ``report`` criterion; it passes when all its checks do."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    summary: dict
-    checks: tuple[CheckResult, ...] = ()
+    id: int
+    name: str
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+@dataclass(frozen=True)
+class ExperimentReport:
+    """Rows plus summary statistics of one driver run."""
+
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    summary: dict
 
 
 def fixture_check(name: str, expected: float, actual: float, tol: float,
@@ -117,6 +128,93 @@ def fixture_check(name: str, expected: float, actual: float, tol: float,
     """
     probe = actual if decimals is None else round(actual, decimals)
     return CheckResult(name, expected, actual, tol, bool(abs(probe - expected) <= tol + 1e-12))
+
+
+def reference_criteria(
+    projection: ExperimentReport,
+    sweep: ExperimentReport,
+    monte_carlo: ExperimentReport,
+    cases: dict[str, tuple[Scenario, ExperimentReport]],
+    field: tuple[Scenario, ExperimentReport],
+) -> tuple[tuple[Criterion, ...], tuple[tuple, ...]]:
+    """The criteria of ``report``, in order, and the field reference table's rows.
+
+    Every check is built from the drivers' rows and summaries: ``projection``
+    is the sweep at the reference elevations, ``sweep`` the default one and
+    ``monte_carlo`` the run at the reference radii; ``cases`` maps case1..3,
+    and ``field`` holds table6, as (scenario, case study).  A pair is checked
+    against its reference bias when its label has one, and its grid readout
+    against its analytic value, within 1.5 grid steps, when the crossing
+    lies in the grid window and the readout is finite.
+    """
+    projection_checks = []
+    for el, rng, rate in projection.rows:
+        if el in EXPECTED_PROJECTION:
+            exp_rng, exp_rate = EXPECTED_PROJECTION[el]
+            projection_checks += [
+                fixture_check(f"projection:{el}:range_bias", exp_rng, rng, FIXTURE_TOL),
+                fixture_check(f"projection:{el}:range_rate_bias", exp_rate, rate, FIXTURE_TOL),
+            ]
+    monotone = ("range_bias_strictly_increasing", "range_rate_bias_strictly_increasing")
+    sweep_checks = [fixture_check(k, 1.0, float(sweep.summary[k]), 0.0, None) for k in monotone]
+    zero = next(row[1:] for row in sweep.rows if row[0] == 0.0)
+    sweep_checks += [
+        fixture_check(f"zero_elevation:{k}", expected, actual, FIXTURE_TOL)
+        for k, expected, actual in zip(("range_bias", "range_rate_bias"),
+                                       EXPECTED_ZERO_ELEVATION, zero)
+    ]
+    s = monte_carlo.summary
+    mc_checks = (
+        fixture_check("radial_error_floor_violations", 0.0, float(s["below_floor"]), 0.0, None),
+        fixture_check("min_radial_error", EXPECTED_MC_MIN, s["min_radial_error"],
+                      EXPECTED_MC_MIN_RTOL * EXPECTED_MC_MIN, None),
+        fixture_check("argmin_separation_deg", EXPECTED_MC_ARGMIN_DEG,
+                      s["argmin_separation_deg"], EXPECTED_MC_ARGMIN_TOL_DEG, None),
+    )
+    analytic, readout, field_checks = [], [], []
+    for case, (scenario, rep) in cases.items():
+        for space in Space:
+            theoretical, simulated = _pair_checks(case, scenario, rep.rows, space)
+            analytic += theoretical
+            readout += simulated
+    scenario, rep = field
+    (ch,) = (ch for ch in scenario.satellites if ch.prn == FIELD_PRN)
+    for space, expected in zip(Space, EXPECTED_FIELD_RADII):
+        radius = center_line(ch, 0, space, scenario.signal).radius
+        theoretical, simulated = _pair_checks("table6", scenario, rep.rows, space)
+        field_checks += [fixture_check(f"table6:prn{FIELD_PRN}:{space.value}:radius", expected,
+                                       radius, FIXTURE_TOL), *theoretical]
+        readout += simulated
+    # per space, the PRN 18 radius and then the OB bias
+    field_rows = tuple(
+        (q, c.actual, measured) for (q, measured), c in
+        zip(FIELD_MEASURED.items(), field_checks[0::2] + field_checks[1::2], strict=True))
+    return (
+        Criterion(1, "projection-table", tuple(projection_checks)),
+        Criterion(2, "elevation-sweep-anchors", tuple(sweep_checks)),
+        Criterion(3, "case-tables-analytic", tuple(analytic)),
+        Criterion(4, "case-tables-grid-readout", tuple(readout)),
+        Criterion(5, "monte-carlo", mc_checks),
+        Criterion(6, "field-replay-theoretical", tuple(field_checks)),
+    ), field_rows
+
+
+def _pair_checks(case: str, scenario: Scenario, rows, space: Space) -> tuple[list, list]:
+    """Reference-bias and grid-readout checks of a case study's rows in ``space``."""
+    expected = EXPECTED_CASE_BIAS[case]
+    k = list(Space).index(space)
+    theoretical, simulated = [], []
+    for row_space, label, _, _, _, analytic, readout, in_window in rows:
+        if row_space != space.value:
+            continue
+        if label in expected:
+            tol = FIXTURE_TOL_OA if label == "OA" else FIXTURE_TOL
+            theoretical.append(fixture_check(f"{case}:{label}:{space.value}:theoretical",
+                                             expected[label][k], analytic, tol))
+        if in_window and math.isfinite(readout):
+            simulated.append(fixture_check(f"{case}:{label}:{space.value}:simulated", analytic,
+                                           readout, 1.5 * scenario.grid_for(space).step, None))
+    return theoretical, simulated
 
 
 def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) -> np.ndarray:
@@ -154,9 +252,8 @@ def run_elevation_sweep(
 ) -> ExperimentReport:
     """Project a fixed delay/Doppler bias over a set of elevations.
 
-    Defaults sweep 0..85 deg in half-degree steps.  Fixture checks attach to
-    the zero-elevation anchor and to rows landing on the reference
-    elevations when the biases are the reference (1 chip, 120 Hz).
+    Defaults sweep 0..85 deg in half-degree steps.  ``summary`` records
+    whether each bias column strictly increases with elevation.
     """
     if elevations_deg is None:
         elevations_deg = 0.5 * np.arange(171)
@@ -175,29 +272,6 @@ def run_elevation_sweep(
     rates = [r[2] for r in rows]
     increasing_range = all(b > a for a, b in zip(ranges, ranges[1:]))
     increasing_rate = all(b > a for a, b in zip(rates, rates[1:]))
-    checks = []
-    is_reference_bias = (delay_chips, doppler_hz) == (1.0, 120.0)
-    if len(rows) > 1 and delay_chips > 0.0 and doppler_hz > 0.0:
-        checks.append(
-            fixture_check("range_bias_strictly_increasing", 1.0, float(increasing_range), 0.0, None)
-        )
-        checks.append(
-            fixture_check("range_rate_bias_strictly_increasing", 1.0, float(increasing_rate), 0.0, None)
-        )
-    for el, rng, rate in rows:
-        if is_reference_bias and el == 0.0:
-            checks.append(
-                fixture_check("zero_elevation:range_bias", EXPECTED_ZERO_ELEVATION[0], rng, FIXTURE_TOL)
-            )
-            checks.append(
-                fixture_check("zero_elevation:range_rate_bias", EXPECTED_ZERO_ELEVATION[1], rate, FIXTURE_TOL)
-            )
-        if is_reference_bias and el in EXPECTED_PROJECTION:
-            exp_rng, exp_rate = EXPECTED_PROJECTION[el]
-            checks.append(fixture_check(f"projection:{el}:range_bias", exp_rng, rng, FIXTURE_TOL))
-            checks.append(
-                fixture_check(f"projection:{el}:range_rate_bias", exp_rate, rate, FIXTURE_TOL)
-            )
     return ExperimentReport(
         columns=("elevation[deg]", "range_bias[m]", "range_rate_bias[m/s]"),
         rows=tuple(rows),
@@ -206,7 +280,6 @@ def run_elevation_sweep(
             "range_bias_strictly_increasing": increasing_range,
             "range_rate_bias_strictly_increasing": increasing_rate,
         },
-        checks=tuple(checks),
     )
 
 
@@ -232,26 +305,6 @@ def run_random_azimuth_mc(
     # relative slack: an absolute one would exceed a tiny floor
     below = int(np.count_nonzero(errors < floor * (1.0 - 1e-9)))
     rows = tuple(zip(range(trials), np.degrees(thetas).tolist(), errors.tolist()))
-    checks = [fixture_check("radial_error_floor_violations", 0.0, float(below), 0.0, None)]
-    if (rho_i, rho_j, trials) == (60.0, 40.0, 10000):
-        checks.append(
-            fixture_check(
-                "min_radial_error",
-                EXPECTED_MC_MIN,
-                float(errors[imin]),
-                EXPECTED_MC_MIN_RTOL * EXPECTED_MC_MIN,
-                None,
-            )
-        )
-        checks.append(
-            fixture_check(
-                "argmin_separation_deg",
-                EXPECTED_MC_ARGMIN_DEG,
-                math.degrees(float(thetas[imin])),
-                EXPECTED_MC_ARGMIN_TOL_DEG,
-                None,
-            )
-        )
     return ExperimentReport(
         columns=("trial", "delta_theta[deg]", "radial_error[m]"),
         rows=rows,
@@ -265,7 +318,6 @@ def run_random_azimuth_mc(
             "floor": floor,
             "below_floor": below,
         },
-        checks=tuple(checks),
     )
 
 
@@ -390,16 +442,15 @@ def _pair_label(prn_i: int, prn_j: int) -> str:
     return f"{prn_i}-{prn_j}"
 
 
-def run_case_study(scenario: Scenario, case_id: str | None = None) -> ExperimentReport:
+def run_case_study(scenario: Scenario) -> ExperimentReport:
     """Analytic vs grid-readout pair errors for a one-path-per-satellite scenario.
 
     The analytic column intersects the exact center lines; the simulated
     column reads each channel's ridge off its own noiseless grid (scanline
     argmax + least squares) and intersects the fitted lines.  The argmaxes
     come from a few certified cells per scanline (:func:`_scanline_readout`),
-    so a scenario with noise raises ``ValueError``.  ``case_id`` attaches the
-    matching reference-table checks; simulated values are checked against
-    the analytic ones within 1.5 grid steps for in-window points regardless.
+    so a scenario with noise raises ``ValueError``.  ``in_window`` is 1 when
+    the analytic crossing lies in the grid; parallel lines read infinite.
     ``summary`` holds per space the readout counts and per PRN the fit's RMS
     residual and scanlines kept (columns, rows).
     """
@@ -408,12 +459,9 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
     for ch in scenario.satellites:
         if len(ch.paths) != 1:
             raise ValueError("case study expects exactly one path per satellite")
-    expected = EXPECTED_CASE_BIAS.get(case_id, {}) if case_id else {}
-    expected_radii = EXPECTED_RADII.get(case_id, {}) if case_id else {}
     rows = []
-    checks = []
     summary = {}
-    for space_index, space in enumerate((Space.POSITION, Space.VELOCITY)):
+    for space in Space:
         grid = scenario.grid_for(space)
         axis = grid.axis()
         lines = {ch.prn: center_line(ch, 0, space, scenario.signal) for ch in scenario.satellites}
@@ -424,13 +472,6 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
                          for per_column in (True, False)]
             fitted[ch.prn], residual[ch.prn], kept[ch.prn] = _ridge_line_fit(axis, scanlines)
         summary[space.value] = {**stats, "residual": residual, "kept": kept}
-        for prn, (exp_pos, exp_vel) in expected_radii.items():
-            exp = (exp_pos, exp_vel)[space_index]
-            checks.append(
-                fixture_check(
-                    f"{case_id}:prn{prn}:{space.value}:radius", exp, lines[prn].radius, FIXTURE_TOL
-                )
-            )
         prns = [ch.prn for ch in scenario.satellites]
         for a in range(len(prns)):
             for b in range(a + 1, len(prns)):
@@ -453,26 +494,6 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
                 rows.append(
                     (space.value, label, pi, pj, math.degrees(dth), analytic, simulated, in_window)
                 )
-                if label in expected:
-                    tol = FIXTURE_TOL_OA if label == "OA" else FIXTURE_TOL
-                    checks.append(
-                        fixture_check(
-                            f"{case_id}:{label}:{space.value}:theoretical",
-                            expected[label][space_index],
-                            analytic,
-                            tol,
-                        )
-                    )
-                if in_window and sim_point is not None:
-                    checks.append(
-                        fixture_check(
-                            f"{case_id or 'case'}:{label}:{space.value}:simulated",
-                            analytic,
-                            simulated,
-                            1.5 * grid.step,
-                            None,
-                        )
-                    )
     return ExperimentReport(
         columns=(
             "space",
@@ -486,5 +507,4 @@ def run_case_study(scenario: Scenario, case_id: str | None = None) -> Experiment
         ),
         rows=tuple(rows),
         summary=summary,
-        checks=tuple(checks),
     )

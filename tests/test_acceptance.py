@@ -96,7 +96,7 @@ def test_criterion_4_case_tables_simulated(acceptance_log):
     checked = 0
     step = {"position": 1.0, "velocity": 0.1}
     for case in ("case1", "case2", "case3"):
-        rep = mc.run_case_study(load_scenario(f"{case}.scenario"), case)
+        rep = mc.run_case_study(load_scenario(f"{case}.scenario"))
         for space, _, _, _, _, analytic, simulated, in_window in rep.rows:
             if in_window:
                 checked += 1

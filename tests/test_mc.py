@@ -1,4 +1,6 @@
-"""Experiment drivers: sweeps, Monte Carlo, case studies, oracle comparison."""
+"""Experiment drivers: sweeps, Monte Carlo, case studies, oracle comparison, and the
+reference criteria built from their rows."""
+import functools
 import math
 import tracemalloc
 import warnings
@@ -16,6 +18,7 @@ from dpe_multipath.mc import (
     REFERENCE_SEED,
     fixture_check,
     pair_error_curve,
+    reference_criteria,
     run_case_study,
     run_elevation_sweep,
     run_random_azimuth_mc,
@@ -40,21 +43,72 @@ class TestFixtureCheck:
         assert c.actual == 39.94007471783003
 
 
+@functools.cache
+def reference_runs() -> dict:
+    """The driver runs ``report`` checks, at the reference seed, by argument name
+    of :func:`reference_criteria`."""
+    cases = {case: (s := load_scenario(f"{case}.scenario"), run_case_study(s))
+             for case in ("case1", "case2", "case3", "table6")}
+    return {
+        "projection": run_elevation_sweep(1.0, 120.0, [35.4, 42.8, 66.7, 69.8]),
+        "sweep": run_elevation_sweep(),
+        "monte_carlo": run_random_azimuth_mc(60.0, 40.0, 10000, REFERENCE_SEED),
+        "field": cases.pop("table6"),
+        "cases": cases,
+    }
+
+
+def criteria_of(**runs) -> dict:
+    """The reference criteria by id, from ``runs`` over the reference runs."""
+    criteria, _ = reference_criteria(**{**reference_runs(), **runs})
+    return {c.id: c for c in criteria}
+
+
+class TestReferenceCriteria:
+    def test_reference_runs_pass_in_report_order(self):
+        criteria, field_rows = reference_criteria(**reference_runs())
+        assert [(c.id, c.passed, len(c.checks)) for c in criteria] == [
+            (1, True, 8), (2, True, 4), (3, True, 22), (4, True, 30), (5, True, 3), (6, True, 4)]
+        assert [row[0] for row in field_rows] == [
+            "range_bias[m]", "range_rate_bias[m/s]", "radial_error[m]", "radial_rate_error[m/s]"]
+
+    def test_failed_check_fails_its_criterion(self):
+        mc_run = run_random_azimuth_mc(60.0, 40.0, 3, REFERENCE_SEED)
+        criteria = criteria_of(monte_carlo=mc_run)
+        assert not criteria[5].passed
+        assert [c.passed for c in criteria[5].checks] == [True, False, False]
+        assert all(criteria[k].passed for k in (1, 2, 3, 4, 6))
+
+    def test_simulated_check_needs_window_and_finite_readout(self):
+        scenario, rep = reference_runs()["cases"]["case1"]
+        rows = list(rep.rows)
+        rows[0] = rows[0][:6] + (math.inf, 1)  # in the window, no fitted crossing
+        rows[1] = rows[1][:7] + (0,)  # a finite readout outside the window
+        criteria = criteria_of(cases={"case1": (scenario, replace(rep, rows=tuple(rows)))})
+        assert criteria[4].passed
+        names = [c.name for c in criteria[4].checks]  # case1's, then table6's 2
+        assert len(names) == 8 + 2 and "case1:OC:position:simulated" not in names
+        assert "case1:OE:position:simulated" not in names
+        assert "case1:OE:velocity:simulated" in names
+
+
 class TestElevationSweep:
     def test_default_sweep_checks_pass(self):
         rep = run_elevation_sweep()
-        assert rep.passed
+        criterion = criteria_of(sweep=rep)[2]
+        assert criterion.passed
         assert rep.summary["points"] == 171
         assert rep.summary["range_bias_strictly_increasing"]
         assert rep.summary["range_rate_bias_strictly_increasing"]
-        names = {c.name for c in rep.checks}
+        names = {c.name for c in criterion.checks}
         assert "zero_elevation:range_bias" in names
         assert "zero_elevation:range_rate_bias" in names
 
     def test_reference_elevation_checks_pass(self):
         rep = run_elevation_sweep(1.0, 120.0, [35.4, 42.8, 66.7, 69.8])
-        proj = [c for c in rep.checks if c.name.startswith("projection:")]
+        proj = criteria_of(projection=rep)[1].checks
         assert len(proj) == 8
+        assert all(c.name.startswith("projection:") for c in proj)
         assert all(c.passed for c in proj)
 
     def test_rows_match_projection(self):
@@ -64,16 +118,11 @@ class TestElevationSweep:
             assert rng == pytest.approx(project_to_range(2.0, phi), rel=1e-12)
             assert rate == pytest.approx(project_to_range_rate(60.0, phi), rel=1e-12)
 
-    def test_no_reference_checks_for_other_biases(self):
-        rep = run_elevation_sweep(2.0, 60.0, [35.4, 0.0])
-        assert not any(c.name.startswith("projection:") for c in rep.checks)
-        assert not any(c.name.startswith("zero_elevation:") for c in rep.checks)
-
 
 class TestRandomAzimuthMc:
     def test_reference_run_passes(self):
         rep = run_random_azimuth_mc(60.0, 40.0, 10000, REFERENCE_SEED)
-        assert rep.passed
+        assert criteria_of(monte_carlo=rep)[5].passed
         s = rep.summary
         assert s["below_floor"] == 0
         assert s["min_radial_error"] >= 60.0
@@ -141,8 +190,11 @@ class TestUniformStream:
 class TestCaseStudies:
     @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
     def test_reference_cases_pass(self, case):
-        rep = run_case_study(load_scenario(f"{case}.scenario"), case)
-        assert rep.passed
+        s = load_scenario(f"{case}.scenario")
+        rep = run_case_study(s)
+        criteria = criteria_of(cases={case: (s, rep)})
+        assert criteria[3].passed and criteria[4].passed
+        assert {c.name.partition(":")[0] for c in criteria[3].checks} == {case}
         assert len(rep.rows) == 12  # 6 pairs x 2 spaces
 
     def test_radii_project_to_case_values(self):
@@ -159,7 +211,7 @@ class TestCaseStudies:
             ) == pytest.approx(radius, rel=1e-12)
 
     def test_simulated_column_tracks_analytic(self):
-        rep = run_case_study(load_scenario("case2.scenario"), "case2")
+        rep = run_case_study(load_scenario("case2.scenario"))
         step = {"position": 1.0, "velocity": 0.1}
         for space, _, _, _, _, analytic, simulated, in_window in rep.rows:
             if in_window:
@@ -174,12 +226,12 @@ class TestCaseStudies:
         lone = channel(base, 23)
         s = Scenario(satellites=(two_paths, lone))
         with pytest.raises(ValueError):
-            run_case_study(s, None)
+            run_case_study(s)
 
     def test_noise_rejected(self):
         s = load_scenario("case1.scenario")
         with pytest.raises(ValueError, match="noiseless"):
-            run_case_study(replace(s, noise_sigma=0.1, seed=1), "case1")
+            run_case_study(replace(s, noise_sigma=0.1, seed=1))
 
     def test_reads_ridges_without_grids(self, monkeypatch):
         # the report's 14 channels evaluate under 1 % of the cells of their
@@ -190,10 +242,10 @@ class TestCaseStudies:
         monkeypatch.setattr(caf, "scenario_caf", unreached)
         assert not hasattr(mc, "scenario_caf")
         cells = full = 0
+        runs = {}
         for case in ("case1", "case2", "case3", "table6"):
             s = load_scenario(f"{case}.scenario")
-            rep = run_case_study(s, case)
-            assert rep.passed
+            rep = runs[case] = run_case_study(s)
             for space in Space:
                 stats = rep.summary[space.value]
                 n = s.grid_for(space).n
@@ -205,6 +257,9 @@ class TestCaseStudies:
                 full += n * n * len(s.satellites)
         assert full == 14 * 2001**2 + 14 * 201**2
         assert cells < 0.01 * full
+        field = (load_scenario("table6.scenario"), runs.pop("table6"))
+        cases = {case: (load_scenario(f"{case}.scenario"), rep) for case, rep in runs.items()}
+        assert all(c.passed for c in criteria_of(cases=cases, field=field).values())
 
     def test_two_window_reads_per_channel_and_space(self, monkeypatch):
         # one window batch per scan orientation; no scanline needs the full
@@ -216,30 +271,40 @@ class TestCaseStudies:
             caf._add_channel(out, *args)
 
         monkeypatch.setattr(mc, "_add_channel", counted)
+        runs = {}
         for case in ("case1", "case2", "case3", "table6"):
             s = load_scenario(f"{case}.scenario")
             calls.clear()
-            assert run_case_study(s, case).passed
+            runs[case] = s, run_case_study(s)
             assert len(calls) == 2 * len(Space) * len(s.satellites)
             assert all(calls)
+        field = runs.pop("table6")
+        assert all(c.passed for c in criteria_of(cases=runs, field=field).values())
 
     def test_table6_field_case(self):
-        rep = run_case_study(load_scenario("table6.scenario"), "table6")
-        assert rep.passed
-        by_name = {c.name: c for c in rep.checks}
+        s = load_scenario("table6.scenario")
+        criteria, field_rows = reference_criteria(**{**reference_runs(),
+                                                     "field": (s, run_case_study(s))})
+        by_id = {c.id: c for c in criteria}
+        assert by_id[6].passed and by_id[4].passed  # the grid readouts join criterion 4
+        by_name = {c.name: c for c in by_id[6].checks}
         assert by_name["table6:prn18:position:radius"].actual == pytest.approx(
             39.94007471783003, rel=1e-9
         )
         assert by_name["table6:OB:position:theoretical"].actual == pytest.approx(
             47.25171911003219, rel=1e-9
         )
+        assert [row[1] for row in field_rows] == [
+            by_name[f"table6:{name}"].actual for name in (
+                "prn18:position:radius", "prn18:velocity:radius",
+                "OB:position:theoretical", "OB:velocity:theoretical")]
 
 
 class TestOracleCompare:
     @pytest.mark.parametrize("case", ["case1", "case3", "table6"])
     def test_argmax_agrees_on_reference_cases(self, case):
         rep = run_oracle_compare(load_scenario(f"{case}.scenario"))
-        assert rep.passed
+        assert rep.summary["argmax_within_one_step"]
         assert rep.summary["argmax_to_best"] <= rep.summary["grid_step"] + 1e-9
 
     def test_noise_rejected(self):

@@ -301,7 +301,7 @@ class TestArgmaxMatchesAnalytic:
             assert math.hypot(offset.e - expected.e, offset.n - expected.n) <= step + 1e-9
             assert peak == pytest.approx(2.0, abs=0.15)
             rep = run_oracle_compare(scenario)
-            assert rep.passed
+            assert rep.summary["argmax_within_one_step"]
 
 
 class TestMismatchLinearity:
