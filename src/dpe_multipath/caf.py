@@ -76,6 +76,10 @@ class SignalConfig:
         if self.coherent_integration <= 0.0:
             raise ValueError("coherent integration time must be positive")
 
+    def rate(self, space: Space) -> float:
+        """The code rate (chips/s) in position space, the carrier (Hz) in velocity space."""
+        return self.code_rate if space is Space.POSITION else self.carrier
+
 
 @dataclass(frozen=True)
 class SignalPath:
@@ -270,8 +274,8 @@ def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float) -> No
 
 def _mismatch_coef(channel: SatelliteChannel, signal: SignalConfig, space: Space) -> float:
     """Mismatch per meter of offset along the satellite azimuth (chips/m or Hz per m/s)."""
-    rate = signal.code_rate if space is Space.POSITION else signal.carrier
-    return -RIDGE_OFFSET_SIGN * rate / SPEED_OF_LIGHT * math.cos(channel.angles.elevation)
+    return (-RIDGE_OFFSET_SIGN * signal.rate(space) / SPEED_OF_LIGHT
+            * math.cos(channel.angles.elevation))
 
 
 def mismatch(channel: SatelliteChannel, signal: SignalConfig, space: Space, east, north):
@@ -280,8 +284,7 @@ def mismatch(channel: SatelliteChannel, signal: SignalConfig, space: Space, east
     ``east`` and ``north`` are numbers or arrays that broadcast together.
     Linear in the offset (m in position space, m/s in velocity space): the
     rate per unit is (rate / c) * cos(elevation) along the satellite azimuth
-    and zero across it, with the code rate as ``rate`` in position space and
-    the carrier in velocity space.
+    and zero across it, with ``rate`` from :meth:`SignalConfig.rate`.
     """
     az = channel.angles.azimuth
     return (math.cos(az) * north + math.sin(az) * east) * _mismatch_coef(channel, signal, space)
@@ -300,10 +303,6 @@ def _add_channel(out: np.ndarray, channel: SatelliteChannel, signal: SignalConfi
         _correlate(m, space, signal.coherent_integration)
         m *= path.amplitude
         out += m
-
-
-def _space_key(space: Space) -> int:
-    return 0 if space is Space.POSITION else 1
 
 
 def scenario_caf(scenario: Scenario, space: Space) -> Grid2D:
@@ -328,7 +327,7 @@ def scenario_caf(scenario: Scenario, space: Space) -> Grid2D:
 def _summed_blocks(scenario: Scenario, space: Space, spec: GridSpec) -> Iterator[np.ndarray]:
     axis = spec.axis()
     total, scratch = np.empty((2, _BLOCK_ROWS, spec.n))
-    rngs = [np.random.default_rng([scenario.seed, ch.prn, _space_key(space)])
+    rngs = [np.random.default_rng([scenario.seed, ch.prn, list(Space).index(space)])
             for ch in scenario.satellites] if scenario.noise_sigma > 0.0 else None
     for lo in range(0, spec.n, _BLOCK_ROWS):
         rows = slice(lo, min(lo + _BLOCK_ROWS, spec.n))

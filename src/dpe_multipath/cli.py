@@ -23,7 +23,6 @@ import numpy as np
 
 from . import mc
 from .caf import (
-    DEFAULT_GRIDS,
     GeometryMismatchError,
     Grid2D,
     GridSpec,
@@ -264,16 +263,18 @@ def _field(prefix: str):
         raise ScenarioSchemaError(f"{prefix}{e}") from e
 
 
+# scenario file key -> SignalConfig field; ``sampling_rate_hz`` has no field
+_SIGNAL_FIELDS = {"code_rate_hz": "code_rate", "carrier_hz": "carrier",
+                  "coherent_integration_s": "coherent_integration"}
+
+
 def _scenario_from_dict(raw: dict) -> Scenario:
+    """Build the model from a schema-valid file, passing only the keys the file
+    sets: every omitted key takes the model's own default."""
     receiver = EcefVector.from_array(raw["receiver"]["position_ecef"])
-    sig = raw.get("signal", {})
-    defaults = SignalConfig()
     with _field("signal: "):
-        signal = SignalConfig(
-            code_rate=sig.get("code_rate_hz", defaults.code_rate),
-            carrier=sig.get("carrier_hz", defaults.carrier),
-            coherent_integration=sig.get("coherent_integration_s", defaults.coherent_integration),
-        )
+        signal = SignalConfig(**{_SIGNAL_FIELDS[k]: v for k, v in raw.get("signal", {}).items()
+                                 if k in _SIGNAL_FIELDS})
     grids = []
     for k, g in enumerate(raw.get("grid", [])):
         with _field(f"grid.{k}: "):
@@ -286,13 +287,8 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             raise ScenarioSchemaError(f"{where}: elevation_deg and azimuth_deg go together")
         paths = []
         for j, p in enumerate(sat["paths"]):
-            with _field(f"{where}.paths.{j}: "):
-                paths.append(SignalPath(
-                    kind=PathKind(p["kind"]),
-                    amplitude=p.get("amplitude", 1.0),
-                    delay_chips=p.get("delay_chips", 0.0),
-                    doppler_hz=p.get("doppler_hz", 0.0),
-                ))
+            with _field(f"{where}.paths.{j}: "):  # the schema's path keys are SignalPath's fields
+                paths.append(SignalPath(**{**p, "kind": PathKind(p["kind"])}))
         with _field(f"{where}: "):
             satellites.append(make_channel(
                 receiver,
@@ -310,14 +306,10 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                         f"{where}.paths.{j}: the {space.value}-space projection of the bias"
                         " overflows a double"
                     )
+    # the schema lets 2.0 through as an integer seed
+    given = {k: cast(raw[k]) for k, cast in (("noise_sigma", float), ("seed", int)) if k in raw}
     with _field(""):
-        return Scenario(
-            signal=signal,
-            satellites=tuple(satellites),
-            grids=tuple(grids) or DEFAULT_GRIDS,
-            noise_sigma=raw.get("noise_sigma", 0.0),
-            seed=int(raw.get("seed", 0)),  # the schema lets 2.0 through as an integer
-        )
+        return Scenario(signal=signal, satellites=tuple(satellites), grids=tuple(grids), **given)
 
 
 @dataclass(frozen=True)
@@ -766,14 +758,13 @@ def cmd_bounds(args) -> int:
     except ValueError as e:  # fewer than two radii, or every radius zero
         raise UsageError(f"--radii {args.radii!r}: {e}") from None
     table = ResultTable(
-        ("case", "lower[m|m/s]", "attained", "attained_at[deg]", "upper"),
+        ("case", "lower[m|m/s]", "attained", "attained_at[deg]"),
         (
             (
                 bound.case,
                 bound.lower,
                 int(bound.attained),
                 math.degrees(bound.attained_at) if bound.attained_at is not None else "",
-                bound.upper,
             ),
         ),
         note=f"radial-error bound for radii {radii}",

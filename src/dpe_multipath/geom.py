@@ -2,7 +2,9 @@
 
 The local frame is East-North-Up anchored at the receiver truth point.
 Azimuth is measured clockwise from geodetic North, elevation up from the
-horizontal plane; both are kept in radians internally.
+horizontal plane; both are kept in radians internally.  :func:`check_elevation`
+states the one elevation domain that look angles and bias projections share.
+Every geometry fault raises :class:`GeometryError`.
 """
 from __future__ import annotations
 
@@ -28,12 +30,16 @@ class GeometryError(ValueError):
     """Degenerate or inconsistent geometry."""
 
 
-class InvalidOriginError(GeometryError):
-    """ENU origin indistinguishable from the geocenter."""
-
-
-class ZenithError(GeometryError):
-    """Look direction too close to zenith for azimuth/secant geometry."""
+def check_elevation(elevation: float) -> None:
+    """Raise :class:`GeometryError` unless ``elevation`` (radians) lies in
+    [0, pi/2 - EPS_ZENITH), the domain of every look angle and projection."""
+    if not elevation >= 0.0:  # NaN is rejected here too
+        raise GeometryError(f"elevation {math.degrees(elevation):.3f} deg is below the horizon")
+    if elevation >= math.pi / 2.0 - EPS_ZENITH:
+        raise GeometryError(
+            f"elevation {math.degrees(elevation):.3f} deg is within "
+            f"{math.degrees(EPS_ZENITH):.2f} deg of zenith"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class LookAngles:
     ----------
     elevation : float
         Elevation above the horizontal plane, radians, in
-        [0, pi/2 - EPS_ZENITH).
+        [0, pi/2 - EPS_ZENITH) (see :func:`check_elevation`).
     azimuth : float
         Azimuth clockwise from North, radians, normalized to [0, 2*pi).
     """
@@ -98,15 +104,7 @@ class LookAngles:
     def __post_init__(self):
         if not (math.isfinite(self.elevation) and math.isfinite(self.azimuth)):
             raise GeometryError("look angles must be finite")
-        if self.elevation < 0.0:
-            raise GeometryError(
-                f"elevation {math.degrees(self.elevation):.3f} deg is below the horizon"
-            )
-        if self.elevation >= math.pi / 2.0 - EPS_ZENITH:
-            raise ZenithError(
-                f"elevation {math.degrees(self.elevation):.3f} deg is within "
-                f"{math.degrees(EPS_ZENITH):.2f} deg of zenith"
-            )
+        check_elevation(self.elevation)
         object.__setattr__(self, "azimuth", self.azimuth % (2.0 * math.pi))
 
     @classmethod
@@ -135,7 +133,7 @@ def geodetic_latlon(origin: EcefVector) -> tuple[float, float]:
     for terrestrial points in a handful of iterations.
     """
     if origin.norm() < _EPS_ORIGIN:
-        raise InvalidOriginError("ENU origin must not be the geocenter")
+        raise GeometryError("ENU origin must not be the geocenter")
     p = math.hypot(origin.x, origin.y)
     lon = math.atan2(origin.y, origin.x)
     lat = math.atan2(origin.z, p * (1.0 - WGS84_E2))
@@ -169,7 +167,7 @@ def look_angles(sat_enu: EnuVector) -> LookAngles:
     """Elevation and azimuth of a satellite given in the receiver ENU frame."""
     h = sat_enu.horizontal_norm()
     if h < _EPS_HORIZONTAL * max(1.0, abs(sat_enu.u)):
-        raise ZenithError("horizontal component vanishes; azimuth undefined")
+        raise GeometryError("horizontal component vanishes; azimuth undefined")
     elevation = math.atan2(sat_enu.u, h)
     azimuth = math.atan2(sat_enu.e, sat_enu.n)
     return LookAngles(elevation, azimuth)

@@ -34,8 +34,7 @@ from .scmb import (
     _cramer,
     center_line,
     intersect_lines,
-    project_to_range,
-    project_to_range_rate,
+    project_bias,
 )
 
 REFERENCE_SEED = 1
@@ -257,24 +256,14 @@ def run_elevation_sweep(
     """
     if elevations_deg is None:
         elevations_deg = 0.5 * np.arange(171)
-    elevations_deg = np.asarray(list(elevations_deg), dtype=float)
-    rows = []
-    for el in elevations_deg:
-        phi = math.radians(float(el))
-        rows.append(
-            (
-                float(el),
-                project_to_range(delay_chips, phi, signal.code_rate),
-                project_to_range_rate(doppler_hz, phi, signal.carrier),
-            )
-        )
-    ranges = [r[1] for r in rows]
-    rates = [r[2] for r in rows]
-    increasing_range = all(b > a for a, b in zip(ranges, ranges[1:]))
-    increasing_rate = all(b > a for a, b in zip(rates, rates[1:]))
+    rows = tuple((el, project_bias(delay_chips, math.radians(el), signal.code_rate),
+                  project_bias(doppler_hz, math.radians(el), signal.carrier))
+                 for el in map(float, elevations_deg))
+    increasing_range, increasing_rate = (all(b[k] > a[k] for a, b in zip(rows, rows[1:]))
+                                         for k in (1, 2))
     return ExperimentReport(
         columns=("elevation[deg]", "range_bias[m]", "range_rate_bias[m/s]"),
-        rows=tuple(rows),
+        rows=rows,
         summary={
             "points": len(rows),
             "range_bias_strictly_increasing": increasing_range,

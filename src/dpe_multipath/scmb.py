@@ -1,9 +1,10 @@
 """Tangent-circle geometry of multipath-biased grid solutions.
 
-Each path's elevation-projected bias defines a circle around the truth point
-whose radius is the range (range-rate) error; the path's correlation ridge is
-a straight center line tangent to that circle, perpendicular distance equal
-to the radius.  Candidate biased solutions are intersections of center lines
+Each path's elevation-projected bias (:func:`project_bias`, the one projection
+of a delay or Doppler bias) defines a circle around the truth point whose
+radius is the range (range-rate) error; the path's correlation ridge is a
+straight center line tangent to that circle, perpendicular distance equal to
+the radius.  Candidate biased solutions are intersections of center lines
 from different satellites; this module computes those intersections, the
 resulting radial errors, their critical points, and per-case lower bounds.
 """
@@ -20,7 +21,7 @@ from .caf import (
     SignalConfig,
     Space,
 )
-from .geom import EPS_ZENITH, EnuVector, GeometryError, fold_azimuth_separation
+from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
 
 EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines are parallel
 EPS_MERGE = 1e-6  # m (m/s); intersection points closer than this are one point
@@ -31,30 +32,15 @@ class ParallelLinesError(GeometryError):
     """Center lines with (nearly) equal or opposite azimuths do not intersect."""
 
 
-class UndefinedCriticalPointError(GeometryError):
-    """No critical point exists (both radii vanish)."""
+def project_bias(bias: float, elevation: float, rate: float) -> float:
+    """Range (m) or range-rate (m/s) bias of a code-delay (chips) or Doppler (Hz) bias.
 
-
-def _check_elevation(elevation: float) -> None:
-    if not 0.0 <= elevation < math.pi / 2.0 - EPS_ZENITH:
-        raise GeometryError(
-            f"elevation {math.degrees(elevation):.3f} deg outside "
-            f"[0, 90 - {math.degrees(EPS_ZENITH):.2f}) deg"
-        )
-
-
-def project_to_range(delay_chips: float, elevation: float,
-                     code_rate: float = SignalConfig.code_rate) -> float:
-    """Range bias (m) of a code-delay bias: chip length times delay times sec(elevation)."""
-    _check_elevation(elevation)
-    return SPEED_OF_LIGHT / code_rate * delay_chips / math.cos(elevation)
-
-
-def project_to_range_rate(doppler_hz: float, elevation: float,
-                          carrier: float = SignalConfig.carrier) -> float:
-    """Range-rate bias (m/s) of a Doppler bias: wavelength times Doppler times sec(elevation)."""
-    _check_elevation(elevation)
-    return SPEED_OF_LIGHT / carrier * doppler_hz / math.cos(elevation)
+    The bias times the chip length or the wavelength, ``c / rate`` with ``rate``
+    from :meth:`SignalConfig.rate`, times sec(elevation); ``elevation`` must pass
+    :func:`geom.check_elevation`.
+    """
+    check_elevation(elevation)
+    return SPEED_OF_LIGHT / rate * bias / math.cos(elevation)
 
 
 @dataclass(frozen=True)
@@ -99,27 +85,23 @@ class BiasResult:
     delta_theta: float
     point: EnuVector
     dr: float
-    contributors: tuple[tuple[int, int, int, int], ...] = None
-
-    def __post_init__(self):
-        if self.contributors is None:
-            object.__setattr__(self, "contributors", (self.pair,))
+    contributors: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class ErrorBound:
-    """Lower/upper bound of the radial error over azimuth geometries.
+    """Lower bound of the radial error over azimuth geometries.
 
     ``case`` is 1 (single NLOS radius), 2 (all radii equal), or 3 (mixed);
-    ``attained_at`` is the azimuth separation reaching the lower bound, when
-    one exists.  The upper bound is always unbounded.
+    ``attained_at`` is the azimuth separation reaching the bound, when one
+    exists.  In case 2 the bound is open: the error approaches it but never
+    reaches it.
     """
 
     case: int
     lower: float
     attained: bool
     attained_at: float | None
-    upper: float = math.inf
 
 
 class CriticalPoint(NamedTuple):
@@ -136,10 +118,7 @@ def center_line(
 ) -> CenterLine:
     """Center line of one path of a satellite channel in the given space."""
     path = channel.paths[path_index]
-    if space is Space.POSITION:
-        offset = project_to_range(path.delay_chips, channel.angles.elevation, signal.code_rate)
-    else:
-        offset = project_to_range_rate(path.doppler_hz, channel.angles.elevation, signal.carrier)
+    offset = project_bias(path.bias(space), channel.angles.elevation, signal.rate(space))
     return CenterLine(space, channel.angles.azimuth, offset, (channel.prn, path_index))
 
 
@@ -210,6 +189,7 @@ def pair_bias(
         delta_theta=fold_azimuth_separation(theta_i, theta_j),
         point=point,
         dr=point.horizontal_norm(),
+        contributors=((0, 0, 1, 0),),
     )
 
 
@@ -224,7 +204,7 @@ def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:
     """
     s, big = sorted((abs(rho_i), abs(rho_j)))
     if big <= 0.0:
-        raise UndefinedCriticalPointError("both radii are zero")
+        raise GeometryError("both radii are zero")
     if big - s <= EQUAL_RADII_RTOL * big:
         return CriticalPoint(0.0, big, False)
     return CriticalPoint(math.acos(s / big), big, True)
@@ -238,7 +218,7 @@ def case_bound(radii: Sequence[float]) -> ErrorBound:
     passes through the truth and meets one of radius r at r / sin(separation)
     >= r; two LOS lines meet at the truth.  Case 1: exactly one nonzero
     radius; the bound is that radius, or 0 beside two LOS satellites.  Case 2:
-    all radii equal and positive; the bound (radius, inf) is open.  Case 3:
+    all radii equal and positive; the bound, the radius, is open.  Case 3:
     otherwise.
     """
     rs = sorted(abs(float(r)) for r in radii)

@@ -9,13 +9,17 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from dpe_multipath.caf import Grid2D, Scenario, Space, _add_channel, _ArgmaxFold, scenario_caf
+from dpe_multipath.caf import (Grid2D, Scenario, SignalConfig, Space, _add_channel, _ArgmaxFold,
+                               scenario_caf)
 from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
 from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
+
+# the default signal plan's rate in each space, as ``scmb.project_bias`` takes it
+CODE_RATE, CARRIER = (SignalConfig().rate(space) for space in Space)
 
 
 def authored_receiver(name: str = "table1.scenario") -> EcefVector:

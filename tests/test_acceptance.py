@@ -13,7 +13,8 @@ from pathlib import Path
 from dpe_multipath import mc
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.caf import Space
-from dpe_multipath.scmb import pair_bias, project_to_range, project_to_range_rate
+from dpe_multipath.scmb import pair_bias, project_bias
+from scenario_helpers import CARRIER, CODE_RATE
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -49,8 +50,8 @@ def test_criterion_1_projection_table(acceptance_log):
     ok = True
     for el, (exp_rng, exp_rate) in sorted(expected.items()):
         phi = math.radians(el)
-        rng = project_to_range(1.0, phi)
-        rate = project_to_range_rate(120.0, phi)
+        rng = project_bias(1.0, phi, CODE_RATE)
+        rate = project_bias(120.0, phi, CARRIER)
         ok &= close(rng, exp_rng) and close(rate, exp_rate)
         rows.append(f"{el}: ({rng:.4f}, {rate:.4f}) vs ({exp_rng}, {exp_rate})")
     assert acceptance_log.record(
@@ -122,8 +123,8 @@ def test_criterion_5_monte_carlo(acceptance_log):
 
 def test_criterion_6_field_replay_theoretical(acceptance_log):
     phi = math.radians(42.8)
-    d_rho = project_to_range(1.0, phi)
-    d_rho_dot = project_to_range_rate(120.3, phi)
+    d_rho = project_bias(1.0, phi, CODE_RATE)
+    d_rho_dot = project_bias(120.3, phi, CARRIER)
     d_r = pair_bias(d_rho, 0.0, math.radians(AZ[18]), math.radians(AZ[23])).dr
     d_r_dot = pair_bias(
         d_rho_dot, 0.0, math.radians(AZ[18]), math.radians(AZ[23]), space=Space.VELOCITY

@@ -121,6 +121,28 @@ class TestScenarioIO:
                         line = center_line(ch, 0, space, s.signal)
                         assert line.radius == pytest.approx(radius, rel=1e-12)
 
+    def test_omitted_keys_take_the_model_defaults(self, tmp_path):
+        def strip(raw):
+            for key in ("signal", "grid", "noise_sigma", "seed"):
+                del raw[key]
+            for path in (p for sat in raw["satellites"] for p in sat["paths"]):
+                for key in ("amplitude", "delay_chips", "doppler_hz"):
+                    path.pop(key, None)
+
+        s = load_scenario(dump_variant(tmp_path, "case3", strip))
+        model = Scenario(satellites=s.satellites)
+        assert (s.signal, s.noise_sigma, s.seed) == (model.signal, model.noise_sigma, model.seed)
+        assert [s.grid_for(space) for space in Space] == [model.grid_for(space) for space in Space]
+        paths = [p for ch in s.satellites for p in ch.paths]
+        assert paths == [SignalPath(p.kind) for p in paths]
+
+    def test_velocity_grid_alone_keeps_the_default_position_grid(self, tmp_path):
+        velocity = {"space": "velocity", "half_extent": 5.0, "step": 0.5}
+        s = load_scenario(dump_variant(tmp_path, "case3", lambda raw: raw.update(grid=[velocity])))
+        assert s.grid_for(Space.VELOCITY) == GridSpec(Space.VELOCITY, 5.0, 0.5)
+        assert s.grid_for(Space.POSITION) == Scenario(satellites=s.satellites).grid_for(
+            Space.POSITION)
+
     def test_missing_file(self):
         with pytest.raises(ScenarioParseError):
             load_scenario("/no/such/file.scenario")
@@ -555,6 +577,20 @@ class TestCommands:
         assert main(["bounds", "--radii", "60,40,30,15", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "CASE3, lower 30 (attained)" in out
+
+    @pytest.mark.parametrize("radii, csv_row, json_row", [
+        ("60,40,30,15", "3,30,1,60", [3, 30.0, 1, pytest.approx(60.0)]),
+        ("0,0,9.3", "1,0,1,90", [1, 0.0, 1, 90.0]),
+        ("40,40", "2,40,0,", [2, 40.0, 0, ""]),
+    ], ids=["case3", "two-los", "case2-open"])
+    def test_bounds_columns(self, tmp_path, radii, csv_row, json_row):
+        columns = ["case", "lower[m|m/s]", "attained", "attained_at[deg]"]
+        for fmt in ("csv", "json"):
+            assert main(["bounds", "--radii", radii, "--format", fmt,
+                         "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "bounds.csv").read_text().splitlines() == [",".join(columns), csv_row]
+        table = json.loads((tmp_path / "bounds.json").read_text())
+        assert (table["columns"], table["rows"]) == (columns, [json_row])
 
     def test_bounds_bad_radii_is_usage_error(self, tmp_path):
         assert main(["bounds", "--radii", "60,forty", "--out", str(tmp_path)]) == EXIT_USAGE

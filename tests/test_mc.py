@@ -23,8 +23,9 @@ from dpe_multipath.mc import (
     run_elevation_sweep,
     run_random_azimuth_mc,
 )
-from dpe_multipath.scmb import project_to_range, project_to_range_rate
-from scenario_helpers import caf_value_at, channel, grid_values, run_oracle_compare
+from dpe_multipath.scmb import project_bias
+from scenario_helpers import (CARRIER, CODE_RATE, caf_value_at, channel, grid_values,
+                              run_oracle_compare)
 
 
 class TestFixtureCheck:
@@ -115,8 +116,8 @@ class TestElevationSweep:
         rep = run_elevation_sweep(2.0, 60.0, [10.0, 50.0])
         for el, rng, rate in rep.rows:
             phi = math.radians(el)
-            assert rng == pytest.approx(project_to_range(2.0, phi), rel=1e-12)
-            assert rate == pytest.approx(project_to_range_rate(60.0, phi), rel=1e-12)
+            assert rng == pytest.approx(project_bias(2.0, phi, CODE_RATE), rel=1e-12)
+            assert rate == pytest.approx(project_bias(60.0, phi, CARRIER), rel=1e-12)
 
 
 class TestRandomAzimuthMc:
@@ -203,11 +204,11 @@ class TestCaseStudies:
         for ch in s.satellites:
             path = ch.paths[0]
             radius = radii[ch.prn]
-            assert project_to_range(
-                path.delay_chips, ch.angles.elevation
+            assert project_bias(
+                path.delay_chips, ch.angles.elevation, CODE_RATE
             ) == pytest.approx(radius, rel=1e-12)
-            assert project_to_range_rate(
-                path.doppler_hz, ch.angles.elevation
+            assert project_bias(
+                path.doppler_hz, ch.angles.elevation, CARRIER
             ) == pytest.approx(radius, rel=1e-12)
 
     def test_simulated_column_tracks_analytic(self):

@@ -1,7 +1,8 @@
 """The package root holds only the version and the start-up settings; every import is
-used and comes from its definer; every public name is read by the program; no command
-loads jsonschema."""
+used and comes from its definer; every exception class is caught somewhere; every public
+name is read by the program; no command loads jsonschema."""
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -125,6 +126,43 @@ def test_names_imported_from_their_defining_module():
     foreign = {str(p.relative_to(ROOT)): names
                for p in files if (names := foreign_imports(p))}
     assert foreign == {}
+
+
+def uncaught_exception_classes(files: list[Path]) -> set[str]:
+    """``module.Class`` for each exception class defined at the top level of
+    ``files`` that no ``except`` clause of ``files`` names, alone or in a tuple.
+
+    A class is an exception class when a base is a built-in exception or
+    another exception class of ``files``.
+    """
+    def name(node: ast.expr) -> str | None:  # ``x`` of ``x`` or ``a.x``
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    trees = [(p.stem, ast.parse(p.read_text())) for p in files]
+    classes = {node.name: (module, {name(b) for b in node.bases})
+               for module, tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = {n for n, v in vars(builtins).items()
+             if isinstance(v, type) and issubclass(v, BaseException)}
+    while grown := {n for n, (_, bases) in classes.items() if n not in found and bases & found}:
+        found |= grown
+    caught = {name(t) for _, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])}
+    return {f"{module}.{n}" for n, (module, _) in classes.items() if n in found - caught}
+
+
+def test_uncaught_exception_classes_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class A(ValueError): pass\nclass B(A): pass\nclass C(Exception): pass\n"
+                   "class D(B): pass\nclass Plain: pass\nclass Sub(Plain): pass\n")
+    (tmp_path / "app.py").write_text(
+        "import lib\ntry:\n    pass\nexcept (lib.A, KeyError):\n    pass\n"
+        "try:\n    pass\nexcept C:\n    pass\n")
+    assert uncaught_exception_classes([lib, tmp_path / "app.py"]) == {"lib.B", "lib.D"}
+
+
+def test_every_exception_class_is_caught_somewhere():
+    assert uncaught_exception_classes(sorted((ROOT / "src").rglob("*.py"))) == set()
 
 
 # Public names that no command or driver reads, each kept for a reason.

@@ -6,22 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath.caf import RIDGE_OFFSET_SIGN, Space
-from dpe_multipath.geom import GeometryError, fold_azimuth_separation
+from dpe_multipath.geom import EPS_ZENITH, GeometryError, LookAngles, fold_azimuth_separation
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.scmb import (
     CenterLine,
     ParallelLinesError,
-    UndefinedCriticalPointError,
     case_bound,
     center_lines,
     critical_points,
     enumerate_intersections,
     intersect_lines,
     pair_bias,
-    project_to_range,
-    project_to_range_rate,
+    project_bias,
 )
-from scenario_helpers import count_intersections, tangent_point
+from scenario_helpers import CARRIER, CODE_RATE, count_intersections, tangent_point
 
 # Reference geometry: azimuths (deg) and the projected case-3 radii (m).
 AZ = {10: 320.2, 18: 213.8, 23: 336.1, 24: 45.1}
@@ -31,8 +29,8 @@ PAIRS = {"OA": (10, 24), "OB": (18, 23), "OC": (10, 18), "OD": (23, 24), "OE": (
 
 class TestProjection:
     def test_zero_elevation_anchors(self):
-        assert project_to_range(1.0, 0.0) == pytest.approx(29.30522561094819, rel=1e-15)
-        assert project_to_range_rate(120.0, 0.0) == pytest.approx(
+        assert project_bias(1.0, 0.0, CODE_RATE) == pytest.approx(29.30522561094819, rel=1e-15)
+        assert project_bias(120.0, 0.0, CARRIER) == pytest.approx(
             30.579365854902463, rel=1e-15
         )
 
@@ -47,27 +45,44 @@ class TestProjection:
     )
     def test_reference_elevations(self, el, rng, rate):
         phi = math.radians(el)
-        assert project_to_range(1.0, phi) == pytest.approx(rng, rel=1e-12)
-        assert project_to_range_rate(120.0, phi) == pytest.approx(rate, rel=1e-12)
+        assert project_bias(1.0, phi, CODE_RATE) == pytest.approx(rng, rel=1e-12)
+        assert project_bias(120.0, phi, CARRIER) == pytest.approx(rate, rel=1e-12)
 
     def test_secant_scaling(self):
         phi = math.radians(60.0)
-        assert project_to_range(1.0, phi) == pytest.approx(
-            2.0 * project_to_range(1.0, 0.0), rel=1e-12
+        assert project_bias(1.0, phi, CODE_RATE) == pytest.approx(
+            2.0 * project_bias(1.0, 0.0, CODE_RATE), rel=1e-12
         )
 
     def test_sign_follows_bias(self):
         phi = math.radians(30.0)
-        assert project_to_range(-1.0, phi) == -project_to_range(1.0, phi)
-        assert project_to_range_rate(-120.0, phi) == -project_to_range_rate(120.0, phi)
+        assert project_bias(-1.0, phi, CODE_RATE) == -project_bias(1.0, phi, CODE_RATE)
+        assert project_bias(-120.0, phi, CARRIER) == -project_bias(120.0, phi, CARRIER)
 
     def test_elevation_domain(self):
+        with pytest.raises(GeometryError, match=r"^elevation -1\.000 deg is below the horizon$"):
+            project_bias(1.0, math.radians(-1.0), CODE_RATE)
+        with pytest.raises(GeometryError, match=r"^elevation 89\.900 deg is within 0\.50 deg"):
+            project_bias(1.0, math.radians(89.9), CODE_RATE)
+        with pytest.raises(GeometryError, match=r"^elevation 90\.000 deg is within 0\.50 deg"):
+            project_bias(120.0, math.radians(90.0), CARRIER)
         with pytest.raises(GeometryError):
-            project_to_range(1.0, math.radians(-1.0))
-        with pytest.raises(GeometryError):
-            project_to_range(1.0, math.radians(89.9))
-        with pytest.raises(GeometryError):
-            project_to_range_rate(120.0, math.radians(90.0))
+            project_bias(1.0, math.nan, CODE_RATE)
+
+    @pytest.mark.parametrize("elevation", [
+        -1e-12, 0.0, math.nextafter(math.pi / 2 - EPS_ZENITH, 0.0), math.pi / 2 - EPS_ZENITH,
+    ], ids=["below-horizon", "horizon", "last-below-zenith-band", "zenith-band"])
+    def test_one_domain_for_look_angles_and_projection(self, elevation):
+        def outcome(make):
+            try:
+                make()
+            except GeometryError as e:
+                return str(e)
+            return None
+
+        angles = outcome(lambda: LookAngles(elevation, 0.0))
+        assert angles == outcome(lambda: project_bias(1.0, elevation, CODE_RATE))
+        assert (angles is None) == (0.0 <= elevation < math.pi / 2 - EPS_ZENITH)
 
 
 class TestCenterLine:
@@ -246,7 +261,7 @@ class TestCriticalPoints:
         assert not cp.attained
 
     def test_both_zero_undefined(self):
-        with pytest.raises(UndefinedCriticalPointError):
+        with pytest.raises(GeometryError, match="^both radii are zero$"):
             critical_points(0.0, 0.0)
 
     @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0))
@@ -271,7 +286,7 @@ class TestCaseBounds:
         b = case_bound([0.0, 40.0])
         assert (b.case, b.lower, b.attained) == (1, 40.0, True)
         assert b.attained_at == pytest.approx(math.pi / 2.0)
-        assert b.upper == math.inf
+        assert pair_bias(0.0, 40.0, 0.0, b.attained_at).dr == pytest.approx(b.lower)
         # with a second LOS satellite the two LOS lines cross at the truth
         b = case_bound([0.0, 40.0, 0.0, 0.0])
         assert (b.case, b.lower, b.attained, b.attained_at) == (1, 0.0, True, math.pi / 2.0)
