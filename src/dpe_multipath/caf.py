@@ -242,13 +242,7 @@ class Scenario:
             raise ValueError("at most one grid spec per space")
 
     def grid_for(self, space: Space) -> GridSpec:
-        for g in self.grids:
-            if g.space is space:
-                return g
-        for g in DEFAULT_GRIDS:
-            if g.space is space:
-                return g
-        raise KeyError(space)
+        return next(g for g in (*self.grids, *DEFAULT_GRIDS) if g.space is space)
 
 
 def _correlate(m: np.ndarray, space: Space, coherent_integration_s: float) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .caf import (
     scenario_caf,
 )
 from .geom import EcefVector, GeometryError
-from .scmb import case_bound, center_line, center_lines, enumerate_intersections
+from .scmb import case_bound, center_line, center_lines, enumerate_intersections, project_bias
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -350,7 +351,8 @@ class ResultTable:
         grid = isinstance(self.rows, Grid2D)
         if fmt == "csv":
             yield ",".join(self.columns) + "\n"
-            yield from _csv_grid_texts(self.rows) if grid else map(_csv_row, self.rows)
+            yield from (_csv_grid_texts(self.rows) if grid else
+                        (",".join(map(_csv_cell, row)) + "\n" for row in self.rows))
             return
         payload = {"note": self.note, "columns": list(self.columns),
                    "rows": [] if grid else self.rows}
@@ -365,10 +367,6 @@ class ResultTable:
 
 def _csv_cell(v) -> str:
     return format(v, ".6g") if isinstance(v, float) else str(v)
-
-
-def _csv_row(row: tuple) -> str:
-    return ",".join(map(_csv_cell, row)) + "\n"
 
 
 def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
@@ -571,8 +569,7 @@ def _write_text(outdir: Path, name: str, pieces: Iterable[str]) -> Path:
 
 
 def _print_table(table: ResultTable) -> None:
-    print(",".join(table.columns))
-    print("".join(map(_csv_row, table.rows[:40])), end="")
+    sys.stdout.writelines(itertools.islice(table._pieces("csv"), 41))
     if len(table.rows) > 40:
         print(f"... ({len(table.rows)} rows total)")
 
@@ -609,16 +606,11 @@ _seed = functools.partial(_integer_at_least, 0)
 _trials = functools.partial(_integer_at_least, 1)
 
 
-def _driver_seed(seed: int | None) -> int:
-    """The Monte Carlo seed of ``montecarlo`` and ``report``: ``--seed``, else the reference one.
-
-    It keys a Philox stream, so it must be below 2**128; ``caf`` takes any
-    non-negative seed.
-    """
-    if seed is None:
-        return mc.REFERENCE_SEED
+def _mc_seed(text: str) -> int:
+    """A Monte Carlo seed: it keys a Philox stream, so it must be below 2**128."""
+    seed = _seed(text)
     if seed >= 2 ** 128:
-        raise UsageError(f"argument --seed: a Monte Carlo seed must be below 2**128, got {seed}")
+        raise argparse.ArgumentTypeError(f"a Monte Carlo seed must be below 2**128, got {seed}")
     return seed
 
 
@@ -632,9 +624,9 @@ def _build_parser() -> _Parser:
     scenario = _Parser(add_help=False)
     scenario.add_argument("--scenario", default="table1.scenario",
                           help="scenario file path or bundled fixture name")
-    seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=_seed, default=None,
-                      help="override the scenario/driver seed")
+    mc_seed = _Parser(add_help=False)
+    mc_seed.add_argument("--seed", type=_mc_seed, default=mc.REFERENCE_SEED,
+                         help="Monte Carlo seed")
 
     parser = _Parser(prog="dpe-multipath",
                      description="Multipath bias geometry for direct position estimation")
@@ -658,19 +650,20 @@ def _build_parser() -> _Parser:
                    help="comma-separated radii, e.g. 60,40,30,15")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("caf", parents=[scenario, output, seed],
+    p = sub.add_parser("caf", parents=[scenario, output],
                        help="superposed correlation grid and its argmax")
+    p.add_argument("--seed", type=_seed, help="override the scenario seed")
     p.add_argument("--space", choices=("position", "velocity", "both"), default="both")
     p.set_defaults(func=cmd_caf)
 
-    p = sub.add_parser("montecarlo", parents=[output, seed],
+    p = sub.add_parser("montecarlo", parents=[output, mc_seed],
                        help="uniform random azimuth-separation trials")
     p.add_argument("--rho-i", type=_finite_number, default=60.0)
     p.add_argument("--rho-j", type=_finite_number, default=40.0)
     p.add_argument("--trials", type=_trials, default=10000)
     p.set_defaults(func=cmd_montecarlo)
 
-    p = sub.add_parser("report", parents=[output, seed],
+    p = sub.add_parser("report", parents=[output, mc_seed],
                        help="run all bundled reproductions and diff against references")
     p.set_defaults(func=cmd_report)
 
@@ -683,21 +676,18 @@ def _spaces(arg: str) -> list[Space]:
 
 def cmd_project(args) -> int:
     scenario = load_scenario(args.scenario)
-    rep = mc.run_elevation_sweep(
-        args.delay_chips,
-        args.doppler_hz,
-        [ch.angles.elevation_deg for ch in scenario.satellites],
-        scenario.signal,
-    )
-    for flag, value, column in (("--delay-chips", args.delay_chips, 1),
-                                ("--doppler-hz", args.doppler_hz, 2)):
-        if not all(math.isfinite(row[column]) for row in rep.rows):
+    rate = scenario.signal.rate
+    # center_line's projection, so the biases are the radii intersect uses
+    rows = tuple((ch.prn, ch.angles.elevation_deg,
+                  project_bias(args.delay_chips, ch.angles.elevation, rate(Space.POSITION)),
+                  project_bias(args.doppler_hz, ch.angles.elevation, rate(Space.VELOCITY)))
+                 for ch in scenario.satellites)
+    for flag, value, column in (("--delay-chips", args.delay_chips, 2),
+                                ("--doppler-hz", args.doppler_hz, 3)):
+        if not all(math.isfinite(row[column]) for row in rows):
             raise UsageError(f"{flag} {value:g}: its projection overflows a double")
-    rows = tuple(
-        (ch.prn,) + row for ch, row in zip(scenario.satellites, rep.rows)
-    )
     table = ResultTable(
-        ("prn",) + rep.columns,
+        ("prn", "elevation[deg]", "range_bias[m]", "range_rate_bias[m/s]"),
         rows,
         note=f"bias projection at {args.delay_chips} chips / {args.doppler_hz} Hz",
     )
@@ -804,9 +794,9 @@ def cmd_caf(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    seed = _driver_seed(args.seed)
-    rep = mc.run_random_azimuth_mc(args.rho_i, args.rho_j, args.trials, seed)
-    table = ResultTable(rep.columns, rep.rows, f"radii ({args.rho_i}, {args.rho_j}), seed {seed}")
+    rep = mc.run_random_azimuth_mc(args.rho_i, args.rho_j, args.trials, args.seed)
+    table = ResultTable(rep.columns, rep.rows,
+                        f"radii ({args.rho_i}, {args.rho_j}), seed {args.seed}")
     path = _write_table(table, Path(args.out), "montecarlo", args.format)
     s = rep.summary
     print(
@@ -820,12 +810,11 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_report(args) -> int:
     outdir = Path(args.out)
-    seed = _driver_seed(args.seed)
 
     def write(stem: str, note: str, columns: tuple[str, ...], rows) -> None:
         _write_table(ResultTable(columns, rows, note), outdir, stem, args.format)
 
-    proj = mc.run_elevation_sweep(1.0, 120.0, sorted(mc.EXPECTED_PROJECTION))
+    proj = mc.run_elevation_sweep(sorted(mc.EXPECTED_PROJECTION))
     write("projection_table", "bias projection at reference elevations", proj.columns, proj.rows)
     cases = {}
     for case in ("case1", "case2", "case3"):
@@ -836,7 +825,7 @@ def cmd_report(args) -> int:
     table6 = load_scenario("table6.scenario")  # the field replay writes only its reference table
     field = table6, mc.run_case_study(table6)
     sweep = mc.run_elevation_sweep()
-    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, seed)
+    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, args.seed)
     thetas_deg = 0.5 * np.arange(1, 360)
     thetas = np.radians(thetas_deg)
     write("fig7_data", "bias projection sweep over elevation", sweep.columns, sweep.rows)

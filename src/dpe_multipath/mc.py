@@ -1,12 +1,13 @@
 """Deterministic sweep and Monte Carlo drivers over the bias geometry.
 
 Reproduces the reference tables and figure data bundled with the package:
-elevation sweeps of the bias projection, uniform random azimuth-separation
-trials, and grid-vs-analytic case studies.  Every driver returns an
-:class:`ExperimentReport` of columns, plain tuple rows of ``str``, ``int``
-and ``float`` cells, and a summary; the cli module does all serialization.
-The reference values live here, and :func:`reference_criteria` builds every
-check of ``report`` from the drivers' rows.
+elevation sweeps of the projection of :data:`REFERENCE_BIAS`, uniform random
+azimuth-separation trials, and grid-vs-analytic case studies.  Every driver
+returns an :class:`ExperimentReport` of columns, plain tuple rows of ``str``,
+``int`` and ``float`` cells, and a summary; the cli module does all
+serialization.  The reference values live here, and
+:func:`reference_criteria` builds every check of ``report`` from the
+drivers' rows.
 """
 from __future__ import annotations
 
@@ -38,19 +39,20 @@ from .scmb import (
 )
 
 REFERENCE_SEED = 1
+REFERENCE_BIAS = (1.0, 120.0)  # (delay chips, Doppler Hz) the sweeps project, default signal
 
 # Intersection-point labels of the reference satellite pairs.
 PAIR_LABELS = {"OA": (10, 24), "OB": (18, 23), "OC": (10, 18), "OD": (23, 24), "OE": (10, 23)}
 
 # Expected reference values.  All are printed rounded to one decimal in the
 # source tables, so fixture checks compare at that precision.
-EXPECTED_PROJECTION = {  # elevation deg -> (range bias m, range-rate bias m/s) at 1 chip / 120 Hz
+EXPECTED_PROJECTION = {  # elevation deg -> (range bias m, range-rate bias m/s) at REFERENCE_BIAS
     35.4: (36.0, 37.5),
     42.8: (39.9, 41.7),
     66.7: (74.0, 77.2),
     69.8: (84.8, 88.5),
 }
-EXPECTED_ZERO_ELEVATION = (29.3, 30.6)  # (m, m/s) at 1 chip / 120 Hz, sec(0) = 1
+EXPECTED_ZERO_ELEVATION = (29.3, 30.6)  # (m, m/s) at REFERENCE_BIAS, sec(0) = 1
 EXPECTED_CASE_BIAS = {  # case -> pair label -> (position m, velocity m/s)
     "case1": {"OB": (47.3, 47.3), "OC": (41.7, 41.7)},
     "case2": {
@@ -243,19 +245,15 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     return out
 
 
-def run_elevation_sweep(
-    delay_chips: float = 1.0,
-    doppler_hz: float = 120.0,
-    elevations_deg: Sequence[float] | None = None,
-    signal: SignalConfig = SignalConfig(),
-) -> ExperimentReport:
-    """Project a fixed delay/Doppler bias over a set of elevations.
+def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> ExperimentReport:
+    """Project :data:`REFERENCE_BIAS` over a set of elevations.
 
     Defaults sweep 0..85 deg in half-degree steps.  ``summary`` records
     whether each bias column strictly increases with elevation.
     """
     if elevations_deg is None:
         elevations_deg = 0.5 * np.arange(171)
+    (delay_chips, doppler_hz), signal = REFERENCE_BIAS, SignalConfig()
     rows = tuple((el, project_bias(delay_chips, math.radians(el), signal.code_rate),
                   project_bias(doppler_hz, math.radians(el), signal.carrier))
                  for el in map(float, elevations_deg))
@@ -265,7 +263,6 @@ def run_elevation_sweep(
         columns=("elevation[deg]", "range_bias[m]", "range_rate_bias[m/s]"),
         rows=rows,
         summary={
-            "points": len(rows),
             "range_bias_strictly_increasing": increasing_range,
             "range_rate_bias_strictly_increasing": increasing_rate,
         },
@@ -299,8 +296,6 @@ def run_random_azimuth_mc(
         rows=rows,
         summary={
             "trials": trials,
-            "rho_i": rho_i,
-            "rho_j": rho_j,
             "min_radial_error": float(errors[imin]),
             "argmin_trial": imin,
             "argmin_separation_deg": math.degrees(float(thetas[imin])),

@@ -558,6 +558,51 @@ class TestCommands:
         rows = json.loads((tmp_path / "project.json").read_text())["rows"]
         assert rows[1][2] == pytest.approx(39.94007471783003, rel=1e-12)
 
+    def test_project_biases_are_the_center_line_radii(self, tmp_path):
+        # 41.3 deg does not survive a degrees round trip, and the biases
+        # still equal the radii intersect uses, bit for bit; each path
+        # carries the flags' default bias
+        def at_41_3(raw):
+            for sat in raw["satellites"]:
+                sat["elevation_deg"] = 41.3
+                sat["paths"][0].update(delay_chips=1.0, doppler_hz=120.0)
+
+        p = dump_variant(tmp_path, "case3", at_41_3)
+        assert main(["project", "--scenario", str(p), "--format", "json",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = json.loads((tmp_path / "project.json").read_text())["rows"]
+        s = load_scenario(p)
+        assert [row[0] for row in rows] == [ch.prn for ch in s.satellites]
+        for row, ch in zip(rows, s.satellites):
+            assert row[2:] == [center_line(ch, 0, space, s.signal).radius for space in Space]
+
+    def test_project_scales_with_the_bias_flags(self, tmp_path):
+        rows = []
+        for flags in ([], ["--delay-chips", "2", "--doppler-hz", "60"]):
+            out = tmp_path / f"flags{len(flags)}"
+            assert main(["project", "--scenario", "table1.scenario", "--format", "json",
+                         "--out", str(out), *flags]) == EXIT_OK
+            rows.append(json.loads((out / "project.json").read_text())["rows"])
+        for one, scaled in zip(*rows, strict=True):
+            assert scaled[:2] == one[:2]
+            assert scaled[2] == pytest.approx(2.0 * one[2], rel=1e-12)
+            assert scaled[3] == pytest.approx(0.5 * one[3], rel=1e-12)
+
+    def test_stdout_echoes_the_first_40_rows_of_the_file(self, tmp_path, capsys):
+        def eight_satellites(raw):
+            paths = [{"kind": "los"}, {"kind": "nlos", "delay_chips": 0.5, "doppler_hz": 40.0},
+                     {"kind": "nlos", "delay_chips": 1.0, "doppler_hz": 90.0}]
+            raw["satellites"] = [{"prn": k + 1, "elevation_deg": 20.0 + 6.0 * k,
+                                  "azimuth_deg": 10.0 + 37.0 * k, "paths": paths}
+                                 for k in range(8)]
+
+        p = dump_variant(tmp_path, "case3", eight_satellites)
+        assert main(["intersect", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "intersect.csv").read_text().splitlines()
+        assert len(lines) == 1 + 450  # 2 spaces x (28 pairs x 9 path pairs - 27 merged LOS)
+        assert capsys.readouterr().out.splitlines() == lines[:41] + [
+            "... (450 rows total)", f"wrote {tmp_path / 'intersect.csv'}"]
+
     def test_intersect_counts_pairs(self, tmp_path):
         assert main(["intersect", "--scenario", "case3.scenario", "--space", "position",
                      "--out", str(tmp_path)]) == EXIT_OK

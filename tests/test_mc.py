@@ -15,6 +15,7 @@ from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
+    REFERENCE_BIAS,
     REFERENCE_SEED,
     fixture_check,
     pair_error_curve,
@@ -51,7 +52,7 @@ def reference_runs() -> dict:
     cases = {case: (s := load_scenario(f"{case}.scenario"), run_case_study(s))
              for case in ("case1", "case2", "case3", "table6")}
     return {
-        "projection": run_elevation_sweep(1.0, 120.0, [35.4, 42.8, 66.7, 69.8]),
+        "projection": run_elevation_sweep([35.4, 42.8, 66.7, 69.8]),
         "sweep": run_elevation_sweep(),
         "monte_carlo": run_random_azimuth_mc(60.0, 40.0, 10000, REFERENCE_SEED),
         "field": cases.pop("table6"),
@@ -98,7 +99,7 @@ class TestElevationSweep:
         rep = run_elevation_sweep()
         criterion = criteria_of(sweep=rep)[2]
         assert criterion.passed
-        assert rep.summary["points"] == 171
+        assert len(rep.rows) == 171
         assert rep.summary["range_bias_strictly_increasing"]
         assert rep.summary["range_rate_bias_strictly_increasing"]
         names = {c.name for c in criterion.checks}
@@ -106,18 +107,19 @@ class TestElevationSweep:
         assert "zero_elevation:range_rate_bias" in names
 
     def test_reference_elevation_checks_pass(self):
-        rep = run_elevation_sweep(1.0, 120.0, [35.4, 42.8, 66.7, 69.8])
+        rep = run_elevation_sweep([35.4, 42.8, 66.7, 69.8])
         proj = criteria_of(projection=rep)[1].checks
         assert len(proj) == 8
         assert all(c.name.startswith("projection:") for c in proj)
         assert all(c.passed for c in proj)
 
     def test_rows_match_projection(self):
-        rep = run_elevation_sweep(2.0, 60.0, [10.0, 50.0])
+        delay_chips, doppler_hz = REFERENCE_BIAS
+        rep = run_elevation_sweep([10.0, 50.0])
         for el, rng, rate in rep.rows:
             phi = math.radians(el)
-            assert rng == pytest.approx(project_bias(2.0, phi, CODE_RATE), rel=1e-12)
-            assert rate == pytest.approx(project_bias(60.0, phi, CARRIER), rel=1e-12)
+            assert rng == pytest.approx(project_bias(delay_chips, phi, CODE_RATE), rel=1e-12)
+            assert rate == pytest.approx(project_bias(doppler_hz, phi, CARRIER), rel=1e-12)
 
 
 class TestRandomAzimuthMc:
