@@ -4,14 +4,13 @@ The local frame is East-North-Up anchored at the receiver truth point.
 Azimuth is measured clockwise from geodetic North, elevation up from the
 horizontal plane; both are kept in radians internally.  :func:`check_elevation`
 states the one elevation domain that look angles and bias projections share.
-Every geometry fault raises :class:`GeometryError`.
+Every geometry fault raises :class:`GeometryError`.  Only the ECEF-to-ENU
+rotation uses numpy, imported when a satellite position is converted.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # WGS-84 ellipsoid
 WGS84_A = 6378137.0
@@ -54,7 +53,9 @@ class EcefVector:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise GeometryError("ECEF components must be finite")
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
+        import numpy as np
+
         return np.array([self.x, self.y, self.z], dtype=float)
 
     @classmethod
@@ -143,8 +144,10 @@ def geodetic_latlon(origin: EcefVector) -> tuple[float, float]:
     return lat, lon
 
 
-def _enu_rotation(lat: float, lon: float) -> np.ndarray:
-    """Rotation matrix with rows e, n, u expressed in ECEF axes."""
+def _enu_rotation(lat: float, lon: float):
+    """Rotation matrix with rows e, n, u expressed in ECEF axes, a numpy array."""
+    import numpy as np
+
     sl, cl = math.sin(lat), math.cos(lat)
     so, co = math.sin(lon), math.cos(lon)
     return np.array(

@@ -18,17 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .caf import (
-    GridSpec,
-    SatelliteChannel,
-    Scenario,
-    SignalConfig,
-    Space,
-    _add_channel,
-    _mismatch_coef,
-    mismatch,
-)
+from .caf import _add_channel, _mismatch_coef, mismatch
 from .geom import fold_azimuth_separation
+from .model import REFERENCE_SEED, GridSpec, SatelliteChannel, Scenario, SignalConfig, Space
 from .scmb import (
     EPS_PARALLEL,
     ParallelLinesError,
@@ -38,7 +30,6 @@ from .scmb import (
     project_bias,
 )
 
-REFERENCE_SEED = 1
 REFERENCE_BIAS = (1.0, 120.0)  # (delay chips, Doppler Hz) the sweeps project, default signal
 
 # Intersection-point labels of the reference satellite pairs.
@@ -243,6 +234,15 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     out = np.full_like(num, np.inf)
     np.divide(num, s, out=out, where=s >= EPS_PARALLEL)
     return out
+
+
+def pair_error_rows(rho: float) -> tuple[tuple[float, float, float], ...]:
+    """``(separation deg, single, pair)`` at each half-degree azimuth separation in (0, 180)
+    deg: :func:`pair_error_curve` of one NLOS satellite of radius ``rho``, and of two."""
+    thetas_deg = 0.5 * np.arange(1, 360)
+    thetas = np.radians(thetas_deg)
+    return tuple(zip(thetas_deg.tolist(), pair_error_curve(rho, 0.0, thetas).tolist(),
+                     pair_error_curve(rho, rho, thetas).tolist()))
 
 
 def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> ExperimentReport:

@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .caf import (
+from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
+from .model import (
     RIDGE_OFFSET_SIGN,
     SPEED_OF_LIGHT,
     Scenario,
     SignalConfig,
     Space,
 )
-from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
 
 EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines are parallel
 EPS_MERGE = 1e-6  # m (m/s); intersection points closer than this are one point

@@ -9,14 +9,34 @@ from typing import Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from dpe_multipath.caf import (Grid2D, Scenario, SignalConfig, Space, _add_channel, _ArgmaxFold,
-                               scenario_caf)
+from dpe_multipath.caf import _add_channel, _ArgmaxFold, scenario_caf
 from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
 from dpe_multipath.mc import ExperimentReport
+from dpe_multipath.model import Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
+
+# Satellites authored by ECEF position alone, so loading derives their look
+# angles through ``geom.ecef_to_enu``'s numpy rotation; every bundled scenario
+# authors angles instead.  LOS + NLOS, LOS-only and NLOS-only channels.
+ECEF_SCENARIO = {
+    "schema_version": 1,
+    "receiver": {"position_ecef": [-3957199.0, 3310205.0, 3737911.0]},
+    "satellites": [
+        {"prn": 3, "position_ecef": [-12644060.3, -9320843.3, 19517488.2],
+         "paths": [{"kind": "los"},
+                   {"kind": "nlos", "amplitude": 0.5, "delay_chips": 0.4, "doppler_hz": -35.0}]},
+        {"prn": 9, "position_ecef": [-23902264.7, 9789710.0, 10386998.8],
+         "paths": [{"kind": "los"}]},
+        {"prn": 14, "position_ecef": [-8282660.6, 24878960.6, 3456548.1],
+         "paths": [{"kind": "nlos", "delay_chips": 0.7, "doppler_hz": 52.5}]},
+        {"prn": 27, "position_ecef": [-2569698.9, 16529230.1, 21268804.2],
+         "paths": [{"kind": "los"},
+                   {"kind": "nlos", "amplitude": 0.3, "delay_chips": 1.1, "doppler_hz": 80.0}]},
+    ],
+}
 
 # the default signal plan's rate in each space, as ``scmb.project_bias`` takes it
 CODE_RATE, CARRIER = (SignalConfig().rate(space) for space in Space)

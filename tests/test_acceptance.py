@@ -12,7 +12,7 @@ from pathlib import Path
 
 from dpe_multipath import mc
 from dpe_multipath.cli import load_scenario
-from dpe_multipath.caf import Space
+from dpe_multipath.model import REFERENCE_SEED, Space
 from dpe_multipath.scmb import pair_bias, project_bias
 from scenario_helpers import CARRIER, CODE_RATE
 
@@ -110,7 +110,7 @@ def test_criterion_4_case_tables_simulated(acceptance_log):
 
 
 def test_criterion_5_monte_carlo(acceptance_log):
-    rep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, mc.REFERENCE_SEED)
+    rep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, REFERENCE_SEED)
     s = rep.summary
     ok = abs(s["min_radial_error"] - 60.0) <= 0.005 * 60.0
     ok &= abs(s["argmin_separation_deg"] - 48.2) <= 1.0

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath import caf
-from dpe_multipath.caf import (
+from dpe_multipath import caf, model
+from dpe_multipath.caf import mismatch, scenario_caf
+from dpe_multipath.cli import load_scenario
+from dpe_multipath.model import (
     DEFAULT_GRIDS,
     RIDGE_OFFSET_SIGN,
     SPEED_OF_LIGHT,
@@ -23,10 +25,7 @@ from dpe_multipath.caf import (
     SignalPath,
     Space,
     make_channel,
-    mismatch,
-    scenario_caf,
 )
-from dpe_multipath.cli import load_scenario
 from scenario_helpers import (
     authored_receiver,
     channel,
@@ -210,7 +209,7 @@ class TestGrids:
 
     def test_grid_size_limit(self):
         # checked on the spec alone: no grid of that size is filled
-        assert GridSpec(Space.VELOCITY, 1000.0, 0.1).n == caf.MAX_GRID_N == 20001
+        assert GridSpec(Space.VELOCITY, 1000.0, 0.1).n == model.MAX_GRID_N == 20001
         with pytest.raises(ValueError, match="^grid has 20003 samples per axis, more than 20001$"):
             GridSpec(Space.VELOCITY, 1000.1, 0.1)
         with pytest.raises(ValueError, match="1000001 samples"):

@@ -22,18 +22,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath import caf, cli
-from dpe_multipath.caf import (
-    DEFAULT_GRIDS,
-    Grid2D,
-    GridSpec,
-    PathKind,
-    Scenario,
-    SignalConfig,
-    SignalPath,
-    Space,
-    scenario_caf,
-)
+from dpe_multipath import caf, cli, gridtext
+from dpe_multipath.caf import scenario_caf
 from dpe_multipath.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CANT_CREATE,
@@ -51,9 +41,20 @@ from dpe_multipath.cli import (
     main,
 )
 from dpe_multipath.geom import EcefVector, LookAngles
+from dpe_multipath.model import (
+    DEFAULT_GRIDS,
+    Grid2D,
+    GridSpec,
+    PathKind,
+    Scenario,
+    SignalConfig,
+    SignalPath,
+    Space,
+)
 from dpe_multipath.scmb import center_line
 from scenario_helpers import (
     BUNDLED,
+    ECEF_SCENARIO,
     authored_receiver,
     channel,
     enu_from_angles,
@@ -392,7 +393,7 @@ class TestArrayTable:
         assert spec.n == 1001
         table = ResultTable(("e", "n", "v"), Grid2D(
             spec, (np.random.default_rng(8).standard_normal((spec.n, spec.n)),)))
-        cli._csv_digit_tables()  # built once per process
+        gridtext._csv_digit_tables()  # built once per process
         tracemalloc.start()
         try:
             cli._write_table(table, tmp_path, "grid", "csv")
@@ -405,7 +406,7 @@ class TestArrayTable:
 class TestGridStream:
     """Grid tables are spelled a block at a time, as the blocks are drawn."""
 
-    @pytest.mark.parametrize("texts", [cli._csv_grid_texts, cli._json_grid_texts],
+    @pytest.mark.parametrize("texts", [gridtext._csv_grid_texts, gridtext._json_grid_texts],
                              ids=["csv", "json"])
     def test_non_finite_block_raises_before_it_is_spelled(self, texts):
         spec = GridSpec(Space.POSITION, 2.0, 1.0)
@@ -416,7 +417,7 @@ class TestGridStream:
             spelled.extend(texts(Grid2D(spec, map(fold.add, blocks))))
         # the cells of the three finite rows, and nothing of the NaN block
         text = "".join(spelled)
-        assert text.count("\n" if texts is cli._csv_grid_texts else "    [") == 3 * spec.n
+        assert text.count("\n" if texts is gridtext._csv_grid_texts else "    [") == 3 * spec.n
         assert "nan" not in text.lower()
 
     def test_blocks_are_spelled_before_the_next_is_drawn(self):
@@ -800,6 +801,28 @@ class TestCommands:
                  "case-tables-grid-readout", "monte-carlo", "field-replay-theoretical"), 1)]
         assert out[6:] == [f"report: PASS; details in {tmp_path / 'report.json'}"]
 
+    # sha256 of the table ``project`` / ``intersect`` write for ``ECEF_SCENARIO``,
+    # whose look angles come from numpy's ``rot @ v`` in ``geom.ecef_to_enu``:
+    # a rotation rounded otherwise moves the angles' last bits, and with them
+    # the JSON digests (CSV's six digits hide them)
+    ECEF_DIGESTS = {
+        "project.csv": "12d77caf80b89d923f8d8b29ddb81f8d75ed2cdbd1b899256db163688ac79ea4",
+        "project.json": "4193feacadcc8ac41016391642c8f5b7d48ba8778bc8c81290d6394bbdca15cd",
+        "intersect.csv": "bd2777007be25d3de3c2e1887a00777a4318a2e5e14c85f5c09ffed06d3e11fd",
+        "intersect.json": "48bdd729b699eb60b5b40c1b6bec4daa5f33d8738a2a8e1bbef089aaa100f1b2",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["project", "intersect"])
+    def test_ecef_scenario_bytes_match_recorded_digests(self, tmp_path, command, fmt):
+        scenario = tmp_path / "ecef.scenario"
+        scenario.write_text(json.dumps(ECEF_SCENARIO))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scenario), "--format", fmt,
+                     "--out", str(out)]) == EXIT_OK
+        name = f"{command}.{fmt}"
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == self.ECEF_DIGESTS[name]
+
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["montecarlo", "--trials", "300", "--out", str(a)]) == EXIT_OK
@@ -1051,7 +1074,7 @@ class TestExitCodes:
         def unreached(scenario, space):
             raise AssertionError("grids built before --out was checked")
 
-        monkeypatch.setattr(cli, "scenario_caf", unreached)
+        monkeypatch.setattr(caf, "scenario_caf", unreached)
         blocker = tmp_path / "taken"
         blocker.write_text("")
         out = blocker / "sub" if under else blocker
@@ -1070,7 +1093,7 @@ class TestExitCodes:
         def exhausted(scenario, space):
             raise error
 
-        monkeypatch.setattr(cli, "scenario_caf", exhausted)
+        monkeypatch.setattr(caf, "scenario_caf", exhausted)
         assert main(["caf", "--scenario", "case3.scenario", "--out", str(tmp_path)]) == (
             EXIT_COMPUTE)
         assert capsys.readouterr().err.startswith(f"computation error: {message}")
@@ -1128,7 +1151,7 @@ class TestExitCodes:
 
             return replace(grid, blocks=blocks())
 
-        monkeypatch.setattr(cli, "scenario_caf", failing)
+        monkeypatch.setattr(caf, "scenario_caf", failing)
         out = tmp_path / "out"
         assert main(["caf", "--scenario", "table6.scenario", "--space", "position",
                      "--format", fmt, "--out", str(out)]) == status

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from dpe_multipath import caf, mc
-from dpe_multipath.caf import GridSpec, PathKind, Scenario, SignalPath, Space, scenario_caf
+from dpe_multipath.caf import scenario_caf
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
     REFERENCE_BIAS,
-    REFERENCE_SEED,
     fixture_check,
     pair_error_curve,
     reference_criteria,
@@ -24,6 +23,7 @@ from dpe_multipath.mc import (
     run_elevation_sweep,
     run_random_azimuth_mc,
 )
+from dpe_multipath.model import REFERENCE_SEED, GridSpec, PathKind, Scenario, SignalPath, Space
 from dpe_multipath.scmb import project_bias
 from scenario_helpers import (CARRIER, CODE_RATE, caf_value_at, channel, grid_values,
                               run_oracle_compare)

@@ -1,8 +1,10 @@
 """The package root holds only the version and the start-up settings; every import is
 used and comes from its definer; every exception class is caught somewhere; every public
-name is read by the program; no command loads jsonschema."""
+name is read by the program; no command loads jsonschema, and only the commands that fill
+grids or draw trials load numpy."""
 import ast
 import builtins
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpe_multipath
+from scenario_helpers import BUNDLED, ECEF_SCENARIO
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,12 +41,43 @@ def test_one_blas_thread_unless_the_caller_says(caller, seen):
     assert _run(["-c", code], **env).stdout == f"{seen}\n"
 
 
+def imported_modules(args: list[str]) -> set[str]:
+    """Every module a fresh interpreter run with ``args`` imports, as ``-X importtime``
+    lists them on stderr."""
+    done = _run(["-X", "importtime", *args])
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+
+
 def test_report_does_not_load_jsonschema(tmp_path):
-    # -X importtime lists every module the run imports on stderr
-    done = _run(["-X", "importtime", "-m", "dpe_multipath", "report", "--out", str(tmp_path)])
-    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    imported = imported_modules(["-m", "dpe_multipath", "report", "--out", str(tmp_path)])
     assert {"numpy", "dpe_multipath.cli"} <= imported
     assert not {m for m in imported if m.partition(".")[0] == "jsonschema"}
+
+
+LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
+                  "for name in sys.argv[1:]:\n    cli.load_scenario(name)\n")
+
+
+@pytest.mark.parametrize("args, loads_numpy", [
+    (["bounds", "--radii", "60,40,30,15"], False),
+    (["project", "--scenario", "case3.scenario"], False),
+    (["intersect", "--scenario", "case3.scenario"], False),
+    (["load", *(f"{name}.scenario" for name in BUNDLED)], False),
+    (["caf", "--scenario", "case3.scenario", "--space", "position"], True),
+    (["montecarlo", "--trials", "10"], True),
+    # satellites authored by ECEF position reach geom's numpy rotation
+    (["load", "ecef.scenario"], True),
+], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "load-ecef"])
+def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads_numpy):
+    if args[0] == "load":  # ``import dpe_multipath.cli``, then ``load_scenario`` of each name
+        (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
+        args = ["-c", LOAD_SCENARIOS, *(str(tmp_path / a) if a == "ecef.scenario" else a
+                                        for a in args[1:])]
+    else:
+        args = ["-m", "dpe_multipath", *args, "--out", str(tmp_path / "out")]
+    imported = imported_modules(args)
+    assert "dpe_multipath.cli" in imported
+    assert any(m.partition(".")[0] == "numpy" for m in imported) == loads_numpy
 
 
 def test_no_src_module_imports_jsonschema():

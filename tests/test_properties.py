@@ -12,7 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpe_multipath.caf import (
+from dpe_multipath.caf import scenario_caf
+from dpe_multipath.geom import EnuVector, LookAngles
+from dpe_multipath.mc import (
+    _scanline_readout,
+    pair_error_curve,
+    run_random_azimuth_mc,
+)
+from dpe_multipath.model import (
     Grid2D,
     GridSpec,
     PathKind,
@@ -23,13 +30,6 @@ from dpe_multipath.caf import (
     Space,
     SPEED_OF_LIGHT,
     make_channel,
-    scenario_caf,
-)
-from dpe_multipath.geom import EnuVector, LookAngles
-from dpe_multipath.mc import (
-    _scanline_readout,
-    pair_error_curve,
-    run_random_azimuth_mc,
 )
 from dpe_multipath.scmb import (
     CenterLine,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath.caf import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.geom import EPS_ZENITH, GeometryError, LookAngles, fold_azimuth_separation
 from dpe_multipath.cli import load_scenario
+from dpe_multipath.model import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.scmb import (
     CenterLine,
     ParallelLinesError,
