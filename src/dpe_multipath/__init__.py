@@ -11,7 +11,7 @@ imported from the module that defines them, e.g. ``dpe_multipath.scmb``.
 """
 import os
 
-# Set before numpy loads: OpenBLAS's thread pool costs more start-up than our tiny BLAS calls save.
+# Set before numpy loads: OpenBLAS's thread pool costs more start-up than our one polyfit saves.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

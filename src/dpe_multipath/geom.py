@@ -4,8 +4,7 @@ The local frame is East-North-Up anchored at the receiver truth point.
 Azimuth is measured clockwise from geodetic North, elevation up from the
 horizontal plane; both are kept in radians internally.  :func:`check_elevation`
 states the one elevation domain that look angles and bias projections share.
-Every geometry fault raises :class:`GeometryError`.  Only the ECEF-to-ENU
-rotation uses numpy, imported when a satellite position is converted.
+Every geometry fault raises :class:`GeometryError`.
 """
 from __future__ import annotations
 
@@ -53,11 +52,6 @@ class EcefVector:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise GeometryError("ECEF components must be finite")
 
-    def to_array(self):
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     @classmethod
     def from_array(cls, a) -> "EcefVector":
         return cls(float(a[0]), float(a[1]), float(a[2]))
@@ -77,10 +71,6 @@ class EnuVector:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.e, self.n, self.u)):
             raise GeometryError("ENU components must be finite")
-
-    @classmethod
-    def from_array(cls, a) -> "EnuVector":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
     def horizontal_norm(self) -> float:
         return math.hypot(self.e, self.n)
@@ -144,26 +134,23 @@ def geodetic_latlon(origin: EcefVector) -> tuple[float, float]:
     return lat, lon
 
 
-def _enu_rotation(lat: float, lon: float):
-    """Rotation matrix with rows e, n, u expressed in ECEF axes, a numpy array."""
-    import numpy as np
-
+def _enu_rotation(lat: float, lon: float) -> tuple[tuple[float, float, float], ...]:
+    """Rotation matrix rows e, n, u, each expressed in ECEF axes."""
     sl, cl = math.sin(lat), math.cos(lat)
     so, co = math.sin(lon), math.cos(lon)
-    return np.array(
-        [
-            [-so, co, 0.0],
-            [-sl * co, -sl * so, cl],
-            [cl * co, cl * so, sl],
-        ]
-    )
+    return (-so, co, 0.0), (-sl * co, -sl * so, cl), (cl * co, cl * so, sl)
 
 
 def ecef_to_enu(point: EcefVector, origin: EcefVector) -> EnuVector:
-    """Express ``point`` in the ENU frame anchored at ``origin``."""
-    lat, lon = geodetic_latlon(origin)
-    rot = _enu_rotation(lat, lon)
-    return EnuVector.from_array(rot @ (point.to_array() - origin.to_array()))
+    """Express ``point`` in the ENU frame anchored at ``origin``.
+
+    Each component is the dot product of a rotation row with the ECEF
+    difference, summed left to right in plain floats, so the bits do not
+    depend on the CPU (no BLAS kernel, no fused multiply-add).
+    """
+    rows = _enu_rotation(*geodetic_latlon(origin))
+    d = (point.x - origin.x, point.y - origin.y, point.z - origin.z)
+    return EnuVector(*(r[0] * d[0] + r[1] * d[1] + r[2] * d[2] for r in rows))
 
 
 def look_angles(sat_enu: EnuVector) -> LookAngles:

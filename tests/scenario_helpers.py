@@ -19,8 +19,8 @@ from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
 # Satellites authored by ECEF position alone, so loading derives their look
-# angles through ``geom.ecef_to_enu``'s numpy rotation; every bundled scenario
-# authors angles instead.  LOS + NLOS, LOS-only and NLOS-only channels.
+# angles through ``geom.ecef_to_enu``'s plain-float rotation; every bundled
+# scenario authors angles instead.  LOS + NLOS, LOS-only and NLOS-only channels.
 ECEF_SCENARIO = {
     "schema_version": 1,
     "receiver": {"position_ecef": [-3957199.0, 3310205.0, 3737911.0]},
@@ -54,9 +54,10 @@ def channel(scenario, prn: int):
 
 
 def enu_to_ecef(local: EnuVector, origin: EcefVector) -> EcefVector:
-    """Inverse of ``geom.ecef_to_enu``."""
-    rot = _enu_rotation(*geodetic_latlon(origin))
-    return EcefVector.from_array(origin.to_array() + rot.T @ np.array([local.e, local.n, local.u]))
+    """Inverse of ``geom.ecef_to_enu``: the rotation's transpose, then the origin."""
+    e, n, u = _enu_rotation(*geodetic_latlon(origin))
+    return EcefVector(*(o + (e[k] * local.e + n[k] * local.n + u[k] * local.u)
+                        for k, o in enumerate((origin.x, origin.y, origin.z))))
 
 
 def enu_from_angles(angles: LookAngles, range_m: float) -> EnuVector:

@@ -802,14 +802,14 @@ class TestCommands:
         assert out[6:] == [f"report: PASS; details in {tmp_path / 'report.json'}"]
 
     # sha256 of the table ``project`` / ``intersect`` write for ``ECEF_SCENARIO``,
-    # whose look angles come from numpy's ``rot @ v`` in ``geom.ecef_to_enu``:
-    # a rotation rounded otherwise moves the angles' last bits, and with them
-    # the JSON digests (CSV's six digits hide them)
+    # whose look angles come from ``geom.ecef_to_enu``'s plain-float dot
+    # products: a rotation rounded otherwise moves the angles' last bits, and
+    # with them the JSON digests (CSV's six digits hide them)
     ECEF_DIGESTS = {
         "project.csv": "12d77caf80b89d923f8d8b29ddb81f8d75ed2cdbd1b899256db163688ac79ea4",
-        "project.json": "4193feacadcc8ac41016391642c8f5b7d48ba8778bc8c81290d6394bbdca15cd",
+        "project.json": "67f02632d196f316d84e8a7e5c112003ef09596e7f2485b5b0f326f0989d4a49",
         "intersect.csv": "bd2777007be25d3de3c2e1887a00777a4318a2e5e14c85f5c09ffed06d3e11fd",
-        "intersect.json": "48bdd729b699eb60b5b40c1b6bec4daa5f33d8738a2a8e1bbef089aaa100f1b2",
+        "intersect.json": "a77817c76682f304fff6dea256ec7c08d37ec3823bd0d4a5947d531b475dc739",
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -822,6 +822,24 @@ class TestCommands:
                      "--out", str(out)]) == EXIT_OK
         name = f"{command}.{fmt}"
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == self.ECEF_DIGESTS[name]
+
+    @pytest.mark.parametrize("coretype", [None, "Sandybridge", "Haswell"])
+    @pytest.mark.parametrize("command", ["project", "intersect"])
+    def test_ecef_scenario_bytes_do_not_depend_on_the_blas_kernel(
+            self, tmp_path, monkeypatch, command, coretype):
+        # OpenBLAS picks its kernels by CPU unless ``OPENBLAS_CORETYPE`` names one;
+        # its Sandybridge and Haswell kernels round a 3x3 matrix-vector product
+        # differently, so a rotation through BLAS misses the digests under one
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        scenario = tmp_path / "ecef.scenario"
+        scenario.write_text(json.dumps(ECEF_SCENARIO))
+        env = {} if coretype is None else {"OPENBLAS_CORETYPE": coretype}
+        done = run_module(["-m", "dpe_multipath", command, "--scenario", str(scenario),
+                           "--format", "json", "--out", str(tmp_path)], **env)
+        assert done.returncode == EXIT_OK, done.stderr
+        name = f"{command}.json"
+        assert (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                == self.ECEF_DIGESTS[name])
 
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

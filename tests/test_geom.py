@@ -1,7 +1,6 @@
 """Geodetic frame transforms and look angles."""
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,14 +75,11 @@ class TestEnuFrame:
         # Nudging the origin along the local north axis must read back as
         # (0, 1, 0) to first order.
         lat, lon = geodetic_latlon(RECEIVER)
-        north_ecef = np.array(
-            [
-                -math.sin(lat) * math.cos(lon),
-                -math.sin(lat) * math.sin(lon),
-                math.cos(lat),
-            ]
+        point = EcefVector(
+            RECEIVER.x - math.sin(lat) * math.cos(lon),
+            RECEIVER.y - math.sin(lat) * math.sin(lon),
+            RECEIVER.z + math.cos(lat),
         )
-        point = EcefVector.from_array(RECEIVER.to_array() + north_ecef)
         local = ecef_to_enu(point, RECEIVER)
         assert local.e == pytest.approx(0.0, abs=1e-6)
         assert local.n == pytest.approx(1.0, abs=1e-6)
@@ -91,14 +87,11 @@ class TestEnuFrame:
 
     def test_up_axis_points_outward(self):
         lat, lon = geodetic_latlon(RECEIVER)
-        up_ecef = np.array(
-            [
-                math.cos(lat) * math.cos(lon),
-                math.cos(lat) * math.sin(lon),
-                math.sin(lat),
-            ]
+        point = EcefVector(
+            RECEIVER.x + 5.0 * math.cos(lat) * math.cos(lon),
+            RECEIVER.y + 5.0 * math.cos(lat) * math.sin(lon),
+            RECEIVER.z + 5.0 * math.sin(lat),
         )
-        point = EcefVector.from_array(RECEIVER.to_array() + 5.0 * up_ecef)
         local = ecef_to_enu(point, RECEIVER)
         assert local.u == pytest.approx(5.0, abs=1e-6)
 
@@ -116,7 +109,7 @@ class TestEnuFrame:
         assert back.n == pytest.approx(n, abs=1e-6)
         assert back.u == pytest.approx(u, abs=1e-6)
         # rotation + translation: distances survive exactly up to roundoff
-        distance = np.linalg.norm(point.to_array() - RECEIVER.to_array())
+        distance = math.hypot(point.x - RECEIVER.x, point.y - RECEIVER.y, point.z - RECEIVER.z)
         assert distance == pytest.approx(math.hypot(e, n, u), rel=1e-12, abs=1e-9)
 
 

@@ -65,14 +65,17 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
     (["load", *(f"{name}.scenario" for name in BUNDLED)], False),
     (["caf", "--scenario", "case3.scenario", "--space", "position"], True),
     (["montecarlo", "--trials", "10"], True),
-    # satellites authored by ECEF position reach geom's numpy rotation
-    (["load", "ecef.scenario"], True),
-], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "load-ecef"])
+    # satellites authored by ECEF position: their look angles come from geom's rotation
+    (["load", "ecef.scenario"], False),
+    (["project", "--scenario", "ecef.scenario"], False),
+    (["intersect", "--scenario", "ecef.scenario"], False),
+], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "load-ecef",
+        "project-ecef", "intersect-ecef"])
 def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads_numpy):
+    (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
+    args = [str(tmp_path / a) if a == "ecef.scenario" else a for a in args]
     if args[0] == "load":  # ``import dpe_multipath.cli``, then ``load_scenario`` of each name
-        (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
-        args = ["-c", LOAD_SCENARIOS, *(str(tmp_path / a) if a == "ecef.scenario" else a
-                                        for a in args[1:])]
+        args = ["-c", LOAD_SCENARIOS, *args[1:]]
     else:
         args = ["-m", "dpe_multipath", *args, "--out", str(tmp_path / "out")]
     imported = imported_modules(args)
