@@ -1059,6 +1059,14 @@ class TestExitCodes:
         assert (tmp_path / "montecarlo.csv").read_text().splitlines()[1:] == [
             "0,54.6422,1.12556e+308", "1,152.768,inf", "2,28.1043,1.03085e+308"]
 
+    def test_unaddressable_trial_count_is_compute_error(self, tmp_path, capsys):
+        # 2**62 doubles are more bytes than an array may address, so numpy
+        # refuses the draws' array before allocating anything
+        assert main(["montecarlo", "--trials", str(2**62), "--out", str(tmp_path)]) == (
+            EXIT_COMPUTE)
+        assert capsys.readouterr().err.startswith("computation error: ")
+        assert not (tmp_path / "montecarlo.csv").exists()
+
     def test_compute_error(self, tmp_path, capsys):
         # the biases project to finite radii, but two center lines cross
         # farther out than a double holds

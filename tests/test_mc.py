@@ -190,6 +190,32 @@ class TestUniformStream:
         assert min(separations) >= 0.0 and max(separations) < 180.0
 
 
+class TestPhiloxUniform:
+    @pytest.mark.parametrize("seed", [0, 1, REFERENCE_SEED, 2**64 - 1, 2**64, 2**128 - 1])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 10000, 4 * mc._PHILOX_BLOCKS + 3])
+    def test_equals_numpy_generator(self, seed, n):
+        # the last length ends 3 draws into the second chunk of blocks
+        expected = np.random.Generator(np.random.Philox(key=seed)).uniform(0.0, 1.0, n)
+        assert mc._philox_uniform(seed, n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed, first", [
+        (1, ["0x1.36da89edd58a0p-2", "0x1.b289f407757c1p-1", "0x1.3fc3972bb8304p-3",
+             "0x1.fda5da5a81200p-6", "0x1.cceffc977a08ap-1", "0x1.aa87b74ada3c0p-5",
+             "0x1.7d7c2595a1d69p-1", "0x1.f85a55eaafb0cp-3"]),
+        (2**128 - 1, ["0x1.b51b3039c7c2ep-2", "0x1.249d42d27f351p-1", "0x1.fb86be0331922p-1",
+                      "0x1.694623e2f54cap-1", "0x1.9f84b07bfe378p-2", "0x1.a1dd86108ae1ep-2",
+                      "0x1.6d5e5792b5020p-5", "0x1.28364fcba4881p-1"]),
+    ], ids=["seed-1", "seed-2**128-1"])
+    def test_first_draws_are_pinned(self, seed, first):
+        # held as literals, so the stream stays put whatever numpy's Generator does
+        assert [x.hex() for x in mc._philox_uniform(seed, 8).tolist()] == first
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_key_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            mc._philox_uniform(seed, 4)
+
+
 class TestCaseStudies:
     @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
     def test_reference_cases_pass(self, case):

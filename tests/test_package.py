@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpe_multipath
-from scenario_helpers import BUNDLED, ECEF_SCENARIO
+from scenario_helpers import BUNDLED, ECEF_SCENARIO, fixture_with
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,29 +58,36 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
                   "for name in sys.argv[1:]:\n    cli.load_scenario(name)\n")
 
 
-@pytest.mark.parametrize("args, loads_numpy", [
-    (["bounds", "--radii", "60,40,30,15"], False),
-    (["project", "--scenario", "case3.scenario"], False),
-    (["intersect", "--scenario", "case3.scenario"], False),
-    (["load", *(f"{name}.scenario" for name in BUNDLED)], False),
-    (["caf", "--scenario", "case3.scenario", "--space", "position"], True),
-    (["montecarlo", "--trials", "10"], True),
+@pytest.mark.parametrize("args, loads", [
+    (["bounds", "--radii", "60,40,30,15"], None),
+    (["project", "--scenario", "case3.scenario"], None),
+    (["intersect", "--scenario", "case3.scenario"], None),
+    (["load", *(f"{name}.scenario" for name in BUNDLED)], None),
+    (["caf", "--scenario", "case3.scenario", "--space", "position"], "numpy"),
+    # mc computes the Monte Carlo stream, and only caf's noise needs numpy.random
+    (["montecarlo", "--trials", "10"], "numpy"),
+    (["report"], "numpy"),
+    (["caf", "--scenario", "noisy.scenario", "--space", "position"], "numpy.random"),
     # satellites authored by ECEF position: their look angles come from geom's rotation
-    (["load", "ecef.scenario"], False),
-    (["project", "--scenario", "ecef.scenario"], False),
-    (["intersect", "--scenario", "ecef.scenario"], False),
-], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "load-ecef",
-        "project-ecef", "intersect-ecef"])
-def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads_numpy):
+    (["load", "ecef.scenario"], None),
+    (["project", "--scenario", "ecef.scenario"], None),
+    (["intersect", "--scenario", "ecef.scenario"], None),
+], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "report",
+        "caf-noisy", "load-ecef", "project-ecef", "intersect-ecef"])
+def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
+    """``loads``: the deepest numpy package the run loads, ``None`` for no numpy at all."""
+    noisy = fixture_with("case3", lambda raw: raw.update(noise_sigma=0.1))
+    (tmp_path / "noisy.scenario").write_text(json.dumps(noisy))
     (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
-    args = [str(tmp_path / a) if a == "ecef.scenario" else a for a in args]
+    args = [str(tmp_path / a) if a in ("noisy.scenario", "ecef.scenario") else a for a in args]
     if args[0] == "load":  # ``import dpe_multipath.cli``, then ``load_scenario`` of each name
         args = ["-c", LOAD_SCENARIOS, *args[1:]]
     else:
         args = ["-m", "dpe_multipath", *args, "--out", str(tmp_path / "out")]
     imported = imported_modules(args)
     assert "dpe_multipath.cli" in imported
-    assert any(m.partition(".")[0] == "numpy" for m in imported) == loads_numpy
+    assert any(m.partition(".")[0] == "numpy" for m in imported) == (loads is not None)
+    assert any(f"{m}.".startswith("numpy.random.") for m in imported) == (loads == "numpy.random")
 
 
 def test_no_src_module_imports_jsonschema():
