@@ -27,7 +27,10 @@ from typing import Iterable, Iterator
 
 from .geom import EcefVector, GeometryError
 from .model import (
+    REFERENCE_BIAS,
+    REFERENCE_RADII,
     REFERENCE_SEED,
+    REFERENCE_TRIALS,
     GeometryMismatchError,
     Grid2D,
     GridSpec,
@@ -458,8 +461,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("project", parents=[scenario, output],
                        help="project a delay/Doppler bias to range/range-rate biases")
-    p.add_argument("--delay-chips", type=_finite_number, default=1.0)
-    p.add_argument("--doppler-hz", type=_finite_number, default=120.0)
+    p.add_argument("--delay-chips", type=_finite_number, default=REFERENCE_BIAS[0])
+    p.add_argument("--doppler-hz", type=_finite_number, default=REFERENCE_BIAS[1])
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("intersect", parents=[scenario, output],
@@ -482,9 +485,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("montecarlo", parents=[output, mc_seed],
                        help="uniform random azimuth-separation trials")
-    p.add_argument("--rho-i", type=_finite_number, default=60.0)
-    p.add_argument("--rho-j", type=_finite_number, default=40.0)
-    p.add_argument("--trials", type=_trials, default=10000)
+    p.add_argument("--rho-i", type=_finite_number, default=REFERENCE_RADII[0])
+    p.add_argument("--rho-j", type=_finite_number, default=REFERENCE_RADII[1])
+    p.add_argument("--trials", type=_trials, default=REFERENCE_TRIALS)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("report", parents=[output, mc_seed],
@@ -523,23 +526,10 @@ def cmd_project(args) -> int:
 
 def cmd_intersect(args) -> int:
     scenario = load_scenario(args.scenario)
-    rows = []
-    for space in _spaces(args.space):
-        for res in enumerate_intersections(center_lines(scenario, space)):
-            rows.append(
-                (
-                    space.value,
-                    res.pair[0],
-                    res.pair[1],
-                    res.pair[2],
-                    res.pair[3],
-                    math.degrees(res.delta_theta),
-                    res.point.e,
-                    res.point.n,
-                    res.dr,
-                    len(res.contributors),
-                )
-            )
+    rows = tuple((space.value, *res.contributors[0], math.degrees(res.delta_theta),
+                  res.point.e, res.point.n, res.point.horizontal_norm(), len(res.contributors))
+                 for space in _spaces(args.space)
+                 for res in enumerate_intersections(center_lines(scenario, space)))
     table = ResultTable(
         (
             "space",
@@ -553,7 +543,7 @@ def cmd_intersect(args) -> int:
             "radial_error[m|m/s]",
             "contributors",
         ),
-        tuple(rows),
+        rows,
         note="cross-satellite center-line intersections (merged within 1e-6)",
     )
     path = _write_table(table, Path(args.out), "intersect", args.format)
@@ -571,22 +561,16 @@ def cmd_bounds(args) -> int:
         bound = case_bound(radii)
     except ValueError as e:  # fewer than two radii, or every radius zero
         raise UsageError(f"--radii {args.radii!r}: {e}") from None
+    attained = bound.attained_at is not None
     table = ResultTable(
         ("case", "lower[m|m/s]", "attained", "attained_at[deg]"),
-        (
-            (
-                bound.case,
-                bound.lower,
-                int(bound.attained),
-                math.degrees(bound.attained_at) if bound.attained_at is not None else "",
-            ),
-        ),
+        ((bound.case, bound.lower, int(attained),
+          math.degrees(bound.attained_at) if attained else ""),),
         note=f"radial-error bound for radii {radii}",
     )
     path = _write_table(table, Path(args.out), "bounds", args.format)
     _print_table(table)
-    print(f"CASE{bound.case}, lower {bound.lower:g}"
-          f"{' (attained)' if bound.attained else ' (open)'}")
+    print(f"CASE{bound.case}, lower {bound.lower:g}{' (attained)' if attained else ' (open)'}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -655,11 +639,12 @@ def cmd_report(args) -> int:
     table6 = load_scenario("table6.scenario")  # the field replay writes only its reference table
     field = table6, mc.run_case_study(table6)
     sweep = mc.run_elevation_sweep()
-    mcrep = mc.run_random_azimuth_mc(60.0, 40.0, 10000, args.seed)
+    mcrep = mc.run_random_azimuth_mc(*REFERENCE_RADII, REFERENCE_TRIALS, args.seed)
     write("fig7_data", "bias projection sweep over elevation", sweep.columns, sweep.rows)
     write("fig8_data", "pair radial error vs azimuth separation",
           ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"), mc.pair_error_rows(40.0))
-    write("fig11_data", "random azimuth-separation trials, radii (60, 40)",
+    write("fig11_data",
+          "random azimuth-separation trials, radii ({:g}, {:g})".format(*REFERENCE_RADII),
           ("delta_theta[deg]", "radial_error[m]", "trial"),
           tuple((r[1], r[2], r[0]) for r in mcrep.rows))
     criteria, field_rows = mc.reference_criteria(proj, sweep, mcrep, cases, field)

@@ -1,16 +1,17 @@
 """Deterministic sweep and Monte Carlo drivers over the bias geometry.
 
 Reproduces the reference tables and figure data bundled with the package:
-elevation sweeps of the projection of :data:`REFERENCE_BIAS`, uniform random
-azimuth-separation trials, and grid-vs-analytic case studies.  Every driver
-returns an :class:`ExperimentReport` of columns, plain tuple rows of ``str``,
-``int`` and ``float`` cells, and a summary; the cli module does all
-serialization.  The reference values live here, and
+elevation sweeps of the projection of :data:`model.REFERENCE_BIAS`, uniform
+random azimuth-separation trials, and grid-vs-analytic case studies.  Every
+driver returns an :class:`ExperimentReport` of columns, plain tuple rows of
+``str``, ``int`` and ``float`` cells, and a summary; the cli module does all
+serialization.  The expected reference values live here, and
 :func:`reference_criteria` builds every check of ``report`` from the
 drivers' rows.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,17 +21,8 @@ import numpy as np
 
 from .caf import _add_channel, _mismatch_coef, mismatch
 from .geom import fold_azimuth_separation
-from .model import REFERENCE_SEED, GridSpec, SatelliteChannel, Scenario, SignalConfig, Space
-from .scmb import (
-    EPS_PARALLEL,
-    ParallelLinesError,
-    _cramer,
-    center_line,
-    intersect_lines,
-    project_bias,
-)
-
-REFERENCE_BIAS = (1.0, 120.0)  # (delay chips, Doppler Hz) the sweeps project, default signal
+from .model import REFERENCE_BIAS, GridSpec, SatelliteChannel, Scenario, SignalConfig, Space
+from .scmb import EPS_PARALLEL, center_line, intersect_lines, line_crossing, project_bias
 
 # Intersection-point labels of the reference satellite pairs.
 PAIR_LABELS = {"OA": (10, 24), "OB": (18, 23), "OC": (10, 18), "OD": (23, 24), "OE": (10, 23)}
@@ -217,7 +209,8 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     the squared chord rounds below the smallest normal double (tiny or
     nearly equal radii: it underflows, goes subnormal or cancels below
     zero) the cancellation-free ``hypot(rho_i - rho_j*cos, rho_j*sin)``
-    takes its place.  Not computed through ``scmb.pair_bias``: of the 10,000
+    takes its place.  Not computed through ``scmb.intersect_lines`` (as the
+    tests' ``scenario_helpers.pair_radial_error`` does): of the 10,000
     reference Monte Carlo values that route changes the last bits of
     4,880 (the recorded minimum among them), the cancellation-free form
     everywhere 3,445, and either changes ``report.json``.
@@ -301,12 +294,7 @@ def _philox_uniform(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def run_random_azimuth_mc(
-    rho_i: float = 60.0,
-    rho_j: float = 40.0,
-    trials: int = 10000,
-    seed: int = REFERENCE_SEED,
-) -> ExperimentReport:
+def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) -> ExperimentReport:
     """Uniform random azimuth-separation trials for one radius pair.
 
     Trial k's separation is pi times draw k of :func:`_philox_uniform`, so its
@@ -487,28 +475,20 @@ def run_case_study(scenario: Scenario) -> ExperimentReport:
                          for per_column in (True, False)]
             fitted[ch.prn], residual[ch.prn], kept[ch.prn] = _ridge_line_fit(axis, scanlines)
         summary[space.value] = {**stats, "residual": residual, "kept": kept}
-        prns = [ch.prn for ch in scenario.satellites]
-        for a in range(len(prns)):
-            for b in range(a + 1, len(prns)):
-                pi, pj = prns[a], prns[b]
-                label = _pair_label(pi, pj)
-                li, lj = lines[pi], lines[pj]
-                dth = fold_azimuth_separation(li.azimuth, lj.azimuth)
-                try:
-                    point = intersect_lines(li, lj)
-                except ParallelLinesError:
-                    rows.append((space.value, label, pi, pj, math.degrees(dth),
-                                 math.inf, math.inf, 0))
-                    continue
+        for pi, pj in itertools.combinations(lines, 2):  # PRN pairs in satellite order
+            li, lj = lines[pi], lines[pj]
+            point = intersect_lines(li, lj)
+            if point is None:
+                analytic, simulated, in_window = math.inf, math.inf, 0
+            else:
                 analytic = point.horizontal_norm()
-                in_window = int(
-                    abs(point.e) <= grid.half_extent and abs(point.n) <= grid.half_extent
-                )
-                sim_point = _cramer(fitted[pi], fitted[pj])
-                simulated = math.hypot(*sim_point) if sim_point is not None else math.inf
-                rows.append(
-                    (space.value, label, pi, pj, math.degrees(dth), analytic, simulated, in_window)
-                )
+                sim_point = line_crossing(fitted[pi], fitted[pj])
+                simulated = math.inf if sim_point is None else math.hypot(*sim_point)
+                in_window = int(abs(point.e) <= grid.half_extent
+                                and abs(point.n) <= grid.half_extent)
+            rows.append((space.value, _pair_label(pi, pj), pi, pj,
+                         math.degrees(fold_azimuth_separation(li.azimuth, lj.azimuth)),
+                         analytic, simulated, in_window))
     return ExperimentReport(
         columns=(
             "space",

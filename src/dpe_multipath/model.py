@@ -3,11 +3,11 @@
 The signal plan, each satellite channel's look angles and propagation paths,
 the candidate-offset grids and the scenario that holds them, with the
 physical constants and sign convention the geometry and the correlator
-share, and the reference Monte Carlo seed.  Nothing here imports numpy at
-module level, so loading a scenario and the closed-form geometry of
-:mod:`dpe_multipath.scmb` start without it; :meth:`GridSpec.axis` imports
-it, and the kernels of :mod:`dpe_multipath.caf` fill :class:`Grid2D`
-values.
+share, and the reference run's bias and Monte Carlo parameters.  Nothing
+here imports numpy at module level, so loading a scenario and the
+closed-form geometry of :mod:`dpe_multipath.scmb` start without it;
+:meth:`GridSpec.axis` imports it, and the kernels of
+:mod:`dpe_multipath.caf` fill :class:`Grid2D` values.
 """
 from __future__ import annotations
 
@@ -31,9 +31,14 @@ RIDGE_OFFSET_SIGN = -1.0
 # Provided angles and a provided position may disagree by at most this much.
 ANGLE_CONSISTENCY_TOL = math.radians(0.1)
 
-# The seed of the reference Monte Carlo run, which ``montecarlo`` and
-# ``report`` draw unless ``--seed`` says otherwise.
+# The reference Monte Carlo run, which ``report`` draws and ``montecarlo``
+# draws unless its flags say otherwise: the seed, the radii (m) and the
+# trial count.  Then the reference bias, (delay chips, Doppler Hz), that the
+# sweeps project and ``project`` takes by default.
 REFERENCE_SEED = 1
+REFERENCE_RADII = (60.0, 40.0)
+REFERENCE_TRIALS = 10000
+REFERENCE_BIAS = (1.0, 120.0)
 
 # Most samples per grid axis (4e8 cells, 100x the default velocity grid): no
 # grid is held whole, so this stops a tiny step from writing terabytes of text.

@@ -10,8 +10,9 @@ resulting radial errors, their critical points, and per-case lower bounds.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
@@ -23,13 +24,9 @@ from .model import (
     Space,
 )
 
-EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines are parallel
+EPS_PARALLEL = 1e-6  # on |sin(azimuth separation)|; below this lines do not cross
 EPS_MERGE = 1e-6  # m (m/s); intersection points closer than this are one point
 EQUAL_RADII_RTOL = 1e-9  # relative tolerance for treating two radii as equal
-
-
-class ParallelLinesError(GeometryError):
-    """Center lines with (nearly) equal or opposite azimuths do not intersect."""
 
 
 def project_bias(bias: float, elevation: float, rate: float) -> float:
@@ -76,15 +73,14 @@ class CenterLine:
 class BiasResult:
     """One candidate biased solution: a cross-satellite line intersection.
 
-    ``pair`` is (prn_i, path_i, prn_j, path_j) of the primary contributing
-    pair; ``contributors`` lists every pair that meets at the same point.
+    ``contributors`` lists (prn_i, path_i, prn_j, path_j) of every pair that
+    meets at ``point``, the first pair's crossing; ``delta_theta`` is that
+    pair's folded azimuth separation.  The radial error is
+    ``point.horizontal_norm()``.
     """
 
-    space: Space
-    pair: tuple[int, int, int, int]
     delta_theta: float
     point: EnuVector
-    dr: float
     contributors: tuple[tuple[int, int, int, int], ...]
 
 
@@ -93,14 +89,13 @@ class ErrorBound:
     """Lower bound of the radial error over azimuth geometries.
 
     ``case`` is 1 (single NLOS radius), 2 (all radii equal), or 3 (mixed);
-    ``attained_at`` is the azimuth separation reaching the bound, when one
-    exists.  In case 2 the bound is open: the error approaches it but never
+    ``attained_at`` is the azimuth separation reaching the bound, or ``None``
+    when the bound is open, as in case 2: the error approaches it but never
     reaches it.
     """
 
     case: int
     lower: float
-    attained: bool
     attained_at: float | None
 
 
@@ -131,11 +126,13 @@ def center_lines(scenario: Scenario, space: Space) -> list[CenterLine]:
     ]
 
 
-def _cramer(p: tuple[float, float, float], q: tuple[float, float, float]):
-    """Crossing ``(e, n)`` of the lines ``a*e + b*n = c`` given as ``(a, b, c)``.
+def line_crossing(p: tuple[float, float, float],
+                  q: tuple[float, float, float]) -> tuple[float, float] | None:
+    """Crossing ``(e, n)`` of the lines ``a*e + b*n = c`` given as ``(a, b, c)``,
+    by Cramer's rule.
 
     ``None`` when the determinant (the sine of the azimuth separation for
-    unit normals) is below EPS_PARALLEL in magnitude.
+    unit normals) is below EPS_PARALLEL in magnitude: the lines do not cross.
     """
     det = p[0] * q[1] - p[1] * q[0]
     if abs(det) < EPS_PARALLEL:
@@ -143,54 +140,24 @@ def _cramer(p: tuple[float, float, float], q: tuple[float, float, float]):
     return (p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det
 
 
-def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector:
-    """Intersection point of two center lines (Cramer on the normal forms).
+def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector | None:
+    """Intersection point of two center lines (:func:`line_crossing` of their
+    normal forms), or ``None`` when they do not cross.
 
     Raises :class:`GeometryError`, naming both lines, when they cross
     farther out than a double can hold.
     """
     if a.space is not b.space:
         raise ValueError("cannot intersect lines from different spaces")
-    point = _cramer((*a.normal, a.constant), (*b.normal, b.constant))
+    point = line_crossing((*a.normal, a.constant), (*b.normal, b.constant))
     if point is None:
-        raise ParallelLinesError(
-            f"azimuth separation {math.degrees(fold_azimuth_separation(a.azimuth, b.azimuth)):.6f} "
-            f"deg leaves |sin| below {EPS_PARALLEL}"
-        )
+        return None
     if not all(map(math.isfinite, point)):
         raise GeometryError(
             f"{a.space.value}-space center lines of PRN {a.source[0]} path {a.source[1]} and"
             f" PRN {b.source[0]} path {b.source[1]} cross beyond a double"
         )
     return EnuVector(*point, 0.0)
-
-
-def pair_bias(
-    rho_i: float,
-    rho_j: float,
-    theta_i: float,
-    theta_j: float,
-    space: Space = Space.POSITION,
-) -> BiasResult:
-    """Biased solution produced by two center lines with the given radii/azimuths.
-
-    The radial error equals
-    sqrt(rho_i**2 + rho_j**2 - 2*rho_i*rho_j*cos(dt)) / sin(dt)
-    with dt the folded azimuth separation; it is computed here from the
-    actual intersection point so its east/north components stay consistent
-    with the line geometry.
-    """
-    line_i = CenterLine(space, theta_i, rho_i, (0, 0))
-    line_j = CenterLine(space, theta_j, rho_j, (1, 0))
-    point = intersect_lines(line_i, line_j)
-    return BiasResult(
-        space=space,
-        pair=(0, 0, 1, 0),
-        delta_theta=fold_azimuth_separation(theta_i, theta_j),
-        point=point,
-        dr=point.horizontal_norm(),
-        contributors=((0, 0, 1, 0),),
-    )
 
 
 def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:
@@ -227,63 +194,40 @@ def case_bound(radii: Sequence[float]) -> ErrorBound:
     if rs[-1] == 0.0:
         raise ValueError("all radii are zero; no multipath bound exists")
     if rs[-1] - rs[0] <= EQUAL_RADII_RTOL * rs[-1]:
-        return ErrorBound(case=2, lower=rs[0], attained=False, attained_at=None)
+        return ErrorBound(case=2, lower=rs[0], attained_at=None)
     case = 1 if rs[-2] == 0.0 else 3
     if rs[1] == 0.0:  # two LOS lines: they cross at the truth at any separation
-        return ErrorBound(case=case, lower=0.0, attained=True, attained_at=math.pi / 2.0)
+        return ErrorBound(case=case, lower=0.0, attained_at=math.pi / 2.0)
     cp = critical_points(rs[0], rs[1])
-    return ErrorBound(
-        case=case,
-        lower=cp.dr_min,
-        attained=cp.attained,
-        attained_at=cp.delta_theta if cp.attained else None,
-    )
+    return ErrorBound(case=case, lower=cp.dr_min,
+                      attained_at=cp.delta_theta if cp.attained else None)
 
 
 def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
     """All cross-satellite intersection points among the given center lines.
 
-    Same-satellite pairs share an azimuth and are skipped; cross-satellite
-    parallel pairs have no (finite) intersection and are likewise excluded.
-    Points closer than EPS_MERGE merge into one record that keeps every
-    contributing pair.
+    Pairs are taken in line order.  Same-satellite pairs share an azimuth
+    and are skipped, and cross-satellite pairs that do not cross are
+    excluded.  A crossing within EPS_MERGE of an earlier record's point
+    joins the first such record as one more contributor.
     """
     if len({ln.space for ln in lines}) > 1:
         raise ValueError("lines must share one space")
-    clusters: list[dict] = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            if a.source[0] == b.source[0]:
-                continue
-            try:
-                point = intersect_lines(a, b)
-            except ParallelLinesError:
-                continue
-            pair = (a.source[0], a.source[1], b.source[0], b.source[1])
-            for cl in clusters:
-                dp = math.hypot(point.e - cl["point"].e, point.n - cl["point"].n)
-                if dp <= EPS_MERGE:
-                    cl["contributors"].append(pair)
-                    break
-            else:
-                clusters.append(
-                    {
-                        "point": point,
-                        "pair": pair,
-                        "delta_theta": fold_azimuth_separation(a.azimuth, b.azimuth),
-                        "contributors": [pair],
-                    }
-                )
-    return [
-        BiasResult(
-            space=lines[0].space,
-            pair=cl["pair"],
-            delta_theta=cl["delta_theta"],
-            point=cl["point"],
-            dr=cl["point"].horizontal_norm(),
-            contributors=tuple(cl["contributors"]),
-        )
-        for cl in clusters
-    ]
-
+    found: list[BiasResult] = []
+    points: list[tuple[float, float]] = []  # (e, n) of found[k].point: a cheaper merge scan
+    for a, b in itertools.combinations(lines, 2):
+        if a.source[0] == b.source[0]:
+            continue
+        point = intersect_lines(a, b)
+        if point is None:
+            continue
+        pair = (*a.source, *b.source)
+        e, n = point.e, point.n
+        for k, (pe, pn) in enumerate(points):
+            if math.hypot(e - pe, n - pn) <= EPS_MERGE:
+                found[k] = replace(found[k], contributors=(*found[k].contributors, pair))
+                break
+        else:
+            points.append((e, n))
+            found.append(BiasResult(fold_azimuth_separation(a.azimuth, b.azimuth), point, (pair,)))
+    return found

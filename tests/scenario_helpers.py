@@ -14,7 +14,7 @@ from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
 from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.model import Grid2D, Scenario, SignalConfig, Space
-from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections
+from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections, intersect_lines
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -82,6 +82,21 @@ def tangent_point(line: CenterLine) -> EnuVector:
     return EnuVector(line.constant * ne, line.constant * nn, 0.0)
 
 
+def pair_radial_error(rho_i: float, rho_j: float, theta_i: float, theta_j: float,
+                      space: Space = Space.POSITION) -> float:
+    """Radial error of the crossing of two satellites' center lines with radii
+    ``rho_i``, ``rho_j`` and azimuths ``theta_i``, ``theta_j``, solved by
+    ``scmb.intersect_lines``; the lines must cross.
+
+    In closed form it is sqrt(rho_i**2 + rho_j**2 - 2*rho_i*rho_j*cos(dt)) /
+    sin(dt), with dt the folded azimuth separation.
+    """
+    point = intersect_lines(CenterLine(space, theta_i, rho_i, (0, 0)),
+                            CenterLine(space, theta_j, rho_j, (1, 0)))
+    assert point is not None, "the lines do not cross"
+    return point.horizontal_norm()
+
+
 def count_intersections(path_counts: Sequence[int]) -> int:
     """Cross-satellite line-pair count: half of (sum N)**2 - sum N**2."""
     total = sum(path_counts)
@@ -143,7 +158,8 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Exp
     candidates = [("truth", (0, 0, 0, 0), 0.0, 0.0, 0.0)]
     for res in points:
         candidates.append(
-            ("intersection", res.pair, math.degrees(res.delta_theta), res.point.e, res.point.n)
+            ("intersection", res.contributors[0], math.degrees(res.delta_theta), res.point.e,
+             res.point.n)
         )
     scored = [
         (kind, pair, dth, e, n, caf_value_at(scenario, space, e, n))

@@ -13,8 +13,8 @@ from pathlib import Path
 from dpe_multipath import mc
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.model import REFERENCE_SEED, Space
-from dpe_multipath.scmb import pair_bias, project_bias
-from scenario_helpers import CARRIER, CODE_RATE
+from dpe_multipath.scmb import project_bias
+from scenario_helpers import CARRIER, CODE_RATE, pair_radial_error
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -79,10 +79,10 @@ def test_criterion_3_case_tables_theoretical(acceptance_log):
         for label, expected in pairs.items():
             i, j = PAIRS[label]
             tol = 0.4 if label == "OA" else 0.1
-            pos = pair_bias(radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j])).dr
-            vel = pair_bias(
+            pos = pair_radial_error(radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j]))
+            vel = pair_radial_error(
                 radii[i], radii[j], math.radians(AZ[i]), math.radians(AZ[j]), space=Space.VELOCITY
-            ).dr
+            )
             good = close(pos, expected, tol) and close(vel, expected, tol)
             if not good:
                 worst = f"{case}:{label} {pos:.4f} vs {expected}"
@@ -125,10 +125,10 @@ def test_criterion_6_field_replay_theoretical(acceptance_log):
     phi = math.radians(42.8)
     d_rho = project_bias(1.0, phi, CODE_RATE)
     d_rho_dot = project_bias(120.3, phi, CARRIER)
-    d_r = pair_bias(d_rho, 0.0, math.radians(AZ[18]), math.radians(AZ[23])).dr
-    d_r_dot = pair_bias(
+    d_r = pair_radial_error(d_rho, 0.0, math.radians(AZ[18]), math.radians(AZ[23]))
+    d_r_dot = pair_radial_error(
         d_rho_dot, 0.0, math.radians(AZ[18]), math.radians(AZ[23]), space=Space.VELOCITY
-    ).dr
+    )
     ok = (
         close(d_rho, 39.9)
         and close(d_rho_dot, 41.8)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -37,12 +38,14 @@ from dpe_multipath.cli import (
     ResultTable,
     ScenarioParseError,
     ScenarioSchemaError,
+    _scenario_from_dict,
     load_scenario,
     main,
 )
 from dpe_multipath.geom import EcefVector, LookAngles
 from dpe_multipath.model import (
     DEFAULT_GRIDS,
+    SPEED_OF_LIGHT,
     Grid2D,
     GridSpec,
     PathKind,
@@ -51,12 +54,13 @@ from dpe_multipath.model import (
     SignalPath,
     Space,
 )
-from dpe_multipath.scmb import center_line
+from dpe_multipath.scmb import center_line, center_lines, enumerate_intersections
 from scenario_helpers import (
     BUNDLED,
     ECEF_SCENARIO,
     authored_receiver,
     channel,
+    count_intersections,
     enu_from_angles,
     enu_to_ecef,
     fixture_with,
@@ -841,6 +845,68 @@ class TestCommands:
         assert (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 == self.ECEF_DIGESTS[name])
 
+    # sha256 of the table ``intersect --space both`` writes for each bundled
+    # scenario and for ``_dense_sky()``, whose merged points carry several
+    # contributors: any change to the crossing, merge or row order shows here
+    INTERSECT_DIGESTS = {
+        ("table1", "csv"): "90ac2f73e6bccda9de20d9c429aaaa3677310c1a7b4e6ccbae111d3f1963c75f",
+        ("table1", "json"): "2f34e2883b13f287d0b6a0314e3ce16f10a483f6ee505c667b92775fe37be1c7",
+        ("case1", "csv"): "d2f53a51f0fa6dba211aba2b0e9f5b5d206879fb6b067f488f211e782ec94f14",
+        ("case1", "json"): "dcddc98131e03725dbf6fe8adb2fea6252c7b451ffbd3ab0a27168d93aa8d820",
+        ("case2", "csv"): "332166d6bcdc63ee5b65701c45f61558752e2e61c8067259610ff7673a44d759",
+        ("case2", "json"): "28f153ba9b69e0013c2c53dd8064dc179b8b5ad3f5251bfb603747d799ec97cd",
+        ("case3", "csv"): "e1a9445304d88702a3b058bd337cd055e05fafc4ce66d3cae9d4bf5cd08bf078",
+        ("case3", "json"): "1269dcb0ac8a33777273bcd39e13c98e7bbabd8eed68b63dc083327e0197e4c5",
+        ("table6", "csv"): "f69f3696cae2bb9a7c6f8d5ee4253c0499b8c8ffefc0c9e3a40cc058a4aaeb7c",
+        ("table6", "json"): "d8d6ccff3036c75dc70107bb15f825d7722dd87fa85ab2bd1ee607bf80f925d4",
+        ("dense", "csv"): "c146ae45eddf8072dbe891a512b496c0eb0c9d744284611eceab9b7951ff7531",
+        ("dense", "json"): "e5c0c147f213ab7c70906b665fc38fa1294ac5315792d8a9ca2b439b646f6736",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", [*BUNDLED, "dense"])
+    def test_intersect_bytes_match_recorded_digests(self, tmp_path, name, fmt):
+        if name == "dense":
+            scenario = tmp_path / "dense.scenario"
+            scenario.write_text(json.dumps(_dense_sky()))
+        else:
+            scenario = f"{name}.scenario"
+        out = tmp_path / "out"
+        assert main(["intersect", "--scenario", str(scenario), "--space", "both",
+                     "--format", fmt, "--out", str(out)]) == EXIT_OK
+        written = (out / f"intersect.{fmt}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.INTERSECT_DIGESTS[name, fmt]
+
+    def test_dense_sky_has_merged_points_and_parallel_pairs(self):
+        scenario = _scenario_from_dict(_dense_sky())
+        for space in Space:
+            lines = center_lines(scenario, space)
+            found = enumerate_intersections(lines)
+            merged = [len(res.contributors) for res in found if len(res.contributors) > 1]
+            assert len(merged) >= 2  # the LOS lines at the truth, and the common NLOS point
+            pairs = sum(len(res.contributors) for res in found)
+            assert pairs < count_intersections([len(ch.paths) for ch in scenario.satellites])
+
+    # sha256 of the table ``bounds`` writes, per radii and format
+    BOUNDS_DIGESTS = {
+        ("60,40,30,15", "csv"): "4dd53264a21988aa598fcabfa9beb36335b130d935a16afcb4dae2374263e860",
+        ("60,40,30,15", "json"): "abba073d726a033a849b3678b75310a49b0a91f02312601b7452e964ebe51982",
+        ("0,0,9.3", "csv"): "a98dbbd8edcb1ebfae5eaeee130f357e35d118c8e58e10d6e9ddc0f4c483c5d5",
+        ("0,0,9.3", "json"): "6ebde5226c17be2429f8f5b23522a0f0e49961afa05e2641eb7f5ca31ebdea69",
+        ("40,40", "csv"): "0d8e98042618c0c03c384b9dd74cbfa9a48d10abc7e69b3d8107cf2020983041",
+        ("40,40", "json"): "a28a495bbafdf8075e0c1f975f384b5fce48a5d7e16224ab5ab01bf97d6092c7",
+        ("0,40", "csv"): "f1656c9d3b93ecf7d8343230445d680a192c7a8e90c95df398ac7d1f9cc198cf",
+        ("0,40", "json"): "5facc331a13691d832fc3ab42a2a54966b87657880aac17ad575224a0ce0d4d8",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("radii", ["60,40,30,15", "0,0,9.3", "40,40", "0,40"])
+    def test_bounds_bytes_match_recorded_digests(self, tmp_path, radii, fmt):
+        assert main(["bounds", "--radii", radii, "--format", fmt,
+                     "--out", str(tmp_path)]) == EXIT_OK
+        written = (tmp_path / f"bounds.{fmt}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.BOUNDS_DIGESTS[radii, fmt]
+
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["montecarlo", "--trials", "300", "--out", str(a)]) == EXIT_OK
@@ -852,6 +918,41 @@ class TestCommands:
         assert main(["montecarlo", "--trials", "50", "--seed", "1", "--out", str(a)]) == EXIT_OK
         assert main(["montecarlo", "--trials", "50", "--seed", "2", "--out", str(b)]) == EXIT_OK
         assert (a / "montecarlo.csv").read_text() != (b / "montecarlo.csv").read_text()
+
+
+def _dense_sky() -> dict:
+    """Ten satellites, each with one LOS and three NLOS paths, angles and biases
+    drawn from a seeded stream.  Every LOS line passes through the truth, one
+    NLOS line of each of satellites 0-3 is solved to pass through one common
+    point per space, and satellite 9 faces satellite 0 (azimuths 180 deg
+    apart): their lines never cross, and their LOS lines coincide, so every
+    crossing of one is a crossing of the other."""
+    rng = random.Random(20261020)
+    rates = {space: SignalConfig().rate(space) for space in Space}
+    common = {Space.POSITION: (37.5, -21.25), Space.VELOCITY: (-12.75, 44.5)}
+    satellites = []
+    for k in range(10):
+        elevation = rng.uniform(10.0, 75.0)
+        azimuth = ((satellites[0]["azimuth_deg"] + 180.0) % 360.0 if k == 9
+                   else rng.uniform(0.0, 360.0))
+        paths = [{"kind": "los"}]
+        for m in range(3):
+            bias = {space: rng.uniform(0.1, 1.2) * (1.0 if space is Space.POSITION else 90.0)
+                    for space in Space}
+            if k < 4 and m == 0:  # the offset whose line passes through ``common``
+                for space, (e, n) in common.items():
+                    a = math.radians(azimuth)
+                    offset = -(math.sin(a) * e + math.cos(a) * n)
+                    bias[space] = (offset * math.cos(math.radians(elevation)) * rates[space]
+                                   / SPEED_OF_LIGHT)
+            paths.append({"kind": "nlos", "amplitude": round(rng.uniform(0.2, 0.8), 3),
+                          "delay_chips": bias[Space.POSITION],
+                          "doppler_hz": bias[Space.VELOCITY]})
+        satellites.append({"prn": 2 * k + 1, "elevation_deg": elevation,
+                           "azimuth_deg": azimuth, "paths": paths})
+    return {"schema_version": 1,
+            "receiver": {"position_ecef": [-3957199.0, 3310205.0, 3737911.0]},
+            "satellites": satellites}
 
 
 def _set_path(raw, sat, path, **fields):

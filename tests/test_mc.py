@@ -15,7 +15,6 @@ from dpe_multipath.cli import load_scenario
 from dpe_multipath.mc import (
     EXPECTED_MC_ARGMIN_DEG,
     EXPECTED_MC_MIN,
-    REFERENCE_BIAS,
     fixture_check,
     pair_error_curve,
     reference_criteria,
@@ -23,7 +22,15 @@ from dpe_multipath.mc import (
     run_elevation_sweep,
     run_random_azimuth_mc,
 )
-from dpe_multipath.model import REFERENCE_SEED, GridSpec, PathKind, Scenario, SignalPath, Space
+from dpe_multipath.model import (
+    REFERENCE_BIAS,
+    REFERENCE_SEED,
+    GridSpec,
+    PathKind,
+    Scenario,
+    SignalPath,
+    Space,
+)
 from dpe_multipath.scmb import project_bias
 from scenario_helpers import (CARRIER, CODE_RATE, caf_value_at, channel, grid_values,
                               run_oracle_compare)
@@ -165,7 +172,7 @@ class TestRandomAzimuthMc:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            run_random_azimuth_mc(60.0, 40.0, 0)
+            run_random_azimuth_mc(60.0, 40.0, 0, REFERENCE_SEED)
 
 
 def _stream_from(seed: int, start: int, count: int) -> np.ndarray:

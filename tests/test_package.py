@@ -209,15 +209,12 @@ def test_every_exception_class_is_caught_somewhere():
     assert uncaught_exception_classes(sorted((ROOT / "src").rglob("*.py"))) == set()
 
 
-# Public names that no command or driver reads, each kept for a reason.
+# Public names that no command or driver reads: perfbench's tracer wraps
+# these two through ``vars(cls)[meth]``, so every ``--trace 1`` run would
+# crash without them.  Helpers that only the tests call live in the tests.
 UNREAD_ALLOWED = {
-    # perfbench's tracer wraps these through ``vars(cls)[meth]``, so every
-    # ``--trace 1`` run would crash without them
     "cli.ResultTable.to_csv",
     "cli.ResultTable.to_json",
-    # the acceptance criteria compute the pair formula through it, and
-    # ``mc.pair_error_curve``'s docstring is held against it
-    "scmb.pair_bias",
 }
 
 

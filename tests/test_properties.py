@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpe_multipath.caf import scenario_caf
-from dpe_multipath.geom import EnuVector, LookAngles
+from dpe_multipath.geom import EnuVector, LookAngles, fold_azimuth_separation
 from dpe_multipath.mc import (
     _scanline_readout,
     pair_error_curve,
@@ -36,13 +36,13 @@ from dpe_multipath.scmb import (
     center_lines,
     enumerate_intersections,
     intersect_lines,
-    pair_bias,
 )
 from scenario_helpers import (
     authored_receiver,
     count_intersections,
     grid_argmax,
     grid_values,
+    pair_radial_error,
     run_oracle_compare,
     tangent_point,
 )
@@ -88,8 +88,8 @@ class TestRadialErrorFloor:
     @given(positive_radii, radii, azimuths, separations)
     @settings(max_examples=300, **D)
     def test_error_floor_pointwise(self, ri, rj, base, sep):
-        res = pair_bias(ri, rj, base, base + sep)
-        assert res.dr >= max(ri, rj) - 1e-9
+        dr = pair_radial_error(ri, rj, base, base + sep)
+        assert dr >= max(ri, rj) - 1e-9
 
 
 class TestClosedFormReductions:
@@ -97,15 +97,15 @@ class TestClosedFormReductions:
     @settings(max_examples=300, **D)
     def test_single_radius_reduction(self, r, base, sep):
         # one vanishing radius: dr = r / sin(separation)
-        res = pair_bias(r, 0.0, base, base + sep)
-        assert res.dr == pytest.approx(r / math.sin(sep), rel=1e-12)
+        dr = pair_radial_error(r, 0.0, base, base + sep)
+        assert dr == pytest.approx(r / math.sin(sep), rel=1e-12)
 
     @given(positive_radii, azimuths, separations)
     @settings(max_examples=300, **D)
     def test_equal_radii_reduction(self, r, base, sep):
         # equal radii: dr = r / cos(separation / 2)
-        res = pair_bias(r, r, base, base + sep)
-        assert res.dr == pytest.approx(r / math.cos(sep / 2.0), rel=1e-12)
+        dr = pair_radial_error(r, r, base, base + sep)
+        assert dr == pytest.approx(r / math.cos(sep / 2.0), rel=1e-12)
 
     @given(positive_radii, positive_radii, azimuths, separations)
     @settings(max_examples=300, **D)
@@ -118,35 +118,36 @@ class TestClosedFormReductions:
         chord = math.hypot(a.e - b.e, a.n - b.n)
         expect = math.sqrt(ri * ri + rj * rj - 2.0 * ri * rj * math.cos(sep))
         assert chord == pytest.approx(expect, rel=1e-12, abs=1e-12)
-        res = pair_bias(ri, rj, base, base + sep)
-        assert res.dr == pytest.approx(chord / math.sin(sep), rel=1e-12, abs=1e-12)
+        dr = pair_radial_error(ri, rj, base, base + sep)
+        assert dr == pytest.approx(chord / math.sin(sep), rel=1e-12, abs=1e-12)
 
 
 class TestSymmetryAndDivergence:
     @given(positive_radii, positive_radii, azimuths, separations)
     @settings(max_examples=300, **D)
     def test_radius_order_symmetric(self, ri, rj, base, sep):
-        a = pair_bias(ri, rj, base, base + sep)
-        b = pair_bias(rj, ri, base, base + sep)
-        assert a.dr == pytest.approx(b.dr, rel=1e-12)
+        a = pair_radial_error(ri, rj, base, base + sep)
+        b = pair_radial_error(rj, ri, base, base + sep)
+        assert a == pytest.approx(b, rel=1e-12)
 
     @given(positive_radii, positive_radii, azimuths, separations)
     @settings(max_examples=300, **D)
     def test_reflected_separation_symmetric(self, ri, rj, base, sep):
         # delta theta and 2 pi - delta theta give the same radial error
-        a = pair_bias(ri, rj, base, base + sep)
-        b = pair_bias(ri, rj, base, base + 2.0 * math.pi - sep)
-        assert a.delta_theta == pytest.approx(b.delta_theta, rel=1e-9)
-        assert a.dr == pytest.approx(b.dr, rel=1e-9)
+        a = pair_radial_error(ri, rj, base, base + sep)
+        b = pair_radial_error(ri, rj, base, base + 2.0 * math.pi - sep)
+        assert fold_azimuth_separation(base, base + sep) == pytest.approx(
+            fold_azimuth_separation(base, base + 2.0 * math.pi - sep), rel=1e-9)
+        assert a == pytest.approx(b, rel=1e-9)
 
     def test_divergence_toward_alignment_log_spaced(self):
         # fixed positive radii: the error grows monotonically without bound
         # as the separation collapses toward 0 or stretches toward pi
         seps_down = [math.radians(10.0) * 10.0**-k for k in range(5)]
-        down = [pair_bias(60.0, 40.0, 0.0, s).dr for s in seps_down]
+        down = [pair_radial_error(60.0, 40.0, 0.0, s) for s in seps_down]
         assert all(b > a for a, b in zip(down, down[1:]))
         seps_up = [math.pi - math.radians(10.0) * 10.0**-k for k in range(5)]
-        up = [pair_bias(60.0, 40.0, 0.0, s).dr for s in seps_up]
+        up = [pair_radial_error(60.0, 40.0, 0.0, s) for s in seps_up]
         assert all(b > a for a, b in zip(up, up[1:]))
         assert down[-1] > 1e5 and up[-1] > 1e5
 

@@ -10,16 +10,20 @@ from dpe_multipath.cli import load_scenario
 from dpe_multipath.model import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.scmb import (
     CenterLine,
-    ParallelLinesError,
     case_bound,
     center_lines,
     critical_points,
     enumerate_intersections,
     intersect_lines,
-    pair_bias,
     project_bias,
 )
-from scenario_helpers import CARRIER, CODE_RATE, count_intersections, tangent_point
+from scenario_helpers import (
+    CARRIER,
+    CODE_RATE,
+    count_intersections,
+    pair_radial_error,
+    tangent_point,
+)
 
 # Reference geometry: azimuths (deg) and the projected case-3 radii (m).
 AZ = {10: 320.2, 18: 213.8, 23: 336.1, 24: 45.1}
@@ -121,24 +125,24 @@ class TestPairBias:
     def test_matches_closed_form(self, ri, rj, base_az, sep_deg):
         ti = math.radians(base_az)
         tj = ti + math.radians(sep_deg)
-        res = pair_bias(ri, rj, ti, tj)
+        dr = pair_radial_error(ri, rj, ti, tj)
         dth = fold_azimuth_separation(ti, tj)
-        assert res.delta_theta == pytest.approx(math.radians(sep_deg), rel=1e-12)
-        assert res.dr == pytest.approx(self.closed_form(ri, rj, dth), rel=1e-12, abs=1e-9)
+        assert dth == pytest.approx(math.radians(sep_deg), rel=1e-12)
+        assert dr == pytest.approx(self.closed_form(ri, rj, dth), rel=1e-12, abs=1e-9)
 
     def test_single_nonzero_radius_reduction(self):
         # rho_j = 0 collapses the closed form to rho_i / sin(separation)
         for sep in (30.0, 48.2, 90.0, 122.3):
             dth = math.radians(sep)
-            res = pair_bias(40.0, 0.0, 0.0, dth)
-            assert res.dr == pytest.approx(40.0 / math.sin(dth), rel=1e-12)
+            dr = pair_radial_error(40.0, 0.0, 0.0, dth)
+            assert dr == pytest.approx(40.0 / math.sin(dth), rel=1e-12)
 
     def test_equal_radii_reduction(self):
         # rho_i = rho_j collapses to rho / cos(separation / 2)
         for sep in (30.0, 90.0, 150.0):
             dth = math.radians(sep)
-            res = pair_bias(40.0, 40.0, 10.0, 10.0 + dth)
-            assert res.dr == pytest.approx(40.0 / math.cos(dth / 2.0), rel=1e-12)
+            dr = pair_radial_error(40.0, 40.0, 10.0, 10.0 + dth)
+            assert dr == pytest.approx(40.0 / math.cos(dth / 2.0), rel=1e-12)
 
     @given(
         st.floats(0.5, 80.0),
@@ -163,8 +167,8 @@ class TestPairBias:
             rel=1e-12,
             abs=1e-12,
         )
-        res = pair_bias(ri, rj, ti, tj)
-        assert res.dr == pytest.approx(chord / math.sin(dth), rel=1e-12, abs=1e-12)
+        dr = pair_radial_error(ri, rj, ti, tj)
+        assert dr == pytest.approx(chord / math.sin(dth), rel=1e-12, abs=1e-12)
 
     def test_point_lies_on_both_lines(self):
         li = CenterLine(Space.POSITION, math.radians(213.8), 39.94)
@@ -174,21 +178,19 @@ class TestPairBias:
             ne, nn = ln.normal
             assert ne * p.e + nn * p.n == pytest.approx(ln.constant, abs=1e-9)
 
-    def test_parallel_lines_raise(self):
+    def test_parallel_lines_do_not_cross(self):
         li = CenterLine(Space.POSITION, 0.0, 10.0)
         for az in (0.0, math.pi):
-            with pytest.raises(ParallelLinesError):
-                intersect_lines(li, CenterLine(Space.POSITION, az, 20.0))
-        with pytest.raises(ParallelLinesError):
-            pair_bias(10.0, 20.0, 0.3, 0.3 + math.pi)
+            assert intersect_lines(li, CenterLine(Space.POSITION, az, 20.0)) is None
+        assert intersect_lines(CenterLine(Space.POSITION, 0.3, 10.0),
+                               CenterLine(Space.POSITION, 0.3 + math.pi, 20.0)) is None
 
     def test_crossing_beyond_a_double_names_both_lines(self):
         li = CenterLine(Space.VELOCITY, 0.0, 1e306, (3, 1))
         lj = CenterLine(Space.VELOCITY, 0.01, -1e306, (5, 0))
         with pytest.raises(GeometryError, match="^velocity-space center lines of PRN 3 path 1"
-                           " and PRN 5 path 0 cross beyond a double$") as e:
+                           " and PRN 5 path 0 cross beyond a double$"):
             intersect_lines(li, lj)
-        assert not isinstance(e.value, ParallelLinesError)
 
     def test_cross_space_intersections_rejected(self):
         with pytest.raises(ValueError):
@@ -197,15 +199,15 @@ class TestPairBias:
             )
 
     def test_velocity_twin(self):
-        res = pair_bias(41.78, 0.0, math.radians(213.8), math.radians(336.1), space=Space.VELOCITY)
-        assert res.space is Space.VELOCITY
-        assert res.dr == pytest.approx(
+        dr = pair_radial_error(41.78, 0.0, math.radians(213.8), math.radians(336.1),
+                               space=Space.VELOCITY)
+        assert dr == pytest.approx(
             41.78 / math.sin(math.radians(122.3)), rel=1e-12
         )
 
     def test_error_diverges_as_lines_align(self):
         errs = [
-            pair_bias(60.0, 40.0, 0.0, math.radians(sep)).dr
+            pair_radial_error(60.0, 40.0, 0.0, math.radians(sep))
             for sep in (10.0, 5.0, 2.0, 1.0, 0.5)
         ]
         assert all(b > a for a, b in zip(errs, errs[1:]))
@@ -225,9 +227,9 @@ class TestReferencePairs:
     )
     def test_case3_pairs(self, label, dth_deg, dr):
         i, j = PAIRS[label]
-        res = pair_bias(R3[i], R3[j], math.radians(AZ[i]), math.radians(AZ[j]))
-        assert math.degrees(res.delta_theta) == pytest.approx(dth_deg, abs=1e-9)
-        assert res.dr == pytest.approx(dr, rel=1e-12)
+        ti, tj = math.radians(AZ[i]), math.radians(AZ[j])
+        assert math.degrees(fold_azimuth_separation(ti, tj)) == pytest.approx(dth_deg, abs=1e-9)
+        assert pair_radial_error(R3[i], R3[j], ti, tj) == pytest.approx(dr, rel=1e-12)
 
     def test_fold_azimuth_separation(self):
         assert fold_azimuth_separation(math.radians(350.0), math.radians(10.0)) == (
@@ -284,32 +286,32 @@ class TestCriticalPoints:
 class TestCaseBounds:
     def test_case1_single_nonzero(self):
         b = case_bound([0.0, 40.0])
-        assert (b.case, b.lower, b.attained) == (1, 40.0, True)
+        assert (b.case, b.lower) == (1, 40.0)
         assert b.attained_at == pytest.approx(math.pi / 2.0)
-        assert pair_bias(0.0, 40.0, 0.0, b.attained_at).dr == pytest.approx(b.lower)
+        assert pair_radial_error(0.0, 40.0, 0.0, b.attained_at) == pytest.approx(b.lower)
         # with a second LOS satellite the two LOS lines cross at the truth
         b = case_bound([0.0, 40.0, 0.0, 0.0])
-        assert (b.case, b.lower, b.attained, b.attained_at) == (1, 0.0, True, math.pi / 2.0)
+        assert (b.case, b.lower, b.attained_at) == (1, 0.0, math.pi / 2.0)
 
     def test_case2_all_equal(self):
         b = case_bound([40.0, 40.0, 40.0, 40.0])
-        assert (b.case, b.lower, b.attained, b.attained_at) == (2, 40.0, False, None)
+        assert (b.case, b.lower, b.attained_at) == (2, 40.0, None)
 
     def test_case3_mixed(self):
         b = case_bound([60.0, 40.0, 30.0, 15.0])
-        assert (b.case, b.lower, b.attained) == (3, 30.0, True)
+        assert (b.case, b.lower) == (3, 30.0)
         assert math.degrees(b.attained_at) == pytest.approx(60.0, rel=1e-12)
 
     def test_case3_zero_radii_count(self):
         # a LOS satellite (radius 0) meets the line of radius r at
         # r / sin(separation) >= r, so the zero is one of the two smallest
         b = case_bound([0.0, 30.0, 40.0])
-        assert (b.case, b.lower, b.attained) == (3, 30.0, True)
+        assert (b.case, b.lower) == (3, 30.0)
         assert b.attained_at == pytest.approx(math.pi / 2.0)
-        assert pair_bias(0.0, 30.0, 0.0, b.attained_at).dr == pytest.approx(30.0, rel=1e-12)
+        assert pair_radial_error(0.0, 30.0, 0.0, b.attained_at) == pytest.approx(30.0, rel=1e-12)
         b = case_bound([0.0, 0.0, 9.3])
-        assert (b.case, b.lower, b.attained) == (1, 0.0, True)
-        assert pair_bias(0.0, 0.0, 0.3, 1.9).dr == 0.0
+        assert (b.case, b.lower, b.attained_at) == (1, 0.0, math.pi / 2.0)
+        assert pair_radial_error(0.0, 0.0, 0.3, 1.9) == 0.0
         assert case_bound([30.0, 0.0, 40.0, 0.0]).lower == 0.0
 
     def test_degenerate_inputs(self):
@@ -344,7 +346,7 @@ class TestEnumeration:
         found = enumerate_intersections(center_lines(s, Space.POSITION))
         assert len(found) == 1
         assert len(found[0].contributors) == 6
-        assert found[0].dr == pytest.approx(0.0, abs=1e-12)
+        assert found[0].point.horizontal_norm() == pytest.approx(0.0, abs=1e-12)
 
     def test_merge_tolerance_respected(self):
         # crossings within EPS_MERGE (1e-6) merge; 1.4e-4 apart they stay three
