@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -402,6 +403,11 @@ def _print_table(table: ResultTable) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag looks like a number: -1.2e2 is a value, as argparse takes -12 and -1.5
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -306,7 +306,7 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
     thetas = math.pi * _philox_uniform(seed, trials)
     errors = pair_error_curve(rho_i, rho_j, thetas)
     imin = int(np.argmin(errors))
-    floor = max(abs(rho_i), abs(rho_j))
+    floor = max(abs(rho_i), abs(rho_j))  # case_bound's, and 0 at radii 0, 0, which it rejects
     # relative slack: an absolute one would exceed a tiny floor
     below = int(np.count_nonzero(errors < floor * (1.0 - 1e-9)))
     rows = tuple(zip(range(trials), np.degrees(thetas).tolist(), errors.tolist()))
@@ -326,10 +326,12 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
 
 # Ridge readout: positions read on each side of a scanline's ridge crossing;
 # a bound on sinc outside its main lobe (at most 0.1284 there, and -0.2172 at
-# the first sidelobe); the margin, of the path amplitude, a certificate clears.
+# the first sidelobe); the margin, of the path amplitude, a certificate clears;
+# the fit's cut, as a fraction of the grid maximum.
 _WINDOW = 3
 _SIDELOBE = 0.2172
 _MARGIN = 1e-9
+_KEEP = 0.5
 
 
 def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalConfig,
@@ -340,14 +342,14 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
     grid.  The mismatch is weakly monotone along a scanline (each step is a
     monotone rounding), so each scanline is first evaluated in a window of
     ``2 * _WINDOW + 1`` cells around its ridge crossing by ``caf._add_channel``,
-    the grid's own evaluator, so each cell has its grid bits.  A window is
-    used if its maximum clears by ``_MARGIN`` both window ends that are not
-    grid edges and, in velocity space, the sidelobe bound; or if it lies
-    against the grid edge nearest a crossing beyond the grid and is all zero
-    (position: the scanline is zero) or below the sidelobe bound (velocity:
-    the scanline is, and its peak reads ``-inf``, dropped by the fit once a
-    certified peak exceeds twice the bound).  Other scanlines are evaluated
-    in full by the same evaluator.  ``stats`` counts cells and scanline outcomes.
+    the grid's own evaluator, so each cell has its grid bits.  The floor bounds
+    the values off the main lobe: 0 (code triangle) or ``_SIDELOBE`` of the
+    amplitude (sinc).  A window is used if its maximum clears by ``_MARGIN``
+    the floor and both window ends that are not grid edges; or if it lies
+    against the grid edge nearest a crossing beyond the grid and is at most
+    the floor, as then is the scanline, whose peak reads ``-inf`` (below the
+    fit's cut) once a certified peak exceeds the floor over ``_KEEP``.  Other
+    scanlines are evaluated in full.  ``stats`` counts cells and outcomes.
     """
     n = spec.n
     axis = spec.axis()
@@ -376,8 +378,7 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
     lo = np.clip(cross - _WINDOW, 0, n - width).astype(int)
     lines = np.arange(n)
     idx, peak, v = peaks_of(lines, lo, width)
-    velocity = spec.space is Space.VELOCITY
-    floor = amplitude * _SIDELOBE if velocity else -np.inf
+    floor = amplitude * _SIDELOBE if spec.space is Space.VELOCITY else 0.0
     inner = np.where([lo > 0, lo + width < n], v[:, [0, -1]].T, -np.inf).max(axis=0)
     certified = peak - amplitude * _MARGIN > np.maximum(inner, floor)
     # off the grid: the mismatch keeps one sign along the scanline and is
@@ -386,13 +387,9 @@ def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalC
               + bias).T
     away = (np.sign(m0) == np.sign(m1)) & (((lo == 0) & (abs(m0) <= abs(m1)))
                                            | ((lo + width == n) & (abs(m1) <= abs(m0))))
-    off = away & ~certified & ((peak < floor) if velocity else (peak == 0.0))
-    if not velocity:
-        idx[off] = 0
-    elif peak[certified].max(initial=-np.inf) > 2.0 * floor:
-        peak[off] = -np.inf
-    else:
-        off[:] = False
+    off = away & ~certified & (peak <= floor) & (
+        peak[certified].max(initial=-np.inf) > floor / _KEEP)
+    peak[off] = -np.inf
     redo = ~(certified | off)
     if redo.any():
         idx[redo], peak[redo], _ = peaks_of(lines[redo], 0 * lines[redo], n)
@@ -405,11 +402,11 @@ def _ridge_line_fit(axis: np.ndarray, scanlines) -> tuple[tuple, float, tuple]:
 
     ``scanlines`` holds the (argmax index, peak) readouts of the grid's
     columns, then rows (:func:`_scanline_readout`); the largest peak is the
-    grid maximum.  Scanlines whose peak sits on the boundary or below half
-    that maximum are dropped (rejects sinc sidelobes), least squares runs
-    over each scan orientation, the better residual wins.  Returns the line,
-    with a unit normal (a, b), its RMS residual and the scanlines kept per
-    orientation.
+    grid maximum.  Scanlines whose peak sits on the boundary or below
+    ``_KEEP`` of that maximum are dropped (rejects sinc sidelobes), least
+    squares runs over each scan orientation, the better residual wins.
+    Returns the line, with a unit normal (a, b), its RMS residual and the
+    scanlines kept per orientation.
     """
     n = len(axis)
     vmax = max(float(peaks.max()) for _, peaks in scanlines)
@@ -418,7 +415,7 @@ def _ridge_line_fit(axis: np.ndarray, scanlines) -> tuple[tuple, float, tuple]:
     fits = []
     kept = []
     for per_column, (idx, peaks) in zip((True, False), scanlines):
-        keep = (idx > 0) & (idx < n - 1) & (peaks >= 0.5 * vmax)
+        keep = (idx > 0) & (idx < n - 1) & (peaks >= _KEEP * vmax)
         kept.append(int(np.count_nonzero(keep)))
         if kept[-1] < 8:
             continue

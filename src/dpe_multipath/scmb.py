@@ -6,14 +6,14 @@ radius is the range (range-rate) error; the path's correlation ridge is a
 straight center line tangent to that circle, perpendicular distance equal to
 the radius.  Candidate biased solutions are intersections of center lines
 from different satellites; this module computes those intersections, the
-resulting radial errors, their critical points, and per-case lower bounds.
+resulting radial errors, and per-case lower bounds.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
 from .model import (
@@ -90,19 +90,13 @@ class ErrorBound:
 
     ``case`` is 1 (single NLOS radius), 2 (all radii equal), or 3 (mixed);
     ``attained_at`` is the azimuth separation reaching the bound, or ``None``
-    when the bound is open, as in case 2: the error approaches it but never
-    reaches it.
+    when the two smallest radii are equal and the bound is open: the error
+    approaches it but never reaches it.
     """
 
     case: int
     lower: float
     attained_at: float | None
-
-
-class CriticalPoint(NamedTuple):
-    delta_theta: float
-    dr_min: float
-    attained: bool
 
 
 def center_line(
@@ -160,33 +154,16 @@ def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector | None:
     return EnuVector(*point, 0.0)
 
 
-def critical_points(rho_i: float, rho_j: float) -> CriticalPoint:
-    """Azimuth separation minimizing the pair's radial error, and that minimum.
-
-    For distinct radii the minimum is the larger radius, reached at
-    arccos(smaller/larger); this also covers a vanishing smaller radius
-    (minimum at pi/2).  For equal positive radii the error decreases toward
-    the shared radius as the separation shrinks but never reaches it, so the
-    infimum is reported as not attained.
-    """
-    s, big = sorted((abs(rho_i), abs(rho_j)))
-    if big <= 0.0:
-        raise GeometryError("both radii are zero")
-    if big - s <= EQUAL_RADII_RTOL * big:
-        return CriticalPoint(0.0, big, False)
-    return CriticalPoint(math.acos(s / big), big, True)
-
-
 def case_bound(radii: Sequence[float]) -> ErrorBound:
     """Position-space (code-triangle) radial-error bound for per-satellite radii (one path each).
 
-    The lower bound pairs the two smallest radii, zeros included, at their
-    critical separation: a zero radius is a LOS satellite, whose center line
-    passes through the truth and meets one of radius r at r / sin(separation)
-    >= r; two LOS lines meet at the truth.  Case 1: exactly one nonzero
-    radius; the bound is that radius, or 0 beside two LOS satellites.  Case 2:
-    all radii equal and positive; the bound, the radius, is open.  Case 3:
-    otherwise.
+    The lower bound pairs the two smallest radii s <= r, zeros included: their
+    lines meet no closer than r, at the separation arccos(s / r) (pi/2 for a
+    LOS satellite, whose line passes through the truth), or ever closer to r
+    as the separation shrinks when s = r, an open bound; two LOS lines meet at
+    the truth.  Case 1: exactly one nonzero radius; the bound is that radius,
+    or 0 beside two LOS satellites.  Case 2: all radii equal and positive.
+    Case 3: otherwise.
     """
     rs = sorted(abs(float(r)) for r in radii)
     if len(rs) < 2:
@@ -198,9 +175,9 @@ def case_bound(radii: Sequence[float]) -> ErrorBound:
     case = 1 if rs[-2] == 0.0 else 3
     if rs[1] == 0.0:  # two LOS lines: they cross at the truth at any separation
         return ErrorBound(case=case, lower=0.0, attained_at=math.pi / 2.0)
-    cp = critical_points(rs[0], rs[1])
-    return ErrorBound(case=case, lower=cp.dr_min,
-                      attained_at=cp.delta_theta if cp.attained else None)
+    if rs[1] - rs[0] <= EQUAL_RADII_RTOL * rs[1]:  # equal: the error only nears rs[1]
+        return ErrorBound(case=case, lower=rs[1], attained_at=None)
+    return ErrorBound(case=case, lower=rs[1], attained_at=math.acos(rs[0] / rs[1]))
 
 
 def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:

@@ -897,10 +897,18 @@ class TestCommands:
         ("40,40", "json"): "a28a495bbafdf8075e0c1f975f384b5fce48a5d7e16224ab5ab01bf97d6092c7",
         ("0,40", "csv"): "f1656c9d3b93ecf7d8343230445d680a192c7a8e90c95df398ac7d1f9cc198cf",
         ("0,40", "json"): "5facc331a13691d832fc3ab42a2a54966b87657880aac17ad575224a0ce0d4d8",
+        # the two smallest radii equal, the rest not: case 3, open
+        ("40,40,60", "csv"): "3fce97a672972834460caf479e94cb5bba586cdb968da451027d9dcb2d8a9de3",
+        ("40,40,60", "json"): "b569cd90056c79ca9653703e37ae3bf3c2d4a72ad6a462f2abf92335fb99825b",
+        ("15,15.0000000001,60", "csv"):
+            "dc4fe33b1b3e343767c54cdf1276a0a246280017d5d8cb023338dc32bbd5a3e1",
+        ("15,15.0000000001,60", "json"):
+            "d6deae0dd6c08ae086f53272c8d836080208ef7c65796bbc65aaf4b6c9e1f5b6",
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("radii", ["60,40,30,15", "0,0,9.3", "40,40", "0,40"])
+    @pytest.mark.parametrize("radii", ["60,40,30,15", "0,0,9.3", "40,40", "0,40", "40,40,60",
+                                       "15,15.0000000001,60"])
     def test_bounds_bytes_match_recorded_digests(self, tmp_path, radii, fmt):
         assert main(["bounds", "--radii", radii, "--format", fmt,
                      "--out", str(tmp_path)]) == EXIT_OK
@@ -1085,6 +1093,23 @@ class TestExitCodes:
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("project", "--doppler-hz", "-1.2e2"),
+        ("project", "--delay-chips", "-.5"),
+        ("project", "--delay-chips", "-2."),
+        ("montecarlo", "--rho-i", "-6E+1"),
+        ("montecarlo", "--rho-j", "-40"),
+    ])
+    def test_negative_number_flag_values(self, tmp_path, command, flag, value):
+        # the spaced form reads the value as the = form does, exponents included
+        argv = [command, "--trials", "5"] if command == "montecarlo" else [command]
+        written = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            out = tmp_path / str(len(form))
+            assert main([*argv, *form, "--out", str(out)]) == EXIT_OK
+            written.append((out / f"{command}.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--radii", "nan,1"],
         ["bounds", "--radii", "inf,2"],
@@ -1092,6 +1117,8 @@ class TestExitCodes:
         ["montecarlo", "--rho-j", "1e400"],
         ["project", "--delay-chips", "inf"],
         ["project", "--doppler-hz", "nan"],
+        ["project", "--doppler-hz", "-inf"],
+        ["montecarlo", "--rho-i", "-nan"],
         ["project", "--delay-chips", "1e308"],
         ["montecarlo", "--seed", "-1"],
         ["caf", "--scenario", "case3.scenario", "--seed", "-3"],
@@ -1103,7 +1130,8 @@ class TestExitCodes:
         ["bounds", "--radii", ""],
         ["bounds", "--radii", "0,0"],
     ], ids=["nan-radius", "inf-radius", "nan-rho-i", "overflowing-rho-j", "inf-delay",
-            "nan-doppler", "overflowing-projected-delay",
+            "nan-doppler", "spaced-negative-inf", "spaced-negative-nan",
+            "overflowing-projected-delay",
             "negative-seed", "negative-caf-seed", "zero-trials", "negative-trials",
             "philox-key-range-montecarlo", "philox-key-range-report",
             "one-radius", "no-radii", "zero-radii"])

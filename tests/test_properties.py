@@ -336,6 +336,11 @@ class TestMismatchLinearity:
 
 
 class TestWindowedRidgeReadout:
+    # position space with the ridge line pushed off the grid: the windows
+    # against the grid edge are all zero, at the code triangle's floor
+    OFF_GRID = dict(space=Space.POSITION, quadrant=0, tilt=1e-6, el_deg=30.0, amplitude=1.0,
+                    push=1.2, step=1.0, half_steps=50)
+
     @given(
         st.sampled_from(list(Space)),
         st.integers(0, 3),
@@ -346,9 +351,19 @@ class TestWindowedRidgeReadout:
         st.sampled_from((0.1, 0.5, 1.0)),
         st.integers(1, 200),
     )
+    @example(**OFF_GRID)
     @settings(max_examples=150, **D)
     def test_matches_full_grid_argmax(self, space, quadrant, tilt, el_deg, amplitude, push,
                                       step, half_steps):
+        self.check_readouts(space, quadrant, tilt, el_deg, amplitude, push, step, half_steps)
+
+    def test_off_grid_scanlines_read_minus_inf(self):
+        readouts = self.check_readouts(**self.OFF_GRID)
+        assert any((peaks == -np.inf).any() for _, peaks in readouts)
+
+    @staticmethod
+    def check_readouts(space, quadrant, tilt, el_deg, amplitude, push, step, half_steps):
+        """Both scan orientations' readouts, checked against the full grid."""
         # azimuths within 1e-6 rad of an axis make one scan orientation
         # nearly parallel to the ridge; |push| > 1 moves the ridge line off
         # the grid, leaving only its tails on it
@@ -380,6 +395,7 @@ class TestWindowedRidgeReadout:
             np.testing.assert_array_equal(idx[read], full_idx[read])
             np.testing.assert_array_equal(peaks[read].view(np.int64),
                                           full_peaks[read].view(np.int64))
+        return readouts
 
 
 class TestMonteCarloPrefix:

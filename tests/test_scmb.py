@@ -1,4 +1,4 @@
-"""Bias projection, center-line intersections, critical points, case bounds."""
+"""Bias projection, center-line intersections, case bounds and their critical points."""
 import math
 
 import pytest
@@ -10,9 +10,9 @@ from dpe_multipath.cli import load_scenario
 from dpe_multipath.model import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.scmb import (
     CenterLine,
+    ErrorBound,
     case_bound,
     center_lines,
-    critical_points,
     enumerate_intersections,
     intersect_lines,
     project_bias,
@@ -242,29 +242,34 @@ class TestReferencePairs:
 
 
 class TestCriticalPoints:
+    # the separation at which case_bound's two smallest radii meet closest
     def test_distinct_radii(self):
-        cp = critical_points(60.0, 40.0)
-        assert math.degrees(cp.delta_theta) == pytest.approx(48.18968510422141, rel=1e-12)
-        assert cp.dr_min == 60.0
-        assert cp.attained
+        b = case_bound([60.0, 40.0])
+        assert b.lower == 60.0
+        assert b.attained_at == math.acos(40.0 / 60.0)
+        assert math.degrees(b.attained_at) == pytest.approx(48.18968510422141, rel=1e-12)
 
     def test_order_invariant(self):
-        assert critical_points(40.0, 60.0) == critical_points(60.0, 40.0)
+        assert case_bound([40.0, 60.0]) == case_bound([60.0, 40.0])
+        assert case_bound([60.0, 15.0, 40.0, 30.0]) == case_bound([15.0, 30.0, 40.0, 60.0])
 
     def test_zero_smaller_radius(self):
-        cp = critical_points(0.0, 40.0)
-        assert cp.delta_theta == pytest.approx(math.pi / 2.0, rel=1e-12)
-        assert cp.dr_min == 40.0
-        assert cp.attained
+        b = case_bound([0.0, 40.0])
+        assert b.attained_at == pytest.approx(math.pi / 2.0, rel=1e-12)
+        assert b.lower == 40.0
 
     def test_equal_radii_infimum_open(self):
-        cp = critical_points(40.0, 40.0)
-        assert cp.dr_min == 40.0
-        assert not cp.attained
+        b = case_bound([40.0, 40.0])
+        assert (b.lower, b.attained_at) == (40.0, None)
+        # the two smallest equal within EQUAL_RADII_RTOL but not all radii:
+        # case 3, and still open
+        for radii, lower in (([40.0, 40.0, 60.0], 40.0),
+                             ([15.0, 15.0000000001, 60.0], 15.0000000001)):
+            assert case_bound(radii) == ErrorBound(case=3, lower=lower, attained_at=None)
 
     def test_both_zero_undefined(self):
-        with pytest.raises(GeometryError, match="^both radii are zero$"):
-            critical_points(0.0, 0.0)
+        with pytest.raises(ValueError, match="^all radii are zero; no multipath bound exists$"):
+            case_bound([0.0, 0.0])
 
     @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0))
     @example(ri=2.0, rj=2.00001)
@@ -275,12 +280,12 @@ class TestCriticalPoints:
         def radial_error(t):
             return math.sqrt((ri - rj) ** 2 + 4 * ri * rj * math.sin(t / 2) ** 2) / math.sin(t)
 
-        cp = critical_points(ri, rj)
+        b = case_bound([ri, rj])
         seps = [x / 1000.0 * math.pi for x in range(1, 1000)]
         sweep = min(radial_error(t) for t in seps)
-        assert sweep >= cp.dr_min - 1e-6
-        if cp.attained:
-            assert radial_error(cp.delta_theta) == pytest.approx(cp.dr_min, rel=1e-12)
+        assert sweep >= b.lower - 1e-6
+        if b.attained_at is not None:
+            assert radial_error(b.attained_at) == pytest.approx(b.lower, rel=1e-12)
 
 
 class TestCaseBounds:
