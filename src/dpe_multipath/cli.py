@@ -8,7 +8,8 @@ float cells as ``format(v, '.6g')``, JSON keeps full float precision.
 Start-up needs no numpy: this module imports only the numpy-free model and
 geometry, so ``bounds``, ``project`` and ``intersect`` run without it.  The
 numpy modules load inside the commands that use them: ``caf`` imports the
-grid kernels and ``gridtext``, and ``montecarlo`` and ``report`` import ``mc``.
+grid kernels, ``montecarlo`` and ``report`` import ``mc``, and all three
+import ``gridtext`` to write their numpy rows.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .model import (
     REFERENCE_SEED,
     REFERENCE_TRIALS,
     GeometryMismatchError,
+    Columns,
     Grid2D,
     GridSpec,
     PathKind,
@@ -323,23 +325,28 @@ class ResultTable:
     """Serialized table: named+united columns, uniform rows, one-line note.
 
     ``rows`` is a tuple of row tuples, whose cells are ``str``, ``int`` or
-    ``float``, or, for three columns, a ``model.Grid2D``, written as the rows
+    ``float``; or a ``model.Columns`` of float and integer arrays, one per
+    column; or, for three columns, a ``model.Grid2D``, written as the rows
     ``(east, north, value)`` with north as the outer index and east as the
     inner one.  A grid's blocks are spelled as they are drawn, each before
     the next is drawn, so a one-shot grid can be written once.  CSV spells
-    every float cell, of tuple rows or of a grid, as ``format(v, '.6g')``.
-    JSON is ``json.dumps(..., indent=2)`` of the note, columns and rows, at
-    full precision; a grid's rows come from one row template.
+    every float cell, in any form, as ``format(v, '.6g')``.  JSON is
+    ``json.dumps(..., indent=2)`` of the note, columns and rows, at full
+    precision; the rows of a grid or of columns come from one row template.
     """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | Grid2D
+    rows: tuple[tuple, ...] | Columns | Grid2D
     note: str = ""
 
     def __post_init__(self):
         if isinstance(self.rows, Grid2D):
             if len(self.columns) != 3:
                 raise ValueError(f"grid rows need 3 columns, got {len(self.columns)}")
+            return
+        if isinstance(self.rows, Columns):
+            if len(self.rows.arrays) != len(self.columns) or len({*map(len, self.rows.arrays)}) > 1:
+                raise ValueError("columns differ from the column count or in length")
             return
         for r in self.rows:
             if len(r) != len(self.columns):
@@ -352,21 +359,21 @@ class ResultTable:
         return "".join(self._pieces("json"))
 
     def _pieces(self, fmt: str) -> Iterator[str]:
-        """The file text in order, a header, tuple row or grid row at a time."""
-        grid = isinstance(self.rows, Grid2D)
-        if grid:  # the one table form spelled with numpy
-            from .gridtext import _csv_grid_texts, _json_grid_texts
+        """The file text in order: a header, then tuple rows or parts of numpy rows."""
+        arrays = isinstance(self.rows, (Columns, Grid2D))
+        if arrays:  # the table forms spelled with numpy
+            from .gridtext import _TEXTS
         if fmt == "csv":
             yield ",".join(self.columns) + "\n"
-            yield from (_csv_grid_texts(self.rows) if grid else
+            yield from (_TEXTS[type(self.rows), fmt](self.rows) if arrays else
                         (",".join(map(_csv_cell, row)) + "\n" for row in self.rows))
             return
         payload = {"note": self.note, "columns": list(self.columns),
-                   "rows": [] if grid else self.rows}
-        if grid:  # the grid rows go where the empty list stands
+                   "rows": [] if arrays else self.rows}
+        if arrays:  # the numpy rows go where the empty list stands
             yield json.dumps(payload, indent=2)[:-len("]\n}")]
-            yield from _json_grid_texts(self.rows)
-            yield "\n  ]\n}\n"
+            yield from _TEXTS[type(self.rows), fmt](self.rows)
+            yield "\n  ]\n}\n" if isinstance(self.rows, Grid2D) or len(self.rows) else "]\n}\n"
             return
         yield from json.JSONEncoder(indent=2).iterencode(payload)
         yield "\n"
@@ -405,8 +412,9 @@ def _print_table(table: ResultTable) -> None:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # no flag looks like a number: -1.2e2 is a value, as argparse takes -12 and -1.5
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # no flag looks like numbers: -1.2e2 and -60,40 are values, as argparse takes -12
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,[-+]?{number})*$")
 
     def error(self, message):
         raise UsageError(message)
@@ -649,10 +657,10 @@ def cmd_report(args) -> int:
     write("fig7_data", "bias projection sweep over elevation", sweep.columns, sweep.rows)
     write("fig8_data", "pair radial error vs azimuth separation",
           ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"), mc.pair_error_rows(40.0))
+    trial, separation, error = mcrep.rows.arrays
     write("fig11_data",
           "random azimuth-separation trials, radii ({:g}, {:g})".format(*REFERENCE_RADII),
-          ("delta_theta[deg]", "radial_error[m]", "trial"),
-          tuple((r[1], r[2], r[0]) for r in mcrep.rows))
+          ("delta_theta[deg]", "radial_error[m]", "trial"), Columns((separation, error, trial)))
     criteria, field_rows = mc.reference_criteria(proj, sweep, mcrep, cases, field)
     write("field_reference", "field replay; measured column is documentation, not a check",
           ("quantity", "theoretical", "field_measured"), field_rows)

@@ -1,20 +1,25 @@
-"""Grid table text in numpy: the JSON and CSV rows of a ``Grid2D``, a block at a time.
+"""Table text in numpy: the JSON and CSV rows of a ``Grid2D`` or ``Columns``, a part at a time.
 
-:class:`cli.ResultTable` imports this module only to write a grid, so the
-commands that write no grid start without numpy.  Every cell is spelled as
+:class:`cli.ResultTable` imports this module only to write those forms, so the
+commands that write neither start without numpy.  Every cell is spelled as
 the tuple-row writer spells it: CSV as ``cli._csv_cell`` (``format(v,
-'.6g')``), JSON as ``float.__repr__``.
+'.6g')``, ``str`` of an integer), JSON as ``repr``, as ``json`` writes numbers.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .cli import _csv_cell
-from .model import Grid2D
+from .model import Columns, Grid2D
+
+# Rows of a column table spelled at once: 3072 Monte Carlo rows, of 40 bytes
+# each, keep a part's CSV records under ``_CSV_BLOCK_BYTES``.
+_COLUMN_ROWS = 3072
 
 
 def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
@@ -38,10 +43,21 @@ def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
             start = 0
 
 
-# CSV grid cells are spelled by a numpy kernel, a block of grid rows at a
-# time, into one record per cell of little-endian 8-byte words: the east
-# label and comma, the north label and comma, then two value words.  Zero
-# bytes pad every field and are deleted when a block becomes text.
+def _json_column_texts(columns: Columns) -> Iterator[str]:
+    """JSON rows of a column table, a part at a time, from one ``%r`` row template."""
+    row = ",\n    [\n      " + ",\n      ".join(["%r"] * len(columns.arrays)) + "\n    ]"
+    for lo in range(0, len(columns), _COLUMN_ROWS):
+        part = [a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
+        text = row * len(part[0]) % tuple(itertools.chain(*zip(*(a.tolist() for a in part))))
+        if not all(np.isfinite(a).all() for a in part):
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield text[0 if lo else 1:]  # each JSON row starts with its separator
+
+
+# CSV rows are spelled by a numpy kernel, a part of a table at a time, into
+# one record per row of little-endian 8-byte words: a grid cell's east label
+# and comma, north label and comma, then two value words, or a column table's
+# cells.  Zero bytes pad every field and are deleted when a part becomes text.
 _WORD = np.dtype("<u8")
 
 # Bytes of records spelled at once.  Under glibc's 128 KiB mmap threshold, as
@@ -122,10 +138,10 @@ def _csv_digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return high, low, high_base, low_base
 
 
-def _csv_value_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _csv_value_words(values: np.ndarray, out: np.ndarray, sep: str) -> np.ndarray:
     """Spell each cell of ``values`` into its value words ``out[..., 0]`` and ``out[..., 1]``.
 
-    The words hold ``format(v, '.6g') + '\\n'`` among zero bytes for every
+    The words hold ``format(v, '.6g') + sep`` among zero bytes for every
     cell the kernel can prove: zero, and a finite value in fixed-point form
     (exponent -4 to 5 after rounding) whose mantissa, scaled by an exact
     power of ten, is not a rounding tie.  Returns the flat indices of the
@@ -158,39 +174,78 @@ def _csv_value_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     lo += low_base.take(i)
     digits = high.take(hi, mode="clip")
     digits |= low.take(lo, mode="clip")
+    if sep != "\n":  # the newline that ends every low word
+        digits ^= np.uint64((ord("\n") ^ ord(sep)) << 56)
     out[..., 1] = digits
     np.add(i, 12, out=i, where=np.signbit(values))
     out[..., 0] = _CSV_LEAD.take(i)
     return np.flatnonzero(~proven)
 
 
+def _csv_texts(shape: tuple[int, ...], lead: np.ndarray, fields: list[tuple[int, str | None]],
+               parts: Iterator[tuple]) -> Iterator[str]:
+    """The text of each of ``parts``, spelled into one buffer of ``shape`` records.
+
+    A record holds the words ``lead`` (a grid's east labels), then ``fields`` of
+    ``(width, sep)``.  A part holds an array per field for its leading records:
+    words if ``sep`` is None, else cells, which the kernel spells where it can
+    prove them (an integer below 1e6 as the float it equals), ``_csv_cell`` elsewhere.
+    """
+    ends = list(itertools.accumulate([lead.shape[-1], *(width for width, _ in fields)]))
+    buf = bytearray(8 * ends[-1] * int(np.prod(shape)))
+    records = np.frombuffer(buf, _WORD).reshape(*shape, ends[-1])
+    records[..., :ends[0]] = lead
+    for part in parts:
+        here = records[:len(part[-1])]
+        for (width, sep), end, cells in zip(fields, ends[1:], part):
+            out = here[..., end - width:end]
+            if sep is None:
+                out[...] = cells
+                continue
+            left = _csv_value_words(cells.astype(float, copy=False), out, sep)
+            out[..., 2:] = 0  # what a long integer of the part before left
+            if left.size:
+                at = np.unravel_index(left, cells.shape)
+                out[at] = _ascii_words([_csv_cell(v) + sep for v in cells[at].tolist()], width)
+        text = buf if len(here) == len(records) else buf[:here.nbytes]
+        yield text.translate(None, b"\0").decode("ascii")
+
+
 def _csv_grid_texts(grid: Grid2D) -> Iterator[str]:
     """CSV grid rows, each cell as ``format(v, '.6g')``.
 
     Each block is spelled as it arrives, in parts of at most
-    ``_CSV_BLOCK_BYTES`` of records.  Cells the kernel cannot prove are
-    spelled by :func:`_csv_cell` into their record, so every cell equals it
-    by construction.
+    ``_CSV_BLOCK_BYTES`` of records.
     """
     labels = [_csv_cell(x) + "," for x in grid.spec.axis().tolist()]
     n = len(labels)
     width = -(-max(map(len, labels)) // 8)  # words per label
     words = _ascii_words(labels, width)
-    record = 8 * (2 * width + 2)
-    rows = max(1, _CSV_BLOCK_BYTES // (n * record))
-    buf = bytearray(min(rows, n) * n * record)
-    records = np.frombuffer(buf, _WORD).reshape(-1, n, 2 * width + 2)
-    records[:, :, :width] = words
-    north = 0  # grid row of the next part
-    for block in grid.blocks:
-        for lo in range(0, len(block), rows):
-            part = block[lo:lo + rows]
-            here = records[:len(part)]
-            here[:, :, width:2 * width] = words[north:north + len(part), None, :]
-            north += len(part)
-            left = _csv_value_words(part, here[:, :, -2:])
-            for k, v in zip(left.tolist(), part.ravel()[left].tolist()):
-                at = (k + 1) * record - 16  # the two value words end the record
-                buf[at:at + 16] = (_csv_cell(v) + "\n").encode("ascii").ljust(16, b"\0")
-            text = buf if len(part) == len(records) else buf[:len(part) * n * record]
-            yield text.translate(None, b"\0").decode("ascii")
+    rows = max(1, _CSV_BLOCK_BYTES // (n * 8 * (2 * width + 2)))
+
+    def parts():
+        north = 0  # grid row of the next part
+        for block in grid.blocks:
+            for lo in range(0, len(block), rows):
+                part = block[lo:lo + rows]
+                yield words[north:north + len(part), None], part
+                north += len(part)
+
+    return _csv_texts((min(rows, n), n), words, [(width, None), (2, "\n")], parts())
+
+
+def _csv_column_texts(columns: Columns) -> Iterator[str]:
+    """CSV rows of a column table: a cell takes two words, or as many as the sign,
+    digits and separator of its column's longest integer."""
+    widths = [2 if a.dtype.kind == "f"
+              else max(2, (len(str(max(int(a.max(initial=0)), -int(a.min(initial=0))))) + 9) // 8)
+              for a in columns.arrays]
+    fields = list(zip(widths, [","] * (len(widths) - 1) + ["\n"]))
+    parts = ([a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
+             for lo in range(0, len(columns), _COLUMN_ROWS))
+    return _csv_texts((min(_COLUMN_ROWS, len(columns)),), np.zeros(0, _WORD), fields, parts)
+
+
+# The writer of each numpy table form, by form and format, for ``cli.ResultTable``.
+_TEXTS = {(Grid2D, "csv"): _csv_grid_texts, (Grid2D, "json"): _json_grid_texts,
+          (Columns, "csv"): _csv_column_texts, (Columns, "json"): _json_column_texts}

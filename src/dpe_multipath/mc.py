@@ -3,11 +3,10 @@
 Reproduces the reference tables and figure data bundled with the package:
 elevation sweeps of the projection of :data:`model.REFERENCE_BIAS`, uniform
 random azimuth-separation trials, and grid-vs-analytic case studies.  Every
-driver returns an :class:`ExperimentReport` of columns, plain tuple rows of
-``str``, ``int`` and ``float`` cells, and a summary; the cli module does all
-serialization.  The expected reference values live here, and
-:func:`reference_criteria` builds every check of ``report`` from the
-drivers' rows.
+driver returns an :class:`ExperimentReport` of columns, rows and a
+summary; the cli module does all serialization.  The expected reference
+values live here, and :func:`reference_criteria` builds every check of
+``report`` from the drivers' rows.
 """
 from __future__ import annotations
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from .caf import _add_channel, _mismatch_coef, mismatch
 from .geom import fold_azimuth_separation
-from .model import REFERENCE_BIAS, GridSpec, SatelliteChannel, Scenario, SignalConfig, Space
+from .model import (REFERENCE_BIAS, Columns, GridSpec, SatelliteChannel, Scenario, SignalConfig,
+                    Space)
 from .scmb import EPS_PARALLEL, center_line, intersect_lines, line_crossing, project_bias
 
 # Intersection-point labels of the reference satellite pairs.
@@ -95,10 +95,11 @@ class Criterion:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Rows plus summary statistics of one driver run."""
+    """Rows plus summary statistics of one driver run: tuple rows of ``str``,
+    ``int`` and ``float`` cells, or, for the Monte Carlo trials, ``Columns``."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...] | Columns
     summary: dict
 
 
@@ -219,23 +220,25 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     c = np.cos(t)
     s = np.sin(t)
     # radii near the largest double overflow to inf (or inf - inf = NaN),
-    # which the hypot fallback and the final division resolve
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.hypot(rho_i - rho_j * c, rho_j * s, out=np.empty_like(t))
+    # which the hypot fallback and the final division resolve; hypot runs only
+    # where it is taken, and in place, which saves a third of time and memory
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sq = rho_i * rho_i + rho_j * rho_j - 2.0 * rho_i * rho_j * c
-    np.sqrt(sq, out=num, where=sq >= np.finfo(float).tiny)
-    out = np.full_like(num, np.inf)
-    np.divide(num, s, out=out, where=s >= EPS_PARALLEL)
-    return out
+        low = ~(sq >= np.finfo(float).tiny)  # NaN too
+        num = np.sqrt(sq, out=sq)
+        num[low] = np.hypot(rho_i - rho_j * c[low], rho_j * s[low])
+        num /= s
+    num[~(s >= EPS_PARALLEL)] = np.inf
+    return num
 
 
-def pair_error_rows(rho: float) -> tuple[tuple[float, float, float], ...]:
-    """``(separation deg, single, pair)`` at each half-degree azimuth separation in (0, 180)
+def pair_error_rows(rho: float) -> Columns:
+    """The columns ``(separation deg, single, pair)`` at each half-degree separation in (0, 180)
     deg: :func:`pair_error_curve` of one NLOS satellite of radius ``rho``, and of two."""
     thetas_deg = 0.5 * np.arange(1, 360)
     thetas = np.radians(thetas_deg)
-    return tuple(zip(thetas_deg.tolist(), pair_error_curve(rho, 0.0, thetas).tolist(),
-                     pair_error_curve(rho, rho, thetas).tolist()))
+    return Columns((thetas_deg, pair_error_curve(rho, 0.0, thetas),
+                    pair_error_curve(rho, rho, thetas)))
 
 
 def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> ExperimentReport:
@@ -299,7 +302,9 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
 
     Trial k's separation is pi times draw k of :func:`_philox_uniform`, so its
     row depends only on (seed, k): a shorter run is a prefix of a longer one.
-    No ``numpy.random`` is loaded, which keeps 6 MB off ``report``'s peak RSS.
+    The rows are ``Columns`` of the trial index, separation (deg) and radial
+    error; no row tuple is built.  No ``numpy.random`` is loaded, which keeps
+    6 MB off ``report``'s peak RSS of 32 MB.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -309,10 +314,9 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
     floor = max(abs(rho_i), abs(rho_j))  # case_bound's, and 0 at radii 0, 0, which it rejects
     # relative slack: an absolute one would exceed a tiny floor
     below = int(np.count_nonzero(errors < floor * (1.0 - 1e-9)))
-    rows = tuple(zip(range(trials), np.degrees(thetas).tolist(), errors.tolist()))
     return ExperimentReport(
         columns=("trial", "delta_theta[deg]", "radial_error[m]"),
-        rows=rows,
+        rows=Columns((np.arange(trials), np.degrees(thetas), errors)),
         summary={
             "trials": trials,
             "min_radial_error": float(errors[imin]),

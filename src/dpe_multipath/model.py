@@ -213,6 +213,16 @@ class Grid2D:
     blocks: Iterable
 
 
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Table rows as columns: 1-D float or integer numpy arrays of the length ``len`` gives."""
+
+    arrays: tuple
+
+    def __len__(self) -> int:
+        return len(self.arrays[0])
+
+
 DEFAULT_GRIDS = (
     GridSpec(Space.POSITION, 100.0, 1.0),
     GridSpec(Space.VELOCITY, 100.0, 0.1),

@@ -1,7 +1,8 @@
 """Test-side helpers: the bundled scenarios' authored receiver and channels,
-geometry that only the tests read (fixture building and reference formulas), and
-the grid oracle: a whole-grid argmax, a single-point CAF value and their
-comparison against the enumerated line intersections."""
+geometry that only the tests read (fixture building and reference formulas),
+the tuple-row table writer, and the grid oracle: a whole-grid argmax, a
+single-point CAF value and their comparison against the enumerated line
+intersections."""
 import json
 import math
 from typing import Sequence
@@ -10,10 +11,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dpe_multipath.caf import _add_channel, _ArgmaxFold, scenario_caf
-from dpe_multipath.cli import _bundled_scenario
+from dpe_multipath.cli import _bundled_scenario, _csv_cell
 from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
 from dpe_multipath.mc import ExperimentReport
-from dpe_multipath.model import Grid2D, Scenario, SignalConfig, Space
+from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections, intersect_lines
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
@@ -68,6 +69,21 @@ def enu_from_angles(angles: LookAngles, range_m: float) -> EnuVector:
         range_m * ce * math.cos(angles.azimuth),
         range_m * math.sin(angles.elevation),
     )
+
+
+def column_rows(columns: Columns) -> tuple[tuple, ...]:
+    """A column table's rows as tuples of Python ints and floats."""
+    return tuple(zip(*(a.tolist() for a in columns.arrays)))
+
+
+def tuple_row_text(columns: Sequence[str], rows: Sequence[tuple], note: str, fmt: str) -> str:
+    """The file text of the tuple-row table writer, the reference for numpy rows:
+    CSV cells joined as ``cli._csv_cell`` spells them, JSON as ``json.dumps(indent=2)``."""
+    if fmt == "csv":
+        return "".join([",".join(columns) + "\n",
+                        *(",".join(map(_csv_cell, row)) + "\n" for row in rows)])
+    payload = {"note": note, "columns": list(columns), "rows": rows}
+    return "".join(json.JSONEncoder(indent=2).iterencode(payload)) + "\n"
 
 
 def grid_values(grid) -> np.ndarray:

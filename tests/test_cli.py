@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath import caf, cli, gridtext
+from dpe_multipath import caf, cli, gridtext, mc
 from dpe_multipath.caf import scenario_caf
 from dpe_multipath.cli import (
     EXIT_BROKEN_PIPE,
@@ -46,6 +46,7 @@ from dpe_multipath.geom import EcefVector, LookAngles
 from dpe_multipath.model import (
     DEFAULT_GRIDS,
     SPEED_OF_LIGHT,
+    Columns,
     Grid2D,
     GridSpec,
     PathKind,
@@ -60,12 +61,14 @@ from scenario_helpers import (
     ECEF_SCENARIO,
     authored_receiver,
     channel,
+    column_rows,
     count_intersections,
     enu_from_angles,
     enu_to_ecef,
     fixture_with,
     grid_values,
     mutated_fixtures,
+    tuple_row_text,
 )
 
 # The reference the bundled fixtures encode: receiver truth, satellite look
@@ -311,6 +314,12 @@ class TestResultTable:
         with pytest.raises(ValueError):
             ResultTable(("e", "n"), grid)
 
+    @pytest.mark.parametrize("arrays", [(np.zeros(3),), (np.zeros(3), np.zeros(2, int))],
+                             ids=["too-few", "unequal-lengths"])
+    def test_columns_checked(self, arrays):
+        with pytest.raises(ValueError):
+            ResultTable(("a", "b"), Columns(arrays))
+
 
 def _ulp_neighbours(v: float) -> list[float]:
     """``v`` and the doubles 1 and 2 ulps either side of it."""
@@ -401,6 +410,58 @@ class TestArrayTable:
         tracemalloc.start()
         try:
             cli._write_table(table, tmp_path, "grid", "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+# Integer columns about the kernel's limits: it spells an integer below 1e6
+# in magnitude as the float it equals, and ``_csv_cell`` spells the rest.  An
+# integer field takes two words up to 14 digits and a sign, three beyond.
+# Each list's length is prime to the 3072 rows of a part, so a row's record
+# holds a short integer in one part and a long one in another.
+EDGE_INTS = {
+    "below-1e6": [0, 1, -1, 9, 10, 999, 1000, -1000, 100000, 999999, -999999],
+    "at-1e6": [0, 7, -12, 1000000, -1000000, 1000001, 123456789],
+    "two-words": [0, 5, 10**14 - 1, -(10**14 - 1), 999999, 10**6, -1],
+    "three-words": [0, -5, 10**14, -(10**14), 2**53 + 1, -(2**62), 42],
+    "int64-extremes": [0, 1, np.iinfo(np.int64).max, np.iinfo(np.int64).min, -3],
+}
+
+
+class TestColumnTable:
+    """Column tables write the bytes of the tuple-row writer, in CSV and JSON."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("layout", ["int-first", "int-last"])
+    @pytest.mark.parametrize("ints", EDGE_INTS.values(), ids=EDGE_INTS.keys())
+    @pytest.mark.parametrize("floats", [
+        np.array(EDGE_FLOATS), _exponent_form_doubles(3000), _random_doubles(9000),
+        np.zeros(0),
+    ], ids=["edge", "exponent-form", "random-bits", "no-rows"])
+    def test_matches_tuple_row_writer(self, floats, ints, layout, fmt):
+        ints = np.resize(np.array(ints, dtype=np.int64), len(floats))
+        if layout == "int-first":  # as montecarlo writes: the floats end their rows
+            arrays = (ints, floats, floats[::-1].copy())
+        else:  # as fig11 does: an integer ends each row
+            arrays = (floats, floats[::-1].copy(), ints)
+        columns = ("a", "b[m]", "c")
+        table = ResultTable(columns, Columns(arrays), note="n")
+        assert len(table.rows) == len(floats)
+        text = table.to_csv() if fmt == "csv" else table.to_json()
+        assert text == tuple_row_text(columns, column_rows(table.rows), "n", fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_holds_one_part(self, tmp_path, fmt):
+        # a 200,000-trial montecarlo table: beyond its columns, the writer
+        # holds one part of rows and its text, not the file's 7 MB (CSV) or 16 MB
+        rep = mc.run_random_azimuth_mc(60.0, 40.0, 200_000, 1)
+        table = ResultTable(rep.columns, rep.rows)
+        gridtext._csv_digit_tables()  # built once per process
+        tracemalloc.start()
+        try:
+            cli._write_table(table, tmp_path, "montecarlo", fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -915,6 +976,41 @@ class TestCommands:
         written = (tmp_path / f"bounds.{fmt}").read_bytes()
         assert hashlib.sha256(written).hexdigest() == self.BOUNDS_DIGESTS[radii, fmt]
 
+    # sha256 over the files ``montecarlo`` writes, per radii and format, for each
+    # seed of ``MONTECARLO_SEEDS`` and, within it, each trial count of
+    # ``MONTECARLO_TRIALS``: 1e-7 spells its errors in exponent form, 1e300
+    # overflows every error to inf
+    MONTECARLO_SEEDS = (0, 1, 2**64, 2**128 - 1)
+    MONTECARLO_TRIALS = (1, 3, 5, 10000)
+    MONTECARLO_DIGESTS = {
+        ("", "csv"): "2aab9bfe994cf930d4808e799d2ce39252241bf05e7a64066c80995ee3974769",
+        ("", "json"): "11580fec66285e17d1d9d659244527c22953efeb9f1900a5c1666cfd6d8f7156",
+        ("--rho-i 1e-7 --rho-j 0", "csv"):
+            "4ed85131f8a0c3d26ae7cea8a0cb85de85e4e0d3c5d404afd309f83b90ec34b1",
+        ("--rho-i 1e-7 --rho-j 0", "json"):
+            "b71c9f8622b4051aaed4b4cd4bd0a283c8c946e72518691969cbffa38afad865",
+        ("--rho-i 1e300 --rho-j 1e300", "csv"):
+            "249006eb45a20dfe52b6cc9f37efdf15b8ca354ce513bc0c8004ae237938684c",
+        ("--rho-i 1e300 --rho-j 1e300", "json"):
+            "c2ef5b308af2178c3f0ed460418cf898fe61eb9e1cb6dd7f6d30b31c19e0c44e",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("radii", ["", "--rho-i 1e-7 --rho-j 0",
+                                       "--rho-i 1e300 --rho-j 1e300"])
+    def test_montecarlo_bytes_match_recorded_digests(self, tmp_path, capsys, radii, fmt):
+        h = hashlib.sha256()
+        for seed in self.MONTECARLO_SEEDS:
+            for trials in self.MONTECARLO_TRIALS:
+                assert main(["montecarlo", *radii.split(), "--seed", str(seed),
+                             "--trials", str(trials), "--format", fmt,
+                             "--out", str(tmp_path)]) == EXIT_OK
+                h.update((tmp_path / f"montecarlo.{fmt}").read_bytes())
+        assert h.hexdigest() == self.MONTECARLO_DIGESTS[radii, fmt]
+        text = (tmp_path / f"montecarlo.{fmt}").read_text()  # of 10,000 trials
+        assert ("e-07" in text) == ("1e-7" in radii)
+        assert ("inf" in text.lower()) == ("1e300" in radii)
+
     def test_montecarlo_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["montecarlo", "--trials", "300", "--out", str(a)]) == EXIT_OK
@@ -1099,6 +1195,8 @@ class TestExitCodes:
         ("project", "--delay-chips", "-2."),
         ("montecarlo", "--rho-i", "-6E+1"),
         ("montecarlo", "--rho-j", "-40"),
+        ("bounds", "--radii", "-60,40"),
+        ("bounds", "--radii", "-6e1,-4E+1,.3e2"),
     ])
     def test_negative_number_flag_values(self, tmp_path, command, flag, value):
         # the spaced form reads the value as the = form does, exponents included
@@ -1129,12 +1227,16 @@ class TestExitCodes:
         ["bounds", "--radii", "60"],
         ["bounds", "--radii", ""],
         ["bounds", "--radii", "0,0"],
+        ["bounds", "--radii", "-inf,40"],
+        ["bounds", "--radii", "-nan"],
+        ["bounds", "--radii", "-x"],
     ], ids=["nan-radius", "inf-radius", "nan-rho-i", "overflowing-rho-j", "inf-delay",
             "nan-doppler", "spaced-negative-inf", "spaced-negative-nan",
             "overflowing-projected-delay",
             "negative-seed", "negative-caf-seed", "zero-trials", "negative-trials",
             "philox-key-range-montecarlo", "philox-key-range-report",
-            "one-radius", "no-radii", "zero-radii"])
+            "one-radius", "no-radii", "zero-radii", "spaced-negative-inf-radius",
+            "spaced-negative-nan-radius", "spaced-flag-like-radius"])
     def test_flags_checked_like_scenario_numbers(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -32,8 +32,8 @@ from dpe_multipath.model import (
     Space,
 )
 from dpe_multipath.scmb import project_bias
-from scenario_helpers import (CARRIER, CODE_RATE, caf_value_at, channel, grid_values,
-                              run_oracle_compare)
+from scenario_helpers import (CARRIER, CODE_RATE, caf_value_at, channel, column_rows,
+                              grid_values, run_oracle_compare)
 
 
 class TestFixtureCheck:
@@ -142,14 +142,14 @@ class TestRandomAzimuthMc:
     def test_floor_holds_for_any_radii(self):
         rep = run_random_azimuth_mc(25.0, 70.0, 2000, seed=42)
         assert rep.summary["below_floor"] == 0
-        assert min(r[2] for r in rep.rows) >= 70.0 - 1e-9
+        assert min(r[2] for r in column_rows(rep.rows)) >= 70.0 - 1e-9
 
     @pytest.mark.parametrize("rho_i, rho_j", [(1e-170, 1e-170), (1e-170, 3e-170)])
     def test_floor_holds_for_tiny_radii(self, rho_i, rho_j, monkeypatch):
         # rho**2 underflows to 0, and an absolute slack would exceed the floor
         floor = max(rho_i, rho_j)
         rep = run_random_azimuth_mc(rho_i, rho_j, 2000, seed=1)
-        assert min(r[2] for r in rep.rows) >= floor * (1.0 - 1e-9)
+        assert min(r[2] for r in column_rows(rep.rows)) >= floor * (1.0 - 1e-9)
         assert rep.summary["below_floor"] == 0
 
         def planted(*args):
@@ -163,12 +163,12 @@ class TestRandomAzimuthMc:
     def test_seed_changes_draws(self):
         a = run_random_azimuth_mc(60.0, 40.0, 100, seed=1)
         b = run_random_azimuth_mc(60.0, 40.0, 100, seed=2)
-        assert a.rows != b.rows
+        assert column_rows(a.rows) != column_rows(b.rows)
 
     def test_rows_are_pure_function_of_trial_index(self):
         long = run_random_azimuth_mc(60.0, 40.0, 300, seed=9)
         short = run_random_azimuth_mc(60.0, 40.0, 120, seed=9)
-        assert long.rows[:120] == short.rows
+        assert column_rows(long.rows)[:120] == column_rows(short.rows)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -188,12 +188,13 @@ class TestUniformStream:
         # trial k draws word k of the stream keyed by the seed, whatever
         # the run length: a generator started at trial 13's counter
         # reproduces trials 13..49
-        rows = run_random_azimuth_mc(60.0, 40.0, 64, seed=11).rows
+        rows = column_rows(run_random_azimuth_mc(60.0, 40.0, 64, seed=11).rows)
         expected = [math.degrees(float(math.pi * u)) for u in _stream_from(11, 13, 37)]
         assert [r[1] for r in rows[13:50]] == expected
 
     def test_range(self):
-        separations = [r[1] for r in run_random_azimuth_mc(60.0, 40.0, 1000, seed=2).rows]
+        rows = column_rows(run_random_azimuth_mc(60.0, 40.0, 1000, seed=2).rows)
+        separations = [r[1] for r in rows]
         assert min(separations) >= 0.0 and max(separations) < 180.0
 
 

@@ -39,6 +39,7 @@ from dpe_multipath.scmb import (
 )
 from scenario_helpers import (
     authored_receiver,
+    column_rows,
     count_intersections,
     grid_argmax,
     grid_values,
@@ -403,5 +404,5 @@ class TestMonteCarloPrefix:
     @settings(max_examples=25, **D)
     def test_shorter_run_is_a_prefix(self, seed, a, b):
         short, long = sorted((a, b))
-        assert (run_random_azimuth_mc(60.0, 40.0, short, seed).rows
-                == run_random_azimuth_mc(60.0, 40.0, long, seed).rows[:short])
+        assert (column_rows(run_random_azimuth_mc(60.0, 40.0, short, seed).rows)
+                == column_rows(run_random_azimuth_mc(60.0, 40.0, long, seed).rows)[:short])
