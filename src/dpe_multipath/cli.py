@@ -58,6 +58,10 @@ EXIT_BROKEN_PIPE = 141  # as a shell reports a filter killed by SIGPIPE: 128 + 1
 
 SCHEMA_VERSION = 1
 
+# A JSON table row and cell separator as ``json.dumps(..., indent=2)`` lays them out.
+_JSON_ROW = ",\n    [\n      %s\n    ]"
+_JSON_CELL_SEP = ",\n      "
+
 _VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
@@ -332,7 +336,7 @@ class ResultTable:
     the next is drawn, so a one-shot grid can be written once.  CSV spells
     every float cell, in any form, as ``format(v, '.6g')``.  JSON is
     ``json.dumps(..., indent=2)`` of the note, columns and rows, at full
-    precision; the rows of a grid or of columns come from one row template.
+    precision; every form lays out its rows in the one shape ``_JSON_ROW``.
     """
 
     columns: tuple[str, ...]
@@ -359,24 +363,25 @@ class ResultTable:
         return "".join(self._pieces("json"))
 
     def _pieces(self, fmt: str) -> Iterator[str]:
-        """The file text in order: a header, then tuple rows or parts of numpy rows."""
-        arrays = isinstance(self.rows, (Columns, Grid2D))
-        if arrays:  # the table forms spelled with numpy
+        """The file text: a head, the rows, each JSON row led by its separator, and a JSON close."""
+        if isinstance(self.rows, (Columns, Grid2D)):  # the table forms spelled with numpy
             from .gridtext import _TEXTS
+            rows = _TEXTS[type(self.rows), fmt](self.rows)
+        elif fmt == "csv":
+            rows = (",".join(map(_csv_cell, row)) + "\n" for row in self.rows)
+        else:
+            rows = (_JSON_ROW % json.dumps(row, separators=(_JSON_CELL_SEP, ": "))[1:-1]
+                    for row in self.rows)
         if fmt == "csv":
             yield ",".join(self.columns) + "\n"
-            yield from (_TEXTS[type(self.rows), fmt](self.rows) if arrays else
-                        (",".join(map(_csv_cell, row)) + "\n" for row in self.rows))
+            yield from rows
             return
-        payload = {"note": self.note, "columns": list(self.columns),
-                   "rows": [] if arrays else self.rows}
-        if arrays:  # the numpy rows go where the empty list stands
-            yield json.dumps(payload, indent=2)[:-len("]\n}")]
-            yield from _TEXTS[type(self.rows), fmt](self.rows)
-            yield "\n  ]\n}\n" if isinstance(self.rows, Grid2D) or len(self.rows) else "]\n}\n"
-            return
-        yield from json.JSONEncoder(indent=2).iterencode(payload)
-        yield "\n"
+        yield json.dumps({"note": self.note, "columns": list(self.columns), "rows": []},
+                         indent=2)[:-len("]\n}")]  # the rows go where the empty list stands
+        first = next(rows, "")
+        yield first[1:]
+        yield from rows
+        yield "\n  ]\n}\n" if first else "]\n}\n"
 
 
 def _csv_cell(v) -> str:

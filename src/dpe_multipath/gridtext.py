@@ -14,44 +14,54 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cli import _csv_cell
+from .cli import _JSON_CELL_SEP, _JSON_ROW, _csv_cell
 from .model import Columns, Grid2D
 
 # Rows of a column table spelled at once: 3072 Monte Carlo rows, of 40 bytes
 # each, keep a part's CSV records under ``_CSV_BLOCK_BYTES``.
 _COLUMN_ROWS = 3072
 
+# Grid cells spelled at once in JSON: at most 107 bytes each (two labels and a
+# value of up to 24 characters, and 35 of row shape), so a part's text and its
+# template stay under glibc's 128 KiB mmap threshold, as CSV parts do.  Whole
+# rows of a 2001-wide grid raised the peak RSS of ``caf`` in JSON by 11 MB.
+_JSON_GRID_CELLS = 1024
+
+
+def _json_text(template: str, cells: tuple) -> str:
+    """``template``'s ``%r`` filled with ``cells``, which is ``float.__repr__`` as
+    ``json`` writes finite floats, then NaN and infinities, the only ``n`` in
+    rows of numbers, respelled as ``json`` writes them."""
+    text = template % cells
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
 
 def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
-    """JSON grid rows, one grid row at a time, as each block of rows arrives.
+    """JSON grid rows, as each block of rows arrives, ``_JSON_GRID_CELLS`` cells at a time.
 
-    The axis labels are spelled once; each grid row fills its north label
-    into one template and formats only its values, with ``%r``, which is
-    ``float.__repr__`` as ``json`` writes finite floats.  Each JSON row
-    starts with its separator, which the first one drops.
+    The axis labels are spelled once, into one template per part of a row;
+    each grid row fills in its north label and formats only its values.
     """
     labels = [json.dumps(x) for x in grid.spec.axis().tolist()]
-    template = "".join(",\n    [\n      " + x + ",\n      \0,\n      %r\n    ]" for x in labels)
+    cells = [_JSON_ROW % _JSON_CELL_SEP.join((x, "\0", "%r")) for x in labels]
+    spans = range(0, len(cells), _JSON_GRID_CELLS)
+    templates = ["".join(cells[lo:lo + _JSON_GRID_CELLS]) for lo in spans]
     north = iter(labels)
-    start = 1
-    for block in grid.blocks:
-        for values, label in zip(block, north):  # the block first: it ends the zip
-            text = template.replace("\0", label) % tuple(values.tolist())
-            if not np.isfinite(values).all():
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            yield text[start:]
-            start = 0
+    return itertools.starmap(_json_text, (
+        (template.replace("\0", label), tuple(values[lo:lo + _JSON_GRID_CELLS].tolist()))
+        for block in grid.blocks
+        for values, label in zip(block, north)  # the block first: it ends the zip
+        for lo, template in zip(spans, templates)))
 
 
 def _json_column_texts(columns: Columns) -> Iterator[str]:
-    """JSON rows of a column table, a part at a time, from one ``%r`` row template."""
-    row = ",\n    [\n      " + ",\n      ".join(["%r"] * len(columns.arrays)) + "\n    ]"
-    for lo in range(0, len(columns), _COLUMN_ROWS):
-        part = [a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
-        text = row * len(part[0]) % tuple(itertools.chain(*zip(*(a.tolist() for a in part))))
-        if not all(np.isfinite(a).all() for a in part):
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        yield text[0 if lo else 1:]  # each JSON row starts with its separator
+    """JSON rows of a column table, a part at a time, from one row template."""
+    row = _JSON_ROW % _JSON_CELL_SEP.join(["%r"] * len(columns.arrays))
+    parts = ([a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
+             for lo in range(0, len(columns), _COLUMN_ROWS))
+    return itertools.starmap(_json_text, (
+        (row * len(part[0]), tuple(itertools.chain(*zip(*(a.tolist() for a in part)))))
+        for part in parts))
 
 
 # CSV rows are spelled by a numpy kernel, a part of a table at a time, into

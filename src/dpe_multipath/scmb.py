@@ -186,12 +186,13 @@ def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
     Pairs are taken in line order.  Same-satellite pairs share an azimuth
     and are skipped, and cross-satellite pairs that do not cross are
     excluded.  A crossing within EPS_MERGE of an earlier record's point
-    joins the first such record as one more contributor.
+    joins the first such record as one more contributor.  The records are
+    looked up by merge cell, so the cost is linear in the crossings.
     """
     if len({ln.space for ln in lines}) > 1:
         raise ValueError("lines must share one space")
     found: list[BiasResult] = []
-    points: list[tuple[float, float]] = []  # (e, n) of found[k].point: a cheaper merge scan
+    cells: dict[tuple[int, int], list[int]] = {}  # indices into found, by their point's cell
     for a, b in itertools.combinations(lines, 2):
         if a.source[0] == b.source[0]:
             continue
@@ -199,12 +200,17 @@ def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
         if point is None:
             continue
         pair = (*a.source, *b.source)
-        e, n = point.e, point.n
-        for k, (pe, pn) in enumerate(points):
-            if math.hypot(e - pe, n - pn) <= EPS_MERGE:
-                found[k] = replace(found[k], contributors=(*found[k].contributors, pair))
-                break
-        else:
-            points.append((e, n))
+        # cells of side 2 * EPS_MERGE, so a point within EPS_MERGE lies in a
+        # neighbouring cell; clamped, so that far points share the end cells
+        ce, cn = (math.floor(min(max(x / (2 * EPS_MERGE), -2.0**62), 2.0**62))
+                  for x in (point.e, point.n))
+        k = min((k for de in (-1, 0, 1) for dn in (-1, 0, 1)
+                 for k in cells.get((ce + de, cn + dn), ())
+                 if math.hypot(point.e - found[k].point.e, point.n - found[k].point.n) <= EPS_MERGE),
+                default=None)
+        if k is None:
+            cells.setdefault((ce, cn), []).append(len(found))
             found.append(BiasResult(fold_azimuth_separation(a.azimuth, b.azimuth), point, (pair,)))
+        else:
+            found[k] = replace(found[k], contributors=(*found[k].contributors, pair))
     return found

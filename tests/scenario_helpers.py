@@ -1,21 +1,26 @@
 """Test-side helpers: the bundled scenarios' authored receiver and channels,
 geometry that only the tests read (fixture building and reference formulas),
-the tuple-row table writer, and the grid oracle: a whole-grid argmax, a
-single-point CAF value and their comparison against the enumerated line
-intersections."""
+a reference table writer, the scan merge of line crossings, and the grid
+oracle: a whole-grid argmax, a single-point CAF value and their comparison
+against the enumerated line intersections."""
+import itertools
 import json
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from dpe_multipath import scmb
 from dpe_multipath.caf import _add_channel, _ArgmaxFold, scenario_caf
 from dpe_multipath.cli import _bundled_scenario, _csv_cell
-from dpe_multipath.geom import EcefVector, EnuVector, LookAngles, _enu_rotation, geodetic_latlon
+from dpe_multipath.geom import (EcefVector, EnuVector, LookAngles, _enu_rotation,
+                                fold_azimuth_separation, geodetic_latlon)
 from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
-from dpe_multipath.scmb import CenterLine, center_lines, enumerate_intersections, intersect_lines
+from dpe_multipath.scmb import (EPS_MERGE, BiasResult, CenterLine, center_lines,
+                                enumerate_intersections, intersect_lines)
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -77,13 +82,38 @@ def column_rows(columns: Columns) -> tuple[tuple, ...]:
 
 
 def tuple_row_text(columns: Sequence[str], rows: Sequence[tuple], note: str, fmt: str) -> str:
-    """The file text of the tuple-row table writer, the reference for numpy rows:
-    CSV cells joined as ``cli._csv_cell`` spells them, JSON as ``json.dumps(indent=2)``."""
+    """A table's file text by reference writers, which every table form must match:
+    CSV cells joined as ``cli._csv_cell`` spells them, JSON by ``json``'s own
+    ``indent=2`` encoder."""
     if fmt == "csv":
         return "".join([",".join(columns) + "\n",
                         *(",".join(map(_csv_cell, row)) + "\n" for row in rows)])
     payload = {"note": note, "columns": list(columns), "rows": rows}
     return "".join(json.JSONEncoder(indent=2).iterencode(payload)) + "\n"
+
+
+def scan_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
+    """``scmb.enumerate_intersections`` by a scan: each crossing is checked
+    against every earlier record's point in order, so the cost is quadratic.
+    Crossings come from ``scmb.intersect_lines`` as looked up at call time."""
+    found: list[BiasResult] = []
+    points: list[tuple[float, float]] = []  # (e, n) of found[k].point
+    for a, b in itertools.combinations(lines, 2):
+        if a.source[0] == b.source[0]:
+            continue
+        point = scmb.intersect_lines(a, b)
+        if point is None:
+            continue
+        pair = (*a.source, *b.source)
+        e, n = point.e, point.n
+        for k, (pe, pn) in enumerate(points):
+            if math.hypot(e - pe, n - pn) <= EPS_MERGE:
+                found[k] = replace(found[k], contributors=(*found[k].contributors, pair))
+                break
+        else:
+            points.append((e, n))
+            found.append(BiasResult(fold_azimuth_separation(a.azimuth, b.azimuth), point, (pair,)))
+    return found
 
 
 def grid_values(grid) -> np.ndarray:

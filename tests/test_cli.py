@@ -280,6 +280,12 @@ class TestScenarioIO:
             assert ch.angles.azimuth == pytest.approx(ref.angles.azimuth, abs=1e-9)
 
 
+def _non_finite_columns(n: int) -> Columns:
+    """Integer and float columns of ``n`` rows, with NaN, infinities and -0.0."""
+    floats = np.resize([math.nan, math.inf, -math.inf, -0.0, 0.1, -2.5e-7, 1e300], n)
+    return Columns((np.arange(n), floats, floats[::-1] * 3.0, np.arange(n) * -(10**15)))
+
+
 class TestResultTable:
     def test_csv_six_significant_digits(self):
         t = ResultTable(("a", "b[m]"), ((1, 39.94007471783003), (2, 0.000123456789)))
@@ -299,10 +305,22 @@ class TestResultTable:
         ((math.nan, math.inf, -math.inf, -0.0), (5e-324, True, False, 2**70 + 1)),
         (('say "hi"', "back\\slash", "caf\u00e9 \u03a9 \u2192 \U0001f6f0", ""),),
         (),
-    ], ids=["numbers", "strings", "no-rows"])
+        *(_non_finite_columns(gridtext._COLUMN_ROWS + d) for d in (-1, 0, 1)),
+        Grid2D(GridSpec(Space.POSITION, 2.0, 1.0),
+               (np.arange(20.0).reshape(4, 5) - 12.0,
+                np.array([[math.nan, math.inf, -math.inf, -0.0, 1e300]]))),
+    ], ids=["numbers", "strings", "no-rows", "columns-part-less-1", "columns-one-part",
+            "columns-part-plus-1", "grid"])
     def test_json_is_json_dumps(self, rows):
-        t = ResultTable(("a", "b[m]", "c", "d"), rows, note='a "note" \u00e9')
-        payload = {"note": t.note, "columns": list(t.columns), "rows": rows}
+        if isinstance(rows, Grid2D):  # written without the argmax fold, which stops at NaN
+            axis = rows.spec.axis().tolist()
+            listed = [(e, n, v) for n, row in zip(axis, grid_values(rows).tolist())
+                      for e, v in zip(axis, row)]
+        else:
+            listed = column_rows(rows) if isinstance(rows, Columns) else rows
+        columns = ("a", "b[m]", "c", "d")[:len(listed[0]) if listed else 4]
+        t = ResultTable(columns, rows, note='a "note" \u00e9')
+        payload = {"note": t.note, "columns": list(t.columns), "rows": listed}
         assert t.to_json() == json.dumps(payload, indent=2) + "\n"
 
     def test_row_width_checked(self):
@@ -484,6 +502,20 @@ class TestGridStream:
         text = "".join(spelled)
         assert text.count("\n" if texts is gridtext._csv_grid_texts else "    [") == 3 * spec.n
         assert "nan" not in text.lower()
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5])
+    def test_json_rows_in_parts(self, monkeypatch, cells):
+        # a row wider than a part is spelled a part at a time, into the same bytes
+        monkeypatch.setattr(gridtext, "_JSON_GRID_CELLS", cells)
+        spec = GridSpec(Space.POSITION, 2.0, 1.0)
+        values = np.arange(25.0).reshape(5, 5) / 7.0
+        values[2, 1:4] = math.nan, math.inf, -0.0
+        axis = spec.axis().tolist()
+        payload = {"note": "n", "columns": ["e", "n", "v"],
+                   "rows": [[e, n, v] for n, row in zip(axis, values.tolist())
+                            for e, v in zip(axis, row)]}
+        table = ResultTable(("e", "n", "v"), Grid2D(spec, (values,)), note="n")
+        assert table.to_json() == json.dumps(payload, indent=2) + "\n"
 
     def test_blocks_are_spelled_before_the_next_is_drawn(self):
         # a stream that reuses one array, as the fill does, writes every row

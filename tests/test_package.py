@@ -72,8 +72,13 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
     (["load", "ecef.scenario"], None),
     (["project", "--scenario", "ecef.scenario"], None),
     (["intersect", "--scenario", "ecef.scenario"], None),
+    # tuple rows are JSON by the json module alone
+    (["bounds", "--radii", "60,40,30,15", "--format", "json"], None),
+    (["project", "--scenario", "case3.scenario", "--format", "json"], None),
+    (["intersect", "--scenario", "case3.scenario", "--format", "json"], None),
 ], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "report",
-        "caf-noisy", "load-ecef", "project-ecef", "intersect-ecef"])
+        "caf-noisy", "load-ecef", "project-ecef", "intersect-ecef", "bounds-json",
+        "project-json", "intersect-json"])
 def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
     """``loads``: the deepest numpy package the run loads, ``None`` for no numpy at all."""
     noisy = fixture_with("case3", lambda raw: raw.update(noise_sigma=0.1))

@@ -1,14 +1,19 @@
 """Bias projection, center-line intersections, case bounds and their critical points."""
+import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath.geom import EPS_ZENITH, GeometryError, LookAngles, fold_azimuth_separation
+from dpe_multipath import scmb
+from dpe_multipath.geom import (EPS_ZENITH, EnuVector, GeometryError, LookAngles,
+                                fold_azimuth_separation)
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.model import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.scmb import (
+    EPS_MERGE,
     CenterLine,
     ErrorBound,
     case_bound,
@@ -22,7 +27,19 @@ from scenario_helpers import (
     CODE_RATE,
     count_intersections,
     pair_radial_error,
+    scan_intersections,
     tangent_point,
+)
+
+# A crossing coordinate near others: a multiple of EPS_MERGE / 2, so that
+# points fall exactly EPS_MERGE apart and on the edges of the merge cells
+# (side 2 * EPS_MERGE); -0.0; the far end of a double, and the clamp of the
+# cell index; or anywhere within a few cells of the origin.
+_NEAR = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * (EPS_MERGE / 2)),
+    st.sampled_from([-0.0, 1e300, -1e300, math.nextafter(1e300, 0.0), 1.7e308,
+                     2.0**62 * 2 * EPS_MERGE, math.nextafter(2.0**62 * 2 * EPS_MERGE, 0.0)]),
+    st.floats(-1e-5, 1e-5),
 )
 
 # Reference geometry: azimuths (deg) and the projected case-3 radii (m).
@@ -361,6 +378,27 @@ class TestEnumeration:
         assert len(enumerate_intersections([a, b, near])) == 1
         far = CenterLine(Space.POSITION, math.radians(45.0), 1e-4, (3, 0))
         assert len(enumerate_intersections([a, b, far])) == 3
+
+    @given(st.integers(2, 7).flatmap(
+        lambda m: st.lists(st.none() | st.tuples(_NEAR, _NEAR), min_size=m * (m - 1) // 2,
+                           max_size=m * (m - 1) // 2)))
+    # the third point is EPS_MERGE from both others, which lie in the next
+    # cell east and in its own: the earlier record wins, not the nearer cell
+    @example([(4 * (EPS_MERGE / 2), 0.0), (0.0, 0.0), (2 * (EPS_MERGE / 2), 0.0)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_merge_matches_scan(self, crossings):
+        # one line per satellite, each pair crossing where the draw puts it
+        m = next(m for m in itertools.count(2) if m * (m - 1) // 2 == len(crossings))
+        lines = [CenterLine(Space.POSITION, 0.1 * k, 0.0, (k, 0)) for k in range(m)]
+        at = dict(zip(itertools.combinations(range(m), 2), crossings))
+
+        def scripted(a, b):
+            point = at[a.source[0], b.source[0]]
+            return None if point is None else EnuVector(*point, 0.0)
+
+        with mock.patch.object(scmb, "intersect_lines", scripted):
+            found, scanned = enumerate_intersections(lines), scan_intersections(lines)
+        assert repr(found) == repr(scanned)
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(ValueError):
