@@ -713,7 +713,3 @@ def main(argv=None) -> int:
     except OSError as e:  # scenario reads raise ScenarioParseError, so this is --out
         print(f"cannot create output: {e}", file=sys.stderr)
         return EXIT_CANT_CREATE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

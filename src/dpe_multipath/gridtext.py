@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -97,6 +97,10 @@ _CSV_LEAD = _ascii_words([sign + lead for sign in ("", "-")
                           + [""] * 7]).ravel()
 
 
+# Masks of a word's first n bytes, by n.
+_KEEP = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF], _WORD)
+
+
 @functools.cache
 def _csv_digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The second value word, from the mantissa's two digit triples.
@@ -106,41 +110,39 @@ def _csv_digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     the six digits with the point where ``X`` puts it, less trailing
     fraction zeros and a bare point, and the newline in the top byte.  The
     high triple's own trailing zeros end the fraction only when ``lo`` is 0.
-    Built on first use (a few ms).
+    Built on first use, by word arithmetic on the 1000 triples, the first
+    digit in the low byte.
     """
-    triples = [f"{k:03d}" for k in range(1000)]
+    u = np.arange(1000, dtype=_WORD)
+    whole = (u // 100 + 48) | (u // 10 % 10 + 48) << np.uint64(8) | (u % 10 + 48) << np.uint64(16)
+    t = np.arange(1000)  # signed, as ``3 - k - zeros`` below goes under 0
+    # trailing zeros, 3 for 0; by np.where, as a bool-to-int cast would fault
+    # in numpy code that no other path runs, 64 KiB of peak RSS
+    zeros = sum(np.where(t % m == 0, 1, 0) for m in (10, 100, 1000))
+    fraction = whole & _KEEP[3 - zeros]  # the last digits of the fraction
 
-    def whole(t: str) -> str:
-        return t
-
-    def fraction(t: str) -> str:  # the last digits of the fraction
-        return t.rstrip("0")
-
-    def point(k: int, last: bool) -> Callable[[str], str]:
-        """The triple with the point after its first ``k`` digits."""
-        def spell(t: str) -> str:
-            tail = fraction(t[k:]) if last else t[k:]
-            return t[:k] + ("." + tail if tail else "")
-        return spell
-
-    def words(spell: Callable[[str], str], after: int = 0) -> np.ndarray:
-        return _ascii_words([spell(t) for t in triples]).ravel() << np.uint64(8 * after)
+    def point(k: int, last: bool) -> np.ndarray:
+        """The triple with the point after its first ``k`` digits, and if
+        ``last``, less the fraction's trailing zeros and a bare point."""
+        n = np.maximum(3 - k - zeros, 0) if last else 3 - k  # fraction digits
+        tail = (whole >> np.uint64(8 * k) & _KEEP[n]) << np.uint64(8) | np.uint64(ord("."))
+        return whole & _KEEP[k] | np.where(n > 0, tail, np.uint64(0)) << np.uint64(8 * k)
 
     # by class, when lo is not 0 and when it is
-    high = np.concatenate([words(spell) for spell in (
+    high = np.concatenate([
         whole, fraction,  # X < 0: all six digits are fraction digits
         point(1, False), point(1, True),  # X = 0
         point(2, False), point(2, True),  # X = 1
         whole, whole,  # X >= 2: all three are integer digits
-    )])
-    low = np.concatenate([
-        words(fraction, 3),  # X < 0
-        words(fraction, 4),  # X = 0, 1: after the high triple and its point
-        words(point(0, True), 3),  # X = 2
-        words(point(1, True), 3),  # X = 3
-        words(point(2, True), 3),  # X = 4
-        words(whole, 3),  # X = 5
     ])
+    low = np.concatenate([
+        fraction,  # X < 0
+        fraction << np.uint64(8),  # X = 0, 1: after the high triple and its point
+        point(0, True),  # X = 2
+        point(1, True),  # X = 3
+        point(2, True),  # X = 4
+        whole,  # X = 5
+    ]) << np.uint64(24)
     low |= np.uint64(ord("\n") << 56)
     #                            i: 0  1  2  3  4  5  6  7  8  9 10 11
     high_base = 2000 * np.array([0, 0, 0, 0, 0, 1, 2, 3, 3, 3, 3, 3])

@@ -1,8 +1,9 @@
 """Test-side helpers: the bundled scenarios' authored receiver and channels,
 geometry that only the tests read (fixture building and reference formulas),
-a reference table writer, the scan merge of line crossings, and the grid
-oracle: a whole-grid argmax, a single-point CAF value and their comparison
-against the enumerated line intersections."""
+a reference table writer, the scan merge of line crossings, the CSV digit
+words spelled with strings, and the grid oracle: a whole-grid argmax, a
+single-point CAF value and their comparison against the enumerated line
+intersections."""
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from dpe_multipath.caf import _add_channel, _ArgmaxFold, scenario_caf
 from dpe_multipath.cli import _bundled_scenario, _csv_cell
 from dpe_multipath.geom import (EcefVector, EnuVector, LookAngles, _enu_rotation,
                                 fold_azimuth_separation, geodetic_latlon)
+from dpe_multipath.gridtext import _ascii_words
 from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import (EPS_MERGE, BiasResult, CenterLine, center_lines,
@@ -114,6 +116,35 @@ def scan_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
             points.append((e, n))
             found.append(BiasResult(fold_azimuth_separation(a.azimuth, b.azimuth), point, (pair,)))
     return found
+
+
+def csv_digit_tables_by_strings() -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of ``gridtext._csv_digit_tables``, spelled triple by
+    triple with string operations, in the same classes and order."""
+    triples = [f"{k:03d}" for k in range(1000)]
+
+    def whole(t: str) -> str:
+        return t
+
+    def fraction(t: str) -> str:  # the last digits of the fraction
+        return t.rstrip("0")
+
+    def point(k: int, last: bool):
+        """The triple with the point after its first ``k`` digits."""
+        def spell(t: str) -> str:
+            tail = fraction(t[k:]) if last else t[k:]
+            return t[:k] + ("." + tail if tail else "")
+        return spell
+
+    def words(spell, after: int = 0) -> np.ndarray:
+        return _ascii_words([spell(t) for t in triples]).ravel() << np.uint64(8 * after)
+
+    high = np.concatenate([words(spell) for spell in (
+        whole, fraction, point(1, False), point(1, True), point(2, False), point(2, True),
+        whole, whole)])
+    low = np.concatenate([words(fraction, 3), words(fraction, 4), words(point(0, True), 3),
+                          words(point(1, True), 3), words(point(2, True), 3), words(whole, 3)])
+    return high, low | np.uint64(ord("\n") << 56)
 
 
 def grid_values(grid) -> np.ndarray:

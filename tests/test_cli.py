@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -63,6 +64,7 @@ from scenario_helpers import (
     channel,
     column_rows,
     count_intersections,
+    csv_digit_tables_by_strings,
     enu_from_angles,
     enu_to_ecef,
     fixture_with,
@@ -484,6 +486,18 @@ class TestColumnTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestDigitWords:
+    """The CSV kernel's digit words, built by word arithmetic, against string spellings."""
+
+    def test_digit_tables_match_string_spelling(self):
+        high, low, *_ = gridtext._csv_digit_tables()
+        expected_high, expected_low = csv_digit_tables_by_strings()
+        assert (high.shape, low.shape) == ((8000,), (6000,))
+        assert high.dtype == low.dtype == expected_high.dtype == expected_low.dtype
+        assert high.tolist() == expected_high.tolist()
+        assert low.tolist() == expected_low.tolist()
 
 
 class TestGridStream:
@@ -1488,6 +1502,37 @@ class TestExitCodes:
             os.close(write)
         assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, "")
         assert (tmp_path / "bounds.csv").read_text().startswith("case,")
+
+    @pytest.mark.parametrize("args, status", [
+        (["bounds", "--radii", "60,40"], EXIT_OK),
+        (["bounds", "--radii", "60,forty"], EXIT_USAGE),
+    ], ids=["ok", "usage-error"])
+    @pytest.mark.parametrize("entry", ["python-m", "console-script"])
+    def test_process_entry_freezes_the_heap(self, tmp_path, capsys, entry, args, status):
+        # the process leaves its heap to the OS: gc.freeze() runs after the
+        # command, so the count is read at exit; output, files and status are
+        # those of an in-process main(), which freezes nothing
+        if entry == "python-m":
+            start = "runpy.run_module('dpe_multipath', run_name='__main__', alter_sys=True)"
+        else:  # as the script that pip writes for [project.scripts] calls its target
+            pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+            module, name = re.search(r'^dpe-multipath = "([\w.]+):(\w+)"$', pyproject,
+                                     re.MULTILINE).groups()
+            start = f"from {module} import {name}; sys.exit({name}())"
+        code = ("import atexit, gc, runpy, sys; "
+                "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); " + start)
+        argv = [*args, "--out", str(tmp_path)]
+        done = run_module(["-c", code, *argv])
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        err, _, frozen = done.stderr.rstrip("\n").rpartition("\n")
+        assert done.returncode == status
+        assert int(frozen) > 0
+
+        assert main(argv) == status
+        assert gc.get_freeze_count() == 0
+        captured = capsys.readouterr()
+        assert (done.stdout, err) == (captured.out, captured.err.rstrip("\n"))
+        assert written == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     def test_channel_overflow_prints_only_the_error(self, tmp_path):
         # one satellite whose two unbiased paths of amplitude 1e308 overflow
