@@ -2,8 +2,9 @@
 
 Reproduces the reference tables and figure data bundled with the package:
 elevation sweeps of the projection of :data:`model.REFERENCE_BIAS`, uniform
-random azimuth-separation trials, and grid-vs-analytic case studies.  Every
-driver returns an :class:`ExperimentReport` of columns, rows and a
+random azimuth-separation trials, and case studies that set the analytic
+center-line crossings against those of the ridge lines :mod:`caf` fits.
+Every driver returns an :class:`ExperimentReport` of columns, rows and a
 summary; the cli module does all serialization.  The expected reference
 values live here, and :func:`reference_criteria` builds every check of
 ``report`` from the drivers' rows.
@@ -18,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .caf import _add_channel, _mismatch_coef, mismatch
+from .caf import ridge_line
 from .geom import fold_azimuth_separation
-from .model import (REFERENCE_BIAS, Columns, GridSpec, SatelliteChannel, Scenario, SignalConfig,
-                    Space)
+from .model import REFERENCE_BIAS, Columns, Scenario, SignalConfig, Space
 from .scmb import EPS_PARALLEL, center_line, intersect_lines, line_crossing, project_bias
 
 # Intersection-point labels of the reference satellite pairs.
@@ -328,117 +328,6 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
     )
 
 
-# Ridge readout: positions read on each side of a scanline's ridge crossing;
-# a bound on sinc outside its main lobe (at most 0.1284 there, and -0.2172 at
-# the first sidelobe); the margin, of the path amplitude, a certificate clears;
-# the fit's cut, as a fraction of the grid maximum.
-_WINDOW = 3
-_SIDELOBE = 0.2172
-_MARGIN = 1e-9
-_KEEP = 0.5
-
-
-def _scanline_readout(spec: GridSpec, channel: SatelliteChannel, signal: SignalConfig,
-                      per_column: bool, stats: Counter) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax index and peak of each column (or row) of a one-path, noiseless grid.
-
-    Reads what ``argmax`` over the channel's own grid would, without the
-    grid.  The mismatch is weakly monotone along a scanline (each step is a
-    monotone rounding), so each scanline is first evaluated in a window of
-    ``2 * _WINDOW + 1`` cells around its ridge crossing by ``caf._add_channel``,
-    the grid's own evaluator, so each cell has its grid bits.  The floor bounds
-    the values off the main lobe: 0 (code triangle) or ``_SIDELOBE`` of the
-    amplitude (sinc).  A window is used if its maximum clears by ``_MARGIN``
-    the floor and both window ends that are not grid edges; or if it lies
-    against the grid edge nearest a crossing beyond the grid and is at most
-    the floor, as then is the scanline, whose peak reads ``-inf`` (below the
-    fit's cut) once a certified peak exceeds the floor over ``_KEEP``.  Other
-    scanlines are evaluated in full.  ``stats`` counts cells and outcomes.
-    """
-    n = spec.n
-    axis = spec.axis()
-    az = channel.angles.azimuth
-    scan_dir, fixed_dir = (
-        (math.cos(az), math.sin(az)) if per_column else (math.sin(az), math.cos(az)))
-    coef = _mismatch_coef(channel, signal, spec.space)
-    (path,) = channel.paths
-    bias, amplitude = path.bias(spec.space), path.amplitude
-
-    def east_north(lines, pos):
-        return (axis[lines, None], axis[pos]) if per_column else (axis[pos], axis[lines, None])
-
-    def peaks_of(lines, lo, width):
-        pos = lo[:, None] + np.arange(width)
-        v = np.zeros(pos.shape)
-        _add_channel(v, channel, signal, spec.space, *east_north(lines, pos))
-        stats["cells"] += v.size
-        at = np.arange(len(lines)), v.argmax(axis=1)
-        return pos[at], v[at], v
-
-    width = min(2 * _WINDOW + 1, n)
-    with np.errstate(all="ignore"):  # a scan parallel to the ridge crosses it at +-inf or NaN
-        cross = (-bias / coef - fixed_dir * axis) / (scan_dir * spec.step) + n // 2
-    cross = np.rint(np.fmax(np.fmin(cross, n), -1.0))  # NaN lands at n
-    lo = np.clip(cross - _WINDOW, 0, n - width).astype(int)
-    lines = np.arange(n)
-    idx, peak, v = peaks_of(lines, lo, width)
-    floor = amplitude * _SIDELOBE if spec.space is Space.VELOCITY else 0.0
-    inner = np.where([lo > 0, lo + width < n], v[:, [0, -1]].T, -np.inf).max(axis=0)
-    certified = peak - amplitude * _MARGIN > np.maximum(inner, floor)
-    # off the grid: the mismatch keeps one sign along the scanline and is
-    # smallest in magnitude at the grid edge the window lies against
-    m0, m1 = (mismatch(channel, signal, spec.space, *east_north(lines, np.array([0, n - 1])))
-              + bias).T
-    away = (np.sign(m0) == np.sign(m1)) & (((lo == 0) & (abs(m0) <= abs(m1)))
-                                           | ((lo + width == n) & (abs(m1) <= abs(m0))))
-    off = away & ~certified & (peak <= floor) & (
-        peak[certified].max(initial=-np.inf) > floor / _KEEP)
-    peak[off] = -np.inf
-    redo = ~(certified | off)
-    if redo.any():
-        idx[redo], peak[redo], _ = peaks_of(lines[redo], 0 * lines[redo], n)
-    stats.update(certified=int(certified.sum()), off_grid=int(off.sum()), full=int(redo.sum()))
-    return idx, peak
-
-
-def _ridge_line_fit(axis: np.ndarray, scanlines) -> tuple[tuple, float, tuple]:
-    """Implicit line (a, b, c) with a*e + b*n = c fitted to a channel's ridge.
-
-    ``scanlines`` holds the (argmax index, peak) readouts of the grid's
-    columns, then rows (:func:`_scanline_readout`); the largest peak is the
-    grid maximum.  Scanlines whose peak sits on the boundary or below
-    ``_KEEP`` of that maximum are dropped (rejects sinc sidelobes), least
-    squares runs over each scan orientation, the better residual wins.
-    Returns the line, with a unit normal (a, b), its RMS residual and the
-    scanlines kept per orientation.
-    """
-    n = len(axis)
-    vmax = max(float(peaks.max()) for _, peaks in scanlines)
-    if vmax <= 0.0:
-        raise ValueError("grid has no positive ridge")
-    fits = []
-    kept = []
-    for per_column, (idx, peaks) in zip((True, False), scanlines):
-        keep = (idx > 0) & (idx < n - 1) & (peaks >= _KEEP * vmax)
-        kept.append(int(np.count_nonzero(keep)))
-        if kept[-1] < 8:
-            continue
-        t = axis[keep]
-        s = axis[idx[keep]]
-        slope, intercept = np.polyfit(t, s, 1)
-        resid = float(np.sqrt(np.mean((s - (slope * t + intercept)) ** 2)))
-        norm = math.hypot(slope, 1.0)
-        if per_column:  # n = slope*e + intercept
-            abc = (slope / norm, -1.0 / norm, -intercept / norm)
-        else:  # e = slope*n + intercept
-            abc = (1.0 / norm, -slope / norm, intercept / norm)
-        fits.append((resid, abc))
-    if not fits:
-        raise ValueError("no usable ridge scanlines in grid")
-    resid, abc = min(fits)
-    return abc, resid, tuple(kept)
-
-
 def _pair_label(prn_i: int, prn_j: int) -> str:
     for label, (a, b) in PAIR_LABELS.items():
         if {a, b} == {prn_i, prn_j}:
@@ -450,13 +339,12 @@ def run_case_study(scenario: Scenario) -> ExperimentReport:
     """Analytic vs grid-readout pair errors for a one-path-per-satellite scenario.
 
     The analytic column intersects the exact center lines; the simulated
-    column reads each channel's ridge off its own noiseless grid (scanline
-    argmax + least squares) and intersects the fitted lines.  The argmaxes
-    come from a few certified cells per scanline (:func:`_scanline_readout`),
-    so a scenario with noise raises ``ValueError``.  ``in_window`` is 1 when
-    the analytic crossing lies in the grid; parallel lines read infinite.
-    ``summary`` holds per space the readout counts and per PRN the fit's RMS
-    residual and scanlines kept (columns, rows).
+    column intersects the lines :func:`caf.ridge_line` fits to each channel's
+    ridge on its own noiseless grid, read from a few certified cells per
+    scanline, so a scenario with noise raises ``ValueError``.  ``in_window``
+    is 1 when the analytic crossing lies in the grid; parallel lines read
+    infinite.  ``summary`` holds per space the readout counts and per PRN
+    the fit's RMS residual and scanlines kept (columns, rows).
     """
     if scenario.noise_sigma > 0.0:
         raise ValueError("case study requires a noiseless scenario")
@@ -467,14 +355,12 @@ def run_case_study(scenario: Scenario) -> ExperimentReport:
     summary = {}
     for space in Space:
         grid = scenario.grid_for(space)
-        axis = grid.axis()
         lines = {ch.prn: center_line(ch, 0, space, scenario.signal) for ch in scenario.satellites}
         stats = Counter()
         fitted, residual, kept = {}, {}, {}
         for ch in scenario.satellites:
-            scanlines = [_scanline_readout(grid, ch, scenario.signal, per_column, stats)
-                         for per_column in (True, False)]
-            fitted[ch.prn], residual[ch.prn], kept[ch.prn] = _ridge_line_fit(axis, scanlines)
+            fitted[ch.prn], residual[ch.prn], kept[ch.prn] = ridge_line(
+                grid, ch, scenario.signal, stats)
         summary[space.value] = {**stats, "residual": residual, "kept": kept}
         for pi, pj in itertools.combinations(lines, 2):  # PRN pairs in satellite order
             li, lj = lines[pi], lines[pj]

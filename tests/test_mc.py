@@ -302,12 +302,13 @@ class TestCaseStudies:
         # one window batch per scan orientation; no scanline needs the full
         # readout, so the fallback evaluates nothing
         calls = []
+        add = caf._add_channel
 
         def counted(out, *args):
             calls.append(out.size)
-            caf._add_channel(out, *args)
+            add(out, *args)
 
-        monkeypatch.setattr(mc, "_add_channel", counted)
+        monkeypatch.setattr(caf, "_add_channel", counted)
         runs = {}
         for case in ("case1", "case2", "case3", "table6"):
             s = load_scenario(f"{case}.scenario")
@@ -317,6 +318,19 @@ class TestCaseStudies:
             assert all(calls)
         field = runs.pop("table6")
         assert all(c.passed for c in criteria_of(cases=runs, field=field).values())
+
+    @pytest.mark.parametrize("case, work", [
+        ("case1", {"position": (11256, 1574, 34, 0), "velocity": (112056, 14819, 1189, 0)}),
+        ("case2", {"position": (11256, 1533, 75, 0), "velocity": (112056, 13623, 2385, 0)}),
+        ("case3", {"position": (11256, 1500, 108, 0), "velocity": (112056, 13444, 2564, 0)}),
+        ("table6", {"position": (5628, 770, 34, 0), "velocity": (56028, 6794, 1210, 0)}),
+    ])
+    def test_readout_work_per_space(self, case, work):
+        # (cells, certified, off_grid, full): a window that lands elsewhere
+        # shows here even where no output byte changes
+        summary = run_case_study(load_scenario(f"{case}.scenario")).summary
+        assert {space: tuple(summary[space][k] for k in ("cells", "certified", "off_grid", "full"))
+                for space in work} == work
 
     def test_table6_field_case(self):
         s = load_scenario("table6.scenario")

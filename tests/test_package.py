@@ -58,6 +58,15 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
                   "for name in sys.argv[1:]:\n    cli.load_scenario(name)\n")
 
 
+# The package modules each command imports (``load`` is ``load_scenario``).
+NUMPY_FREE = {"cli", "geom", "model", "scmb"}
+COMMAND_MODULES = {
+    **dict.fromkeys(("bounds", "project", "intersect", "load"), NUMPY_FREE),
+    "caf": NUMPY_FREE | {"caf", "gridtext"},
+    **dict.fromkeys(("montecarlo", "report"), NUMPY_FREE | {"caf", "gridtext", "mc"}),
+}
+
+
 @pytest.mark.parametrize("args, loads", [
     (["bounds", "--radii", "60,40,30,15"], None),
     (["project", "--scenario", "case3.scenario"], None),
@@ -80,7 +89,9 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
         "caf-noisy", "load-ecef", "project-ecef", "intersect-ecef", "bounds-json",
         "project-json", "intersect-json"])
 def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
-    """``loads``: the deepest numpy package the run loads, ``None`` for no numpy at all."""
+    """``loads``: the deepest numpy package the run loads, ``None`` for no numpy at all;
+    the run imports the package modules of :data:`COMMAND_MODULES` for its command."""
+    command = args[0]
     noisy = fixture_with("case3", lambda raw: raw.update(noise_sigma=0.1))
     (tmp_path / "noisy.scenario").write_text(json.dumps(noisy))
     (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
@@ -90,9 +101,10 @@ def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
     else:
         args = ["-m", "dpe_multipath", *args, "--out", str(tmp_path / "out")]
     imported = imported_modules(args)
-    assert "dpe_multipath.cli" in imported
     assert any(m.partition(".")[0] == "numpy" for m in imported) == (loads is not None)
     assert any(f"{m}.".startswith("numpy.random.") for m in imported) == (loads == "numpy.random")
+    assert {m.partition(".")[2] for m in imported
+            if m.startswith("dpe_multipath.")} == COMMAND_MODULES[command]
 
 
 def test_no_src_module_imports_jsonschema():
@@ -175,6 +187,49 @@ def test_names_imported_from_their_defining_module():
     foreign = {str(p.relative_to(ROOT)): names
                for p in files if (names := foreign_imports(p))}
     assert foreign == {}
+
+
+# Private names that one package module imports from another, as
+# ``importer: module.name``.  Each is a seam between two modules; the list may
+# only shrink.
+PRIVATE_IMPORTS_ALLOWED = {
+    "cli: caf._ArgmaxFold",
+    "cli: gridtext._TEXTS",
+    "gridtext: cli._JSON_CELL_SEP",
+    "gridtext: cli._JSON_ROW",
+    "gridtext: cli._csv_cell",
+}
+
+
+def private_imports(files: list[Path]) -> set[str]:
+    """``importer: module.name`` for each private name that a module of ``files``
+    imports from another package module, at any depth of its body."""
+    found = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level:  # relative: only package modules import that way
+                module = node.module
+            elif node.module.split(".")[0] == "dpe_multipath":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            found |= {f"{path.stem}: {module}.{a.name}" for a in node.names
+                      if a.name.startswith("_") and module and module != path.stem}
+    return found
+
+
+def test_private_imports_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from . import _p\nfrom .a import _x, y\nfrom .lib import _self\n"
+                   "from dpe_multipath.b import _z\nfrom os import _exit\n"
+                   "def f():\n    from .c import _w\n")
+    assert private_imports([lib]) == {"lib: a._x", "lib: b._z", "lib: c._w"}
+
+
+def test_private_imports_only_shrink():
+    assert private_imports(sorted((ROOT / "src").rglob("*.py"))) == PRIVATE_IMPORTS_ALLOWED
 
 
 def uncaught_exception_classes(files: list[Path]) -> set[str]:

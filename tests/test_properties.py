@@ -12,13 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpe_multipath.caf import scenario_caf
+from dpe_multipath.caf import _scanline_readout, scenario_caf
 from dpe_multipath.geom import EnuVector, LookAngles, fold_azimuth_separation
-from dpe_multipath.mc import (
-    _scanline_readout,
-    pair_error_curve,
-    run_random_azimuth_mc,
-)
+from dpe_multipath.mc import pair_error_curve, run_random_azimuth_mc
 from dpe_multipath.model import (
     Grid2D,
     GridSpec,
@@ -50,6 +46,16 @@ from scenario_helpers import (
 
 REFERENCE_RECEIVER = authored_receiver()
 D = dict(derandomize=True, deadline=None)
+
+
+def examples(cases):
+    """Hypothesis's ``@example`` of each keyword dict in ``cases``."""
+    def add(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return add
+
 
 azimuths = st.floats(0.0, 2.0 * math.pi - 1e-9)
 radii = st.floats(0.0, 100.0)
@@ -353,6 +359,11 @@ class TestWindowedRidgeReadout:
         st.integers(1, 200),
     )
     @example(**OFF_GRID)
+    # ridges parallel to a scan axis: a scanline on the ridge crosses it at
+    # NaN, and one beside it at +-inf
+    @examples(dict(space=space, quadrant=quadrant, tilt=0.0, el_deg=30.0, amplitude=1.0,
+                   push=push, step=1.0, half_steps=50)
+              for space in Space for quadrant in range(4) for push in (0.0, 0.7))
     @settings(max_examples=150, **D)
     def test_matches_full_grid_argmax(self, space, quadrant, tilt, el_deg, amplitude, push,
                                       step, half_steps):
