@@ -1,31 +1,30 @@
 """Batch command-line surface: scenario files in, stable CSV/JSON tables out.
 
 Scenario files are JSON (angles in degrees, all other units as in the
-schema); computation is delegated to the geom/model/scmb/caf/mc modules.
-Output files are byte-stable for identical invocations and seeds: CSV spells
-float cells as ``format(v, '.6g')``, JSON keeps full float precision.
+schema).  This module reads and validates them, parses the command line and
+runs the commands; computation is delegated to the geom/model/scmb/caf/mc
+modules, and every table is written by :mod:`tables`.
 
-Start-up needs no numpy: this module imports only the numpy-free model and
-geometry, so ``bounds``, ``project`` and ``intersect`` run without it.  The
-numpy modules load inside the commands that use them: ``caf`` imports the
-grid kernels, ``montecarlo`` and ``report`` import ``mc``, and all three
-import ``gridtext`` to write their numpy rows.
+Start-up needs no numpy: this module imports only the numpy-free model,
+geometry and table writer, so ``bounds``, ``project`` and ``intersect`` run
+without it.  ``caf`` imports the grid kernels, and ``montecarlo`` and
+``report`` import ``mc``, when they start; only their CSV runs import
+``gridtext``, the CSV word kernel.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .geom import EcefVector, GeometryError
 from .model import (
@@ -35,7 +34,6 @@ from .model import (
     REFERENCE_TRIALS,
     GeometryMismatchError,
     Columns,
-    Grid2D,
     GridSpec,
     PathKind,
     Scenario,
@@ -45,6 +43,7 @@ from .model import (
     make_channel,
 )
 from .scmb import case_bound, center_line, center_lines, enumerate_intersections, project_bias
+from .tables import ResultTable, print_table, write_table, write_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,10 +56,6 @@ EXIT_CANT_CREATE = 73
 EXIT_BROKEN_PIPE = 141  # as a shell reports a filter killed by SIGPIPE: 128 + 13
 
 SCHEMA_VERSION = 1
-
-# A JSON table row and cell separator as ``json.dumps(..., indent=2)`` lays them out.
-_JSON_ROW = ",\n    [\n      %s\n    ]"
-_JSON_CELL_SEP = ",\n      "
 
 _VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -209,14 +204,14 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
-_JSON_TYPES = {"number": (int, float), "integer": int, "array": list, "object": dict}
+_SCHEMA_TYPES = {"number": (int, float), "integer": int, "array": list, "object": dict}
 
 
 def _is_type(value, name: str) -> bool:
     """Draft 2020-12 typing: a boolean is no number, and an integral float is an integer."""
     if name == "integer" and isinstance(value, float):
         return value.is_integer()
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
+    return not isinstance(value, bool) and isinstance(value, _SCHEMA_TYPES[name])
 
 
 def _schema_errors(value, schema: dict, path: tuple) -> Iterator[tuple[tuple, str]]:
@@ -322,96 +317,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     given = {k: cast(raw[k]) for k, cast in (("noise_sigma", float), ("seed", int)) if k in raw}
     with _field(""):
         return Scenario(signal=signal, satellites=tuple(satellites), grids=tuple(grids), **given)
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """Serialized table: named+united columns, uniform rows, one-line note.
-
-    ``rows`` is a tuple of row tuples, whose cells are ``str``, ``int`` or
-    ``float``; or a ``model.Columns`` of float and integer arrays, one per
-    column; or, for three columns, a ``model.Grid2D``, written as the rows
-    ``(east, north, value)`` with north as the outer index and east as the
-    inner one.  A grid's blocks are spelled as they are drawn, each before
-    the next is drawn, so a one-shot grid can be written once.  CSV spells
-    every float cell, in any form, as ``format(v, '.6g')``.  JSON is
-    ``json.dumps(..., indent=2)`` of the note, columns and rows, at full
-    precision; every form lays out its rows in the one shape ``_JSON_ROW``.
-    """
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | Columns | Grid2D
-    note: str = ""
-
-    def __post_init__(self):
-        if isinstance(self.rows, Grid2D):
-            if len(self.columns) != 3:
-                raise ValueError(f"grid rows need 3 columns, got {len(self.columns)}")
-            return
-        if isinstance(self.rows, Columns):
-            if len(self.rows.arrays) != len(self.columns) or len({*map(len, self.rows.arrays)}) > 1:
-                raise ValueError("columns differ from the column count or in length")
-            return
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("row width differs from column count")
-
-    def to_csv(self) -> str:
-        return "".join(self._pieces("csv"))
-
-    def to_json(self) -> str:
-        return "".join(self._pieces("json"))
-
-    def _pieces(self, fmt: str) -> Iterator[str]:
-        """The file text: a head, the rows, each JSON row led by its separator, and a JSON close."""
-        if isinstance(self.rows, (Columns, Grid2D)):  # the table forms spelled with numpy
-            from .gridtext import _TEXTS
-            rows = _TEXTS[type(self.rows), fmt](self.rows)
-        elif fmt == "csv":
-            rows = (",".join(map(_csv_cell, row)) + "\n" for row in self.rows)
-        else:
-            rows = (_JSON_ROW % json.dumps(row, separators=(_JSON_CELL_SEP, ": "))[1:-1]
-                    for row in self.rows)
-        if fmt == "csv":
-            yield ",".join(self.columns) + "\n"
-            yield from rows
-            return
-        yield json.dumps({"note": self.note, "columns": list(self.columns), "rows": []},
-                         indent=2)[:-len("]\n}")]  # the rows go where the empty list stands
-        first = next(rows, "")
-        yield first[1:]
-        yield from rows
-        yield "\n  ]\n}\n" if first else "]\n}\n"
-
-
-def _csv_cell(v) -> str:
-    return format(v, ".6g") if isinstance(v, float) else str(v)
-
-
-def _write_table(table: ResultTable, outdir: Path, stem: str, fmt: str) -> Path:
-    return _write_text(outdir, f"{stem}.{fmt}", table._pieces(fmt))
-
-
-def _write_text(outdir: Path, name: str, pieces: Iterable[str]) -> Path:
-    """Write ``pieces`` to ``outdir/name``; if they or the write fail, remove the file."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    f = path.open("w", encoding="utf-8")
-    try:
-        with f:
-            f.writelines(pieces)
-    except BaseException as e:
-        path.unlink(missing_ok=True)
-        if isinstance(e, OSError) and e.filename is None:  # a write's or close's error
-            e.filename = str(path)
-        raise
-    return path
-
-
-def _print_table(table: ResultTable) -> None:
-    sys.stdout.writelines(itertools.islice(table._pieces("csv"), 41))
-    if len(table.rows) > 40:
-        print(f"... ({len(table.rows)} rows total)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -537,8 +442,8 @@ def cmd_project(args) -> int:
         rows,
         note=f"bias projection at {args.delay_chips} chips / {args.doppler_hz} Hz",
     )
-    path = _write_table(table, Path(args.out), "project", args.format)
-    _print_table(table)
+    path = write_table(table, Path(args.out), "project", args.format)
+    print_table(table)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -565,8 +470,8 @@ def cmd_intersect(args) -> int:
         rows,
         note="cross-satellite center-line intersections (merged within 1e-6)",
     )
-    path = _write_table(table, Path(args.out), "intersect", args.format)
-    _print_table(table)
+    path = write_table(table, Path(args.out), "intersect", args.format)
+    print_table(table)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -587,8 +492,8 @@ def cmd_bounds(args) -> int:
           math.degrees(bound.attained_at) if attained else ""),),
         note=f"radial-error bound for radii {radii}",
     )
-    path = _write_table(table, Path(args.out), "bounds", args.format)
-    _print_table(table)
+    path = write_table(table, Path(args.out), "bounds", args.format)
+    print_table(table)
     print(f"CASE{bound.case}, lower {bound.lower:g}{' (attained)' if attained else ' (open)'}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -612,7 +517,7 @@ def cmd_caf(args) -> int:
             replace(grid, blocks=map(fold.add, grid.blocks)),
             note=f"superposed {space.value}-space correlation grid",
         )
-        written.append(_write_table(table, Path(args.out), f"caf_{space.value}", args.format))
+        written.append(write_table(table, Path(args.out), f"caf_{space.value}", args.format))
         offset, peak = fold.result()
         print(
             f"{space.value}: argmax offset ({offset.e:g}, {offset.n:g}) {unit}, peak {peak:.6g}"
@@ -628,7 +533,7 @@ def cmd_montecarlo(args) -> int:
     rep = mc.run_random_azimuth_mc(args.rho_i, args.rho_j, args.trials, args.seed)
     table = ResultTable(rep.columns, rep.rows,
                         f"radii ({args.rho_i}, {args.rho_j}), seed {args.seed}")
-    path = _write_table(table, Path(args.out), "montecarlo", args.format)
+    path = write_table(table, Path(args.out), "montecarlo", args.format)
     s = rep.summary
     print(
         f"min radial error {s['min_radial_error']:.6g} at "
@@ -645,7 +550,7 @@ def cmd_report(args) -> int:
     outdir = Path(args.out)
 
     def write(stem: str, note: str, columns: tuple[str, ...], rows) -> None:
-        _write_table(ResultTable(columns, rows, note), outdir, stem, args.format)
+        write_table(ResultTable(columns, rows, note), outdir, stem, args.format)
 
     proj = mc.run_elevation_sweep(sorted(mc.EXPECTED_PROJECTION))
     write("projection_table", "bias projection at reference elevations", proj.columns, proj.rows)
@@ -676,7 +581,7 @@ def cmd_report(args) -> int:
               f" ({sum(k.passed for k in c.checks)}/{len(c.checks)} checks)")
     payload = [{"id": c.id, "name": c.name, "passed": c.passed,
                 "checks": [asdict(k) for k in c.checks]} for c in criteria]
-    path = _write_text(outdir, "report.json",
+    path = write_text(outdir, "report.json",
                        (json.dumps({"all_passed": all_ok, "criteria": payload}, indent=2), "\n"))
     print(f"report: {'PASS' if all_ok else 'FAIL'}; details in {path}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

@@ -1,68 +1,24 @@
-"""Table text in numpy: the JSON and CSV rows of a ``Grid2D`` or ``Columns``, a part at a time.
+"""The CSV word kernel: the rows of a ``Grid2D`` or ``Columns`` as CSV, in numpy, a part at a time.
 
-:class:`cli.ResultTable` imports this module only to write those forms, so the
-commands that write neither start without numpy.  Every cell is spelled as
-the tuple-row writer spells it: CSV as ``cli._csv_cell`` (``format(v,
-'.6g')``, ``str`` of an integer), JSON as ``repr``, as ``json`` writes numbers.
+:class:`tables.ResultTable` imports this module only to write those forms as
+CSV, so the commands that write neither, and every JSON run, start without
+it.  Every cell is spelled as the tuple-row writer spells it, as
+``tables._csv_cell`` does: ``format(v, '.6g')`` of a float, ``str`` of an integer.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 from typing import Iterator
 
 import numpy as np
 
-from .cli import _JSON_CELL_SEP, _JSON_ROW, _csv_cell
 from .model import Columns, Grid2D
+from .tables import _csv_cell
 
-# Rows of a column table spelled at once: 3072 Monte Carlo rows, of 40 bytes
-# each, keep a part's CSV records under ``_CSV_BLOCK_BYTES``.
+# Rows of a column table spelled at once in CSV: 3072 Monte Carlo rows, of 40
+# bytes each, keep a part's records under ``_CSV_BLOCK_BYTES``.
 _COLUMN_ROWS = 3072
-
-# Grid cells spelled at once in JSON: at most 107 bytes each (two labels and a
-# value of up to 24 characters, and 35 of row shape), so a part's text and its
-# template stay under glibc's 128 KiB mmap threshold, as CSV parts do.  Whole
-# rows of a 2001-wide grid raised the peak RSS of ``caf`` in JSON by 11 MB.
-_JSON_GRID_CELLS = 1024
-
-
-def _json_text(template: str, cells: tuple) -> str:
-    """``template``'s ``%r`` filled with ``cells``, which is ``float.__repr__`` as
-    ``json`` writes finite floats, then NaN and infinities, the only ``n`` in
-    rows of numbers, respelled as ``json`` writes them."""
-    text = template % cells
-    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
-
-
-def _json_grid_texts(grid: Grid2D) -> Iterator[str]:
-    """JSON grid rows, as each block of rows arrives, ``_JSON_GRID_CELLS`` cells at a time.
-
-    The axis labels are spelled once, into one template per part of a row;
-    each grid row fills in its north label and formats only its values.
-    """
-    labels = [json.dumps(x) for x in grid.spec.axis().tolist()]
-    cells = [_JSON_ROW % _JSON_CELL_SEP.join((x, "\0", "%r")) for x in labels]
-    spans = range(0, len(cells), _JSON_GRID_CELLS)
-    templates = ["".join(cells[lo:lo + _JSON_GRID_CELLS]) for lo in spans]
-    north = iter(labels)
-    return itertools.starmap(_json_text, (
-        (template.replace("\0", label), tuple(values[lo:lo + _JSON_GRID_CELLS].tolist()))
-        for block in grid.blocks
-        for values, label in zip(block, north)  # the block first: it ends the zip
-        for lo, template in zip(spans, templates)))
-
-
-def _json_column_texts(columns: Columns) -> Iterator[str]:
-    """JSON rows of a column table, a part at a time, from one row template."""
-    row = _JSON_ROW % _JSON_CELL_SEP.join(["%r"] * len(columns.arrays))
-    parts = ([a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
-             for lo in range(0, len(columns), _COLUMN_ROWS))
-    return itertools.starmap(_json_text, (
-        (row * len(part[0]), tuple(itertools.chain(*zip(*(a.tolist() for a in part)))))
-        for part in parts))
-
 
 # CSV rows are spelled by a numpy kernel, a part of a table at a time, into
 # one record per row of little-endian 8-byte words: a grid cell's east label
@@ -258,6 +214,5 @@ def _csv_column_texts(columns: Columns) -> Iterator[str]:
     return _csv_texts((min(_COLUMN_ROWS, len(columns)),), np.zeros(0, _WORD), fields, parts)
 
 
-# The writer of each numpy table form, by form and format, for ``cli.ResultTable``.
-_TEXTS = {(Grid2D, "csv"): _csv_grid_texts, (Grid2D, "json"): _json_grid_texts,
-          (Columns, "csv"): _csv_column_texts, (Columns, "json"): _json_column_texts}
+# The CSV writer of each numpy table form, by form, for ``tables.ResultTable``.
+_TEXTS = {Grid2D: _csv_grid_texts, Columns: _csv_column_texts}

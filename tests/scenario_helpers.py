@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dpe_multipath import scmb
 from dpe_multipath.caf import _add_channel, _ArgmaxFold, scenario_caf
-from dpe_multipath.cli import _bundled_scenario, _csv_cell
+from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import (EcefVector, EnuVector, LookAngles, _enu_rotation,
                                 fold_azimuth_separation, geodetic_latlon)
 from dpe_multipath.gridtext import _ascii_words
@@ -23,6 +23,7 @@ from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import (EPS_MERGE, BiasResult, CenterLine, center_lines,
                                 enumerate_intersections, intersect_lines)
+from dpe_multipath.tables import _csv_cell
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -85,7 +86,7 @@ def column_rows(columns: Columns) -> tuple[tuple, ...]:
 
 def tuple_row_text(columns: Sequence[str], rows: Sequence[tuple], note: str, fmt: str) -> str:
     """A table's file text by reference writers, which every table form must match:
-    CSV cells joined as ``cli._csv_cell`` spells them, JSON by ``json``'s own
+    CSV cells joined as ``tables._csv_cell`` spells them, JSON by ``json``'s own
     ``indent=2`` encoder."""
     if fmt == "csv":
         return "".join([",".join(columns) + "\n",

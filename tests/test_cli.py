@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from dpe_multipath import caf, cli, gridtext, mc
+from dpe_multipath import caf, cli, gridtext, mc, tables
 from dpe_multipath.caf import scenario_caf
 from dpe_multipath.cli import (
     EXIT_BROKEN_PIPE,
@@ -36,7 +36,6 @@ from dpe_multipath.cli import (
     EXIT_SCHEMA,
     EXIT_USAGE,
     SCENARIO_SCHEMA,
-    ResultTable,
     ScenarioParseError,
     ScenarioSchemaError,
     _scenario_from_dict,
@@ -57,6 +56,7 @@ from dpe_multipath.model import (
     Space,
 )
 from dpe_multipath.scmb import center_line, center_lines, enumerate_intersections
+from dpe_multipath.tables import ResultTable
 from scenario_helpers import (
     BUNDLED,
     ECEF_SCENARIO,
@@ -307,7 +307,8 @@ class TestResultTable:
         ((math.nan, math.inf, -math.inf, -0.0), (5e-324, True, False, 2**70 + 1)),
         (('say "hi"', "back\\slash", "caf\u00e9 \u03a9 \u2192 \U0001f6f0", ""),),
         (),
-        *(_non_finite_columns(gridtext._COLUMN_ROWS + d) for d in (-1, 0, 1)),
+        # about the JSON part of a 4-column table
+        *(_non_finite_columns(tables._JSON_PART_CELLS // 4 + d) for d in (-1, 0, 1)),
         Grid2D(GridSpec(Space.POSITION, 2.0, 1.0),
                (np.arange(20.0).reshape(4, 5) - 12.0,
                 np.array([[math.nan, math.inf, -math.inf, -0.0, 1e300]]))),
@@ -413,7 +414,7 @@ class TestArrayTable:
         values = np.resize(values, (n, n))
         grid = Grid2D(GridSpec(Space.POSITION, n // 2, 1.0), (values,))
         axis = grid.spec.axis().tolist()
-        cell = cli._csv_cell
+        cell = tables._csv_cell
         expected = "e,n,v\n" + "".join(
             f"{cell(axis[j])},{cell(axis[i])},{cell(float(values[i, j]))}\n"
             for i in range(n) for j in range(n))
@@ -429,7 +430,7 @@ class TestArrayTable:
         gridtext._csv_digit_tables()  # built once per process
         tracemalloc.start()
         try:
-            cli._write_table(table, tmp_path, "grid", "csv")
+            tables.write_table(table, tmp_path, "grid", "csv")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -439,7 +440,7 @@ class TestArrayTable:
 # Integer columns about the kernel's limits: it spells an integer below 1e6
 # in magnitude as the float it equals, and ``_csv_cell`` spells the rest.  An
 # integer field takes two words up to 14 digits and a sign, three beyond.
-# Each list's length is prime to the 3072 rows of a part, so a row's record
+# Each list's length is prime to the 3072 rows of a CSV part, so a row's record
 # holds a short integer in one part and a long one in another.
 EDGE_INTS = {
     "below-1e6": [0, 1, -1, 9, 10, 999, 1000, -1000, 100000, 999999, -999999],
@@ -481,7 +482,7 @@ class TestColumnTable:
         gridtext._csv_digit_tables()  # built once per process
         tracemalloc.start()
         try:
-            cli._write_table(table, tmp_path, "montecarlo", fmt)
+            tables.write_table(table, tmp_path, "montecarlo", fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -503,7 +504,7 @@ class TestDigitWords:
 class TestGridStream:
     """Grid tables are spelled a block at a time, as the blocks are drawn."""
 
-    @pytest.mark.parametrize("texts", [gridtext._csv_grid_texts, gridtext._json_grid_texts],
+    @pytest.mark.parametrize("texts", [gridtext._csv_grid_texts, tables._json_grid_texts],
                              ids=["csv", "json"])
     def test_non_finite_block_raises_before_it_is_spelled(self, texts):
         spec = GridSpec(Space.POSITION, 2.0, 1.0)
@@ -517,18 +518,27 @@ class TestGridStream:
         assert text.count("\n" if texts is gridtext._csv_grid_texts else "    [") == 3 * spec.n
         assert "nan" not in text.lower()
 
-    @pytest.mark.parametrize("cells", [1, 2, 3, 5])
-    def test_json_rows_in_parts(self, monkeypatch, cells):
-        # a row wider than a part is spelled a part at a time, into the same bytes
-        monkeypatch.setattr(gridtext, "_JSON_GRID_CELLS", cells)
-        spec = GridSpec(Space.POSITION, 2.0, 1.0)
-        values = np.arange(25.0).reshape(5, 5) / 7.0
-        values[2, 1:4] = math.nan, math.inf, -0.0
-        axis = spec.axis().tolist()
-        payload = {"note": "n", "columns": ["e", "n", "v"],
-                   "rows": [[e, n, v] for n, row in zip(axis, values.tolist())
-                            for e, v in zip(axis, row)]}
-        table = ResultTable(("e", "n", "v"), Grid2D(spec, (values,)), note="n")
+    @pytest.mark.parametrize("cells, width", [
+        *(pytest.param(cells, None, id=str(cells)) for cells in (1, 2, 3, 5)),
+        *(pytest.param(cells, width, id=f"{cells}-columns-{width}")
+          for width in (3, 4) for cells in (1, 2, 3, 5))])
+    def test_json_rows_in_parts(self, monkeypatch, cells, width):
+        # a grid row wider than a part is spelled a part at a time, and a column
+        # part holds whole rows, one if a row is wider than the part: the same bytes
+        monkeypatch.setattr(tables, "_JSON_PART_CELLS", cells)
+        if width is None:
+            spec = GridSpec(Space.POSITION, 2.0, 1.0)
+            values = np.arange(25.0).reshape(5, 5) / 7.0
+            values[2, 1:4] = math.nan, math.inf, -0.0
+            axis = spec.axis().tolist()
+            rows = Grid2D(spec, (values,))
+            listed = [[e, n, v] for n, row in zip(axis, values.tolist()) for e, v in zip(axis, row)]
+        else:
+            rows = Columns(_non_finite_columns(11).arrays[:width])
+            listed = column_rows(rows)
+        columns = ("e", "n", "v", "w")[:width or 3]
+        payload = {"note": "n", "columns": list(columns), "rows": listed}
+        table = ResultTable(columns, rows, note="n")
         assert table.to_json() == json.dumps(payload, indent=2) + "\n"
 
     def test_blocks_are_spelled_before_the_next_is_drawn(self):

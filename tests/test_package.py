@@ -1,11 +1,13 @@
 """The package root holds only the version and the start-up settings; every import is
 used and comes from its definer; every exception class is caught somewhere; every public
-name is read by the program; no command loads jsonschema, and only the commands that fill
-grids or draw trials load numpy."""
+name is read by the program; no command loads jsonschema, only the commands that fill
+grids or draw trials load numpy, and only their CSV runs load the CSV word kernel; each
+command's traced memory peak stays within its budget."""
 import ast
 import builtins
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -58,12 +60,18 @@ LOAD_SCENARIOS = ("import sys\nfrom dpe_multipath import cli\n"
                   "for name in sys.argv[1:]:\n    cli.load_scenario(name)\n")
 
 
-# The package modules each command imports (``load`` is ``load_scenario``).
-NUMPY_FREE = {"cli", "geom", "model", "scmb"}
+# The package modules each command imports, by command and table format (``load``
+# is ``load_scenario``).  Only CSV runs import ``gridtext``, the CSV word kernel.
+NUMPY_FREE = {"cli", "geom", "model", "scmb", "tables"}
 COMMAND_MODULES = {
-    **dict.fromkeys(("bounds", "project", "intersect", "load"), NUMPY_FREE),
-    "caf": NUMPY_FREE | {"caf", "gridtext"},
-    **dict.fromkeys(("montecarlo", "report"), NUMPY_FREE | {"caf", "gridtext", "mc"}),
+    **{(command, fmt): NUMPY_FREE for command in ("bounds", "project", "intersect", "load")
+       for fmt in ("csv", "json")},
+    ("caf", "csv"): NUMPY_FREE | {"caf", "gridtext"},
+    ("caf", "json"): NUMPY_FREE | {"caf"},
+    ("montecarlo", "csv"): NUMPY_FREE | {"caf", "gridtext", "mc"},
+    ("montecarlo", "json"): NUMPY_FREE | {"caf", "mc"},
+    ("report", "csv"): NUMPY_FREE | {"caf", "gridtext", "mc"},
+    ("report", "json"): NUMPY_FREE | {"caf", "mc"},
 }
 
 
@@ -85,13 +93,17 @@ COMMAND_MODULES = {
     (["bounds", "--radii", "60,40,30,15", "--format", "json"], None),
     (["project", "--scenario", "case3.scenario", "--format", "json"], None),
     (["intersect", "--scenario", "case3.scenario", "--format", "json"], None),
+    # numpy rows are JSON without the CSV word kernel
+    (["caf", "--scenario", "case3.scenario", "--space", "position", "--format", "json"], "numpy"),
+    (["montecarlo", "--trials", "10", "--format", "json"], "numpy"),
+    (["report", "--format", "json"], "numpy"),
 ], ids=["bounds", "project", "intersect", "load-bundled", "caf", "montecarlo", "report",
         "caf-noisy", "load-ecef", "project-ecef", "intersect-ecef", "bounds-json",
-        "project-json", "intersect-json"])
+        "project-json", "intersect-json", "caf-json", "montecarlo-json", "report-json"])
 def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
     """``loads``: the deepest numpy package the run loads, ``None`` for no numpy at all;
-    the run imports the package modules of :data:`COMMAND_MODULES` for its command."""
-    command = args[0]
+    the run imports the package modules of :data:`COMMAND_MODULES` for its command and format."""
+    key = args[0], args[args.index("--format") + 1] if "--format" in args else "csv"
     noisy = fixture_with("case3", lambda raw: raw.update(noise_sigma=0.1))
     (tmp_path / "noisy.scenario").write_text(json.dumps(noisy))
     (tmp_path / "ecef.scenario").write_text(json.dumps(ECEF_SCENARIO))
@@ -104,7 +116,53 @@ def test_numpy_loads_only_where_it_is_used(tmp_path, args, loads):
     assert any(m.partition(".")[0] == "numpy" for m in imported) == (loads is not None)
     assert any(f"{m}.".startswith("numpy.random.") for m in imported) == (loads == "numpy.random")
     assert {m.partition(".")[2] for m in imported
-            if m.startswith("dpe_multipath.")} == COMMAND_MODULES[command]
+            if m.startswith("dpe_multipath.")} == COMMAND_MODULES[key]
+
+
+# ``cli.main`` of ``sys.argv[1:]`` in a fresh interpreter under ``tracemalloc``, after
+# numpy and every package module are imported and a full collection has set the
+# collector's counts to 0, so that its collections fall at the same points in every
+# run; prints the exit status, the traced peak in bytes and numpy's version.
+PEAK_CODE = ("import gc, sys, tracemalloc\nimport numpy\n"
+             "from dpe_multipath import caf, cli, gridtext, mc\n"
+             "gc.collect()\ntracemalloc.start()\nstatus = cli.main(sys.argv[1:])\n"
+             "print(status, tracemalloc.get_traced_memory()[1], numpy.__version__)\n")
+
+# Each command's traced peak in bytes, which repeats to within 1 KB from run to run
+# where wall time and peak RSS do not, and its budget: ``MEMORY_MARGIN`` over it.
+# Measured on CPython 3.11.7 with numpy 2.4.6.  A change that lowers a peak lowers it
+# here too; a numpy upgrade that moves one is re-measured and logged.  A budget is
+# never widened silently.  ``caf-velocity.scenario`` is perfbench's caf-velocity sky
+# (seed 1, 4 channels, 1001^2 velocity cells); ``sky.scenario`` a 12 x 4-path sky.
+MEMORY_PEAKS = {
+    "report": (["report"], 1_109_137),
+    "report-json": (["report", "--format", "json"], 1_102_423),
+    "caf-velocity": (["caf", "--space", "velocity", "--scenario", "caf-velocity.scenario"],
+                     908_568),
+    "montecarlo-1m": (["montecarlo", "--trials", "1000000"], 40_228_904),
+    "intersect-sky": (["intersect", "--scenario", "sky.scenario"], 1_096_157),
+}
+MEMORY_MARGIN = 1.02
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="memory peaks measured on CPython 3.11; re-measure for another")
+@pytest.mark.parametrize("name", MEMORY_PEAKS)
+def test_memory_peak_within_budget(tmp_path, name):
+    args, peak = MEMORY_PEAKS[name]
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    sky = workloads["generate_sky"]
+    for scenario, doc in (("caf-velocity.scenario",
+                           sky(1, 4, 1, False, [workloads["CAF_VELOCITY_GRID"]])),
+                          ("sky.scenario", sky(1, 12, 3, True, []))):
+        (tmp_path / scenario).write_text(json.dumps(doc))
+    args = [str(tmp_path / a) if a.endswith(".scenario") else a for a in args]
+    done = _run(["-c", PEAK_CODE, *args, "--out", str(tmp_path / "out")])
+    status, traced, numpy_version = done.stdout.splitlines()[-1].split()
+    assert status == "0"
+    assert int(traced) <= peak * MEMORY_MARGIN, (
+        f"{name}: traced peak {traced} B over the budget {peak * MEMORY_MARGIN:.0f} B"
+        f" with numpy {numpy_version}")
 
 
 def test_no_src_module_imports_jsonschema():
@@ -194,10 +252,8 @@ def test_names_imported_from_their_defining_module():
 # only shrink.
 PRIVATE_IMPORTS_ALLOWED = {
     "cli: caf._ArgmaxFold",
-    "cli: gridtext._TEXTS",
-    "gridtext: cli._JSON_CELL_SEP",
-    "gridtext: cli._JSON_ROW",
-    "gridtext: cli._csv_cell",
+    "tables: gridtext._TEXTS",
+    "gridtext: tables._csv_cell",
 }
 
 
@@ -270,11 +326,12 @@ def test_every_exception_class_is_caught_somewhere():
 
 
 # Public names that no command or driver reads: perfbench's tracer wraps
-# these two through ``vars(cls)[meth]``, so every ``--trace 1`` run would
-# crash without them.  Helpers that only the tests call live in the tests.
+# these two through ``vars(cls)[meth]`` of the class ``cli`` binds, so every
+# ``--trace 1`` run would crash without them.  Helpers that only the tests
+# call live in the tests.
 UNREAD_ALLOWED = {
-    "cli.ResultTable.to_csv",
-    "cli.ResultTable.to_json",
+    "tables.ResultTable.to_csv",
+    "tables.ResultTable.to_json",
 }
 
 
