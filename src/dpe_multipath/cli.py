@@ -531,9 +531,8 @@ def cmd_montecarlo(args) -> int:
     from . import mc
 
     rep = mc.run_random_azimuth_mc(args.rho_i, args.rho_j, args.trials, args.seed)
-    table = ResultTable(rep.columns, rep.rows,
-                        f"radii ({args.rho_i}, {args.rho_j}), seed {args.seed}")
-    path = write_table(table, Path(args.out), "montecarlo", args.format)
+    path = write_table(replace(rep, note=f"radii ({args.rho_i}, {args.rho_j}), seed {args.seed}"),
+                       Path(args.out), "montecarlo", args.format)
     s = rep.summary
     print(
         f"min radial error {s['min_radial_error']:.6g} at "
@@ -549,31 +548,29 @@ def cmd_report(args) -> int:
 
     outdir = Path(args.out)
 
-    def write(stem: str, note: str, columns: tuple[str, ...], rows) -> None:
-        write_table(ResultTable(columns, rows, note), outdir, stem, args.format)
+    def write(stem: str, note: str, table: ResultTable) -> None:
+        write_table(replace(table, note=note), outdir, stem, args.format)
 
     proj = mc.run_elevation_sweep(sorted(mc.EXPECTED_PROJECTION))
-    write("projection_table", "bias projection at reference elevations", proj.columns, proj.rows)
+    write("projection_table", "bias projection at reference elevations", proj)
     cases = {}
-    for case in ("case1", "case2", "case3"):
-        scenario = load_scenario(f"{case}.scenario")
+    for case in mc.EXPECTED_CASE_BIAS:  # the package's fixtures, never a same-named local file
+        scenario = load_scenario(_bundled_scenario(f"{case}.scenario"))
         rep = mc.run_case_study(scenario)
         cases[case] = scenario, rep
-        write(f"{case}_table", f"pair biases, {case}", rep.columns, rep.rows)
-    table6 = load_scenario("table6.scenario")  # the field replay writes only its reference table
-    field = table6, mc.run_case_study(table6)
+        if case != mc.FIELD_CASE:  # the field replay writes only its reference table
+            write(f"{case}_table", f"pair biases, {case}", rep)
     sweep = mc.run_elevation_sweep()
     mcrep = mc.run_random_azimuth_mc(*REFERENCE_RADII, REFERENCE_TRIALS, args.seed)
-    write("fig7_data", "bias projection sweep over elevation", sweep.columns, sweep.rows)
-    write("fig8_data", "pair radial error vs azimuth separation",
-          ("delta_theta[deg]", "single_nlos_40[m]", "equal_pair_40[m]"), mc.pair_error_rows(40.0))
+    write("fig7_data", "bias projection sweep over elevation", sweep)
+    write("fig8_data", "pair radial error vs azimuth separation", mc.pair_error_rows(40.0))
     trial, separation, error = mcrep.rows.arrays
     write("fig11_data",
           "random azimuth-separation trials, radii ({:g}, {:g})".format(*REFERENCE_RADII),
-          ("delta_theta[deg]", "radial_error[m]", "trial"), Columns((separation, error, trial)))
-    criteria, field_rows = mc.reference_criteria(proj, sweep, mcrep, cases, field)
-    write("field_reference", "field replay; measured column is documentation, not a check",
-          ("quantity", "theoretical", "field_measured"), field_rows)
+          ResultTable(("delta_theta[deg]", "radial_error[m]", "trial"),
+                      Columns((separation, error, trial))))
+    criteria, field = mc.reference_criteria(proj, sweep, mcrep, cases)
+    write("field_reference", "field replay; measured column is documentation, not a check", field)
 
     all_ok = all(c.passed for c in criteria)
     for c in criteria:

@@ -4,10 +4,10 @@ Reproduces the reference tables and figure data bundled with the package:
 elevation sweeps of the projection of :data:`model.REFERENCE_BIAS`, uniform
 random azimuth-separation trials, and case studies that set the analytic
 center-line crossings against those of the ridge lines :mod:`caf` fits.
-Every driver returns an :class:`ExperimentReport` of columns, rows and a
-summary; the cli module does all serialization.  The expected reference
-values live here, and :func:`reference_criteria` builds every check of
-``report`` from the drivers' rows.
+Every driver returns the :class:`tables.ResultTable` it fills, with a
+summary that no format writes; the cli module sets its note and writes it.
+The expected reference values live here, and :func:`reference_criteria`
+builds every check of ``report`` from the drivers' rows.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .caf import ridge_line
 from .geom import fold_azimuth_separation
 from .model import REFERENCE_BIAS, Columns, Scenario, SignalConfig, Space
 from .scmb import EPS_PARALLEL, center_line, intersect_lines, line_crossing, project_bias
+from .tables import ResultTable
 
 # Intersection-point labels of the reference satellite pairs.
 PAIR_LABELS = {"OA": (10, 24), "OB": (18, 23), "OC": (10, 18), "OD": (23, 24), "OE": (10, 23)}
@@ -36,7 +37,7 @@ EXPECTED_PROJECTION = {  # elevation deg -> (range bias m, range-rate bias m/s) 
     69.8: (84.8, 88.5),
 }
 EXPECTED_ZERO_ELEVATION = (29.3, 30.6)  # (m, m/s) at REFERENCE_BIAS, sec(0) = 1
-EXPECTED_CASE_BIAS = {  # case -> pair label -> (position m, velocity m/s)
+EXPECTED_CASE_BIAS = {  # case -> pair label -> (position m, velocity m/s), in report order
     "case1": {"OB": (47.3, 47.3), "OC": (41.7, 41.7)},
     "case2": {
         "OA": (54.2, 54.2),
@@ -48,7 +49,8 @@ EXPECTED_CASE_BIAS = {  # case -> pair label -> (position m, velocity m/s)
     "case3": {"OA": (60.8, 60.8), "OB": (72.8, 72.8), "OC": (84.4, 84.4), "OD": (30.3, 30.3)},
     "table6": {"OB": (47.2, 49.5)},
 }
-FIELD_PRN = 18  # table6's biased satellite
+FIELD_CASE = "table6"  # the field replay: checked, but written only as its reference table
+FIELD_PRN = 18  # its biased satellite
 EXPECTED_FIELD_RADII = (39.9, 41.8)  # (m, m/s) of its center lines
 FIXTURE_TOL = 0.1
 FIXTURE_TOL_OA = 0.4  # the reference prints 85.1 deg for the OA separation; its
@@ -93,16 +95,6 @@ class Criterion:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Rows plus summary statistics of one driver run: tuple rows of ``str``,
-    ``int`` and ``float`` cells, or, for the Monte Carlo trials, ``Columns``."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | Columns
-    summary: dict
-
-
 def fixture_check(name: str, expected: float, actual: float, tol: float,
                   decimals: int | None = 1) -> CheckResult:
     """Compare a computed value against a rounded printed reference.
@@ -116,21 +108,20 @@ def fixture_check(name: str, expected: float, actual: float, tol: float,
 
 
 def reference_criteria(
-    projection: ExperimentReport,
-    sweep: ExperimentReport,
-    monte_carlo: ExperimentReport,
-    cases: dict[str, tuple[Scenario, ExperimentReport]],
-    field: tuple[Scenario, ExperimentReport],
-) -> tuple[tuple[Criterion, ...], tuple[tuple, ...]]:
-    """The criteria of ``report``, in order, and the field reference table's rows.
+    projection: ResultTable,
+    sweep: ResultTable,
+    monte_carlo: ResultTable,
+    cases: dict[str, tuple[Scenario, ResultTable]],
+) -> tuple[tuple[Criterion, ...], ResultTable]:
+    """The criteria of ``report``, in order, and the field reference table.
 
     Every check is built from the drivers' rows and summaries: ``projection``
     is the sweep at the reference elevations, ``sweep`` the default one and
-    ``monte_carlo`` the run at the reference radii; ``cases`` maps case1..3,
-    and ``field`` holds table6, as (scenario, case study).  A pair is checked
-    against its reference bias when its label has one, and its grid readout
-    against its analytic value, within 1.5 grid steps, when the crossing
-    lies in the grid window and the readout is finite.
+    ``monte_carlo`` the run at the reference radii; ``cases`` maps each case
+    of :data:`EXPECTED_CASE_BIAS`, :data:`FIELD_CASE` among them, to (scenario,
+    case study).  A pair is checked against its reference bias when its label
+    has one, and its grid readout against its analytic value, within 1.5 grid
+    steps, when the crossing lies in the grid window and the readout is finite.
     """
     projection_checks = []
     for el, rng, rate in projection.rows:
@@ -156,32 +147,33 @@ def reference_criteria(
         fixture_check("argmin_separation_deg", EXPECTED_MC_ARGMIN_DEG,
                       s["argmin_separation_deg"], EXPECTED_MC_ARGMIN_TOL_DEG, None),
     )
-    analytic, readout, field_checks = [], [], []
+    analytic, readout, radii, field_biases = [], [], [], []
     for case, (scenario, rep) in cases.items():
-        for space in Space:
+        for space, expected_radius in zip(Space, EXPECTED_FIELD_RADII):
             theoretical, simulated = _pair_checks(case, scenario, rep.rows, space)
-            analytic += theoretical
             readout += simulated
-    scenario, rep = field
-    (ch,) = (ch for ch in scenario.satellites if ch.prn == FIELD_PRN)
-    for space, expected in zip(Space, EXPECTED_FIELD_RADII):
-        radius = center_line(ch, 0, space, scenario.signal).radius
-        theoretical, simulated = _pair_checks("table6", scenario, rep.rows, space)
-        field_checks += [fixture_check(f"table6:prn{FIELD_PRN}:{space.value}:radius", expected,
-                                       radius, FIXTURE_TOL), *theoretical]
-        readout += simulated
-    # per space, the PRN 18 radius and then the OB bias
-    field_rows = tuple(
+            if case != FIELD_CASE:
+                analytic += theoretical
+                continue
+            (ch,) = (ch for ch in scenario.satellites if ch.prn == FIELD_PRN)
+            radii.append(fixture_check(f"{case}:prn{FIELD_PRN}:{space.value}:radius",
+                                       expected_radius,
+                                       center_line(ch, 0, space, scenario.signal).radius,
+                                       FIXTURE_TOL))
+            field_biases += theoretical
+    field = ResultTable(("quantity", "theoretical", "field_measured"), tuple(
         (q, c.actual, measured) for (q, measured), c in
-        zip(FIELD_MEASURED.items(), field_checks[0::2] + field_checks[1::2], strict=True))
+        zip(FIELD_MEASURED.items(), radii + field_biases, strict=True)))
     return (
         Criterion(1, "projection-table", tuple(projection_checks)),
         Criterion(2, "elevation-sweep-anchors", tuple(sweep_checks)),
         Criterion(3, "case-tables-analytic", tuple(analytic)),
         Criterion(4, "case-tables-grid-readout", tuple(readout)),
         Criterion(5, "monte-carlo", mc_checks),
-        Criterion(6, "field-replay-theoretical", tuple(field_checks)),
-    ), field_rows
+        # per space, the PRN 18 radius and then the OB bias
+        Criterion(6, "field-replay-theoretical",
+                  tuple(itertools.chain(*zip(radii, field_biases, strict=True)))),
+    ), field
 
 
 def _pair_checks(case: str, scenario: Scenario, rows, space: Space) -> tuple[list, list]:
@@ -232,16 +224,18 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     return num
 
 
-def pair_error_rows(rho: float) -> Columns:
+def pair_error_rows(rho: float) -> ResultTable:
     """The columns ``(separation deg, single, pair)`` at each half-degree separation in (0, 180)
     deg: :func:`pair_error_curve` of one NLOS satellite of radius ``rho``, and of two."""
     thetas_deg = 0.5 * np.arange(1, 360)
     thetas = np.radians(thetas_deg)
-    return Columns((thetas_deg, pair_error_curve(rho, 0.0, thetas),
-                    pair_error_curve(rho, rho, thetas)))
+    return ResultTable(
+        ("delta_theta[deg]", f"single_nlos_{rho:g}[m]", f"equal_pair_{rho:g}[m]"),
+        Columns((thetas_deg, pair_error_curve(rho, 0.0, thetas),
+                 pair_error_curve(rho, rho, thetas))))
 
 
-def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> ExperimentReport:
+def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> ResultTable:
     """Project :data:`REFERENCE_BIAS` over a set of elevations.
 
     Defaults sweep 0..85 deg in half-degree steps.  ``summary`` records
@@ -255,7 +249,7 @@ def run_elevation_sweep(elevations_deg: Sequence[float] | None = None) -> Experi
                  for el in map(float, elevations_deg))
     increasing_range, increasing_rate = (all(b[k] > a[k] for a, b in zip(rows, rows[1:]))
                                          for k in (1, 2))
-    return ExperimentReport(
+    return ResultTable(
         columns=("elevation[deg]", "range_bias[m]", "range_rate_bias[m/s]"),
         rows=rows,
         summary={
@@ -297,7 +291,7 @@ def _philox_uniform(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) -> ExperimentReport:
+def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) -> ResultTable:
     """Uniform random azimuth-separation trials for one radius pair.
 
     Trial k's separation is pi times draw k of :func:`_philox_uniform`, so its
@@ -314,7 +308,7 @@ def run_random_azimuth_mc(rho_i: float, rho_j: float, trials: int, seed: int) ->
     floor = max(abs(rho_i), abs(rho_j))  # case_bound's, and 0 at radii 0, 0, which it rejects
     # relative slack: an absolute one would exceed a tiny floor
     below = int(np.count_nonzero(errors < floor * (1.0 - 1e-9)))
-    return ExperimentReport(
+    return ResultTable(
         columns=("trial", "delta_theta[deg]", "radial_error[m]"),
         rows=Columns((np.arange(trials), np.degrees(thetas), errors)),
         summary={
@@ -335,7 +329,7 @@ def _pair_label(prn_i: int, prn_j: int) -> str:
     return f"{prn_i}-{prn_j}"
 
 
-def run_case_study(scenario: Scenario) -> ExperimentReport:
+def run_case_study(scenario: Scenario) -> ResultTable:
     """Analytic vs grid-readout pair errors for a one-path-per-satellite scenario.
 
     The analytic column intersects the exact center lines; the simulated
@@ -376,7 +370,7 @@ def run_case_study(scenario: Scenario) -> ExperimentReport:
             rows.append((space.value, _pair_label(pi, pj), pi, pj,
                          math.degrees(fold_azimuth_separation(li.azimuth, lj.azimuth)),
                          analytic, simulated, in_window))
-    return ExperimentReport(
+    return ResultTable(
         columns=(
             "space",
             "pair",

@@ -28,19 +28,22 @@ _JSON_PART_CELLS = 1024
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Serialized table: named+united columns, uniform rows, one-line note.
+    """A table: named+united columns, uniform rows, one-line note, and the summary of
+    the run that filled it.
 
     ``rows`` is a tuple of row tuples, whose cells are ``str``, ``int`` or
     ``float``; or a ``model.Columns`` of float and integer arrays, one per
     column; or, for three columns, a ``model.Grid2D``, written as the rows
     ``(east, north, value)`` with north as the outer index and east as the
     inner one.  A grid's blocks are spelled as they are drawn, each before
-    the next is drawn, so a one-shot grid can be written once.
+    the next is drawn, so a one-shot grid can be written once.  ``summary``
+    holds a driver's statistics for its caller; no format writes it.
     """
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...] | Columns | Grid2D
     note: str = ""
+    summary: dict | None = None
 
     def __post_init__(self):
         if isinstance(self.rows, Grid2D):

@@ -19,11 +19,10 @@ from dpe_multipath.cli import _bundled_scenario
 from dpe_multipath.geom import (EcefVector, EnuVector, LookAngles, _enu_rotation,
                                 fold_azimuth_separation, geodetic_latlon)
 from dpe_multipath.gridtext import _ascii_words
-from dpe_multipath.mc import ExperimentReport
 from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import (EPS_MERGE, BiasResult, CenterLine, center_lines,
                                 enumerate_intersections, intersect_lines)
-from dpe_multipath.tables import _csv_cell
+from dpe_multipath.tables import ResultTable, _csv_cell
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
 
@@ -220,7 +219,7 @@ def caf_value_at(scenario: Scenario, space: Space, e: float, n: float) -> float:
     return total
 
 
-def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> ExperimentReport:
+def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> ResultTable:
     """Grid argmax vs analytic intersection points for a noiseless scenario.
 
     Candidates are the truth point plus every enumerated cross-satellite
@@ -252,7 +251,7 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Exp
         rows.append(
             (kind, "-".join(map(str, pair)), dth, e, n, math.hypot(e, n), value, int(entry is best))
         )
-    return ExperimentReport(
+    return ResultTable(
         columns=(
             "kind",
             "pair",

@@ -905,22 +905,36 @@ class TestCommands:
         "report.json": "16f774b47285a3d1f1c0cc267ba56189b61ae67b70c09d3367aeadeddb287da2",
     }
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_report_bytes_match_recorded_digests(self, tmp_path, capsys, fmt):
-        assert main(["report", "--seed", "1", "--format", fmt, "--out", str(tmp_path)]) == EXIT_OK
+    @pytest.mark.parametrize("fmt, decoy", [("csv", False), ("json", False), ("csv", True)],
+                             ids=["csv", "json", "decoy"])
+    def test_report_bytes_match_recorded_digests(self, tmp_path, monkeypatch, capsys, fmt,
+                                                 decoy):
+        out = tmp_path / "out"
+        if decoy:  # a same-named fixture in the working directory, with PRN 10 turned by 5 deg
+            def turn(raw):
+                (sat,) = (sat for sat in raw["satellites"] if sat["prn"] == 10)
+                sat["azimuth_deg"] += 5.0
+
+            (tmp_path / "case1.scenario").write_text(json.dumps(fixture_with("case1", turn)))
+            monkeypatch.chdir(tmp_path)
+            bundled = load_scenario(cli._bundled_scenario("case1.scenario"))
+            # a bare --scenario name still finds the working directory's file first
+            assert channel(load_scenario("case1.scenario"), 10).angles.azimuth_deg == (
+                pytest.approx(channel(bundled, 10).angles.azimuth_deg + 5.0))
+        assert main(["report", "--seed", "1", "--format", fmt, "--out", str(out)]) == EXIT_OK
         if fmt == "csv":
             digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
             expected = json.loads(digests.read_text())["report"]["1"]
         else:
             expected = self.REPORT_JSON_DIGESTS
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                for f in tmp_path.iterdir()} == expected
-        out = capsys.readouterr().out.splitlines()
-        assert [line.partition(":")[0] for line in out[:6]] == [
+                for f in out.iterdir()} == expected
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.partition(":")[0] for line in lines[:6]] == [
             f"criterion-{k} {name}" for k, name in enumerate(
                 ("projection-table", "elevation-sweep-anchors", "case-tables-analytic",
                  "case-tables-grid-readout", "monte-carlo", "field-replay-theoretical"), 1)]
-        assert out[6:] == [f"report: PASS; details in {tmp_path / 'report.json'}"]
+        assert lines[6:] == [f"report: PASS; details in {out / 'report.json'}"]
 
     # sha256 of the table ``project`` / ``intersect`` write for ``ECEF_SCENARIO``,
     # whose look angles come from ``geom.ecef_to_enu``'s plain-float dot
