@@ -19,7 +19,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .geom import EnuVector
 from .model import (RIDGE_OFFSET_SIGN, SPEED_OF_LIGHT, Grid2D, GridSpec, SatelliteChannel,
                     Scenario, SignalConfig, Space)
 
@@ -126,8 +125,8 @@ class _ArgmaxFold:
 
     Exact value ties resolve to the smallest offset norm, then to the
     lexicographically smallest (row, col).  :meth:`result` returns the winning
-    offset (the ``u`` component is always 0) and the peak value; :meth:`add`
-    raises ``ValueError`` when a block holds a NaN or an infinity.
+    offset ``(e, n)`` and the peak value; :meth:`add` raises ``ValueError``
+    when a block holds a NaN or an infinity.
     """
 
     def __init__(self, spec: GridSpec):
@@ -161,9 +160,9 @@ class _ArgmaxFold:
         self.rows += len(block)
         return block
 
-    def result(self) -> tuple[EnuVector, float]:
+    def result(self) -> tuple[tuple[float, float], float]:
         _, row, col = self.best
-        return EnuVector(float(self.axis[col]), float(self.axis[row]), 0.0), self.peak
+        return (float(self.axis[col]), float(self.axis[row])), self.peak
 
 
 # Ridge readout: positions read on each side of a scanline's ridge crossing;

@@ -451,7 +451,7 @@ def cmd_project(args) -> int:
 def cmd_intersect(args) -> int:
     scenario = load_scenario(args.scenario)
     rows = tuple((space.value, *res.contributors[0], math.degrees(res.delta_theta),
-                  res.point.e, res.point.n, res.point.horizontal_norm(), len(res.contributors))
+                  *res.point, math.hypot(*res.point), len(res.contributors))
                  for space in _spaces(args.space)
                  for res in enumerate_intersections(center_lines(scenario, space)))
     table = ResultTable(
@@ -518,10 +518,8 @@ def cmd_caf(args) -> int:
             note=f"superposed {space.value}-space correlation grid",
         )
         written.append(write_table(table, Path(args.out), f"caf_{space.value}", args.format))
-        offset, peak = fold.result()
-        print(
-            f"{space.value}: argmax offset ({offset.e:g}, {offset.n:g}) {unit}, peak {peak:.6g}"
-        )
+        (e, n), peak = fold.result()
+        print(f"{space.value}: argmax offset ({e:g}, {n:g}) {unit}, peak {peak:.6g}")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

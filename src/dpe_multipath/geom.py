@@ -62,7 +62,8 @@ class EcefVector:
 
 @dataclass(frozen=True)
 class EnuVector:
-    """East-North-Up vector relative to the receiver truth point."""
+    """East-North-Up vector relative to the receiver truth point (offset-plane
+    points, where center lines cross and grids peak, are plain ``(e, n)`` pairs)."""
 
     e: float
     n: float
@@ -71,9 +72,6 @@ class EnuVector:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.e, self.n, self.u)):
             raise GeometryError("ENU components must be finite")
-
-    def horizontal_norm(self) -> float:
-        return math.hypot(self.e, self.n)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def ecef_to_enu(point: EcefVector, origin: EcefVector) -> EnuVector:
 
 def look_angles(sat_enu: EnuVector) -> LookAngles:
     """Elevation and azimuth of a satellite given in the receiver ENU frame."""
-    h = sat_enu.horizontal_norm()
+    h = math.hypot(sat_enu.e, sat_enu.n)
     if h < _EPS_HORIZONTAL * max(1.0, abs(sat_enu.u)):
         raise GeometryError("horizontal component vanishes; azimuth undefined")
     elevation = math.atan2(sat_enu.u, h)

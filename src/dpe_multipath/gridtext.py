@@ -16,10 +16,6 @@ import numpy as np
 from .model import Columns, Grid2D
 from .tables import _csv_cell
 
-# Rows of a column table spelled at once in CSV: 3072 Monte Carlo rows, of 40
-# bytes each, keep a part's records under ``_CSV_BLOCK_BYTES``.
-_COLUMN_ROWS = 3072
-
 # CSV rows are spelled by a numpy kernel, a part of a table at a time, into
 # one record per row of little-endian 8-byte words: a grid cell's east label
 # and comma, north label and comma, then two value words, or a column table's
@@ -29,7 +25,8 @@ _WORD = np.dtype("<u8")
 # Bytes of records spelled at once.  Under glibc's 128 KiB mmap threshold, as
 # the grid fill's blocks are (``caf._BLOCK_ROWS``), so the record buffer and
 # the part's temporaries come from the heap: a 1001-wide grid is spelled 4
-# rows at a time, a 2001-wide one 2.
+# rows at a time, a 2001-wide one 2, and a Monte Carlo table (6-word records)
+# 2,709.
 _CSV_BLOCK_BYTES = 127 * 1024
 
 # By exponent index ``i = floor(log10|v|) + 5`` clipped to 0..11, so that
@@ -204,14 +201,17 @@ def _csv_grid_texts(grid: Grid2D) -> Iterator[str]:
 
 def _csv_column_texts(columns: Columns) -> Iterator[str]:
     """CSV rows of a column table: a cell takes two words, or as many as the sign,
-    digits and separator of its column's longest integer."""
+    digits and separator of its column's longest integer.
+
+    Spelled in parts of at most ``_CSV_BLOCK_BYTES`` of records.
+    """
     widths = [2 if a.dtype.kind == "f"
               else max(2, (len(str(max(int(a.max(initial=0)), -int(a.min(initial=0))))) + 9) // 8)
               for a in columns.arrays]
     fields = list(zip(widths, [","] * (len(widths) - 1) + ["\n"]))
-    parts = ([a[lo:lo + _COLUMN_ROWS] for a in columns.arrays]
-             for lo in range(0, len(columns), _COLUMN_ROWS))
-    return _csv_texts((min(_COLUMN_ROWS, len(columns)),), np.zeros(0, _WORD), fields, parts)
+    rows = max(1, _CSV_BLOCK_BYTES // (8 * sum(widths)))
+    parts = ([a[lo:lo + rows] for a in columns.arrays] for lo in range(0, len(columns), rows))
+    return _csv_texts((min(rows, len(columns)),), np.zeros(0, _WORD), fields, parts)
 
 
 # The CSV writer of each numpy table form, by form, for ``tables.ResultTable``.

@@ -22,7 +22,7 @@ import numpy as np
 from .caf import ridge_line
 from .geom import fold_azimuth_separation
 from .model import REFERENCE_BIAS, Columns, Scenario, SignalConfig, Space
-from .scmb import EPS_PARALLEL, center_line, intersect_lines, line_crossing, project_bias
+from .scmb import EPS_PARALLEL, center_line, line_crossing, project_bias
 from .tables import ResultTable
 
 # Intersection-point labels of the reference satellite pairs.
@@ -202,7 +202,7 @@ def pair_error_curve(rho_i: float, rho_j: float, delta_theta_rad: np.ndarray) ->
     the squared chord rounds below the smallest normal double (tiny or
     nearly equal radii: it underflows, goes subnormal or cancels below
     zero) the cancellation-free ``hypot(rho_i - rho_j*cos, rho_j*sin)``
-    takes its place.  Not computed through ``scmb.intersect_lines`` (as the
+    takes its place.  Not computed through ``scmb.line_crossing`` (as the
     tests' ``scenario_helpers.pair_radial_error`` does): of the 10,000
     reference Monte Carlo values that route changes the last bits of
     4,880 (the recorded minimum among them), the cancellation-free form
@@ -332,13 +332,15 @@ def _pair_label(prn_i: int, prn_j: int) -> str:
 def run_case_study(scenario: Scenario) -> ResultTable:
     """Analytic vs grid-readout pair errors for a one-path-per-satellite scenario.
 
-    The analytic column intersects the exact center lines; the simulated
-    column intersects the lines :func:`caf.ridge_line` fits to each channel's
+    The analytic column crosses the exact center lines' forms, and the
+    simulated column the lines :func:`caf.ridge_line` fits to each channel's
     ridge on its own noiseless grid, read from a few certified cells per
-    scanline, so a scenario with noise raises ``ValueError``.  ``in_window``
-    is 1 when the analytic crossing lies in the grid; parallel lines read
-    infinite.  ``summary`` holds per space the readout counts and per PRN
-    the fit's RMS residual and scanlines kept (columns, rows).
+    scanline, so a scenario with noise raises ``ValueError``; both solve with
+    :func:`scmb.line_crossing`.  ``in_window`` is 1 when the analytic
+    crossing lies in the grid.  Parallel lines read infinite, and so does a
+    crossing beyond a double.  ``summary`` holds per space the readout
+    counts and per PRN the fit's RMS residual and scanlines kept (columns,
+    rows).
     """
     if scenario.noise_sigma > 0.0:
         raise ValueError("case study requires a noiseless scenario")
@@ -358,15 +360,14 @@ def run_case_study(scenario: Scenario) -> ResultTable:
         summary[space.value] = {**stats, "residual": residual, "kept": kept}
         for pi, pj in itertools.combinations(lines, 2):  # PRN pairs in satellite order
             li, lj = lines[pi], lines[pj]
-            point = intersect_lines(li, lj)
+            point = line_crossing(li.form, lj.form)
             if point is None:
                 analytic, simulated, in_window = math.inf, math.inf, 0
             else:
-                analytic = point.horizontal_norm()
+                analytic = math.hypot(*point)
                 sim_point = line_crossing(fitted[pi], fitted[pj])
                 simulated = math.inf if sim_point is None else math.hypot(*sim_point)
-                in_window = int(abs(point.e) <= grid.half_extent
-                                and abs(point.n) <= grid.half_extent)
+                in_window = int(max(map(abs, point)) <= grid.half_extent)
             rows.append((space.value, _pair_label(pi, pj), pi, pj,
                          math.degrees(fold_azimuth_separation(li.azimuth, lj.azimuth)),
                          analytic, simulated, in_window))

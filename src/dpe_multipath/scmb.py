@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .geom import EnuVector, GeometryError, check_elevation, fold_azimuth_separation
+from .geom import GeometryError, check_elevation, fold_azimuth_separation
 from .model import (
     RIDGE_OFFSET_SIGN,
     SPEED_OF_LIGHT,
@@ -44,11 +44,10 @@ def project_bias(bias: float, elevation: float, rate: float) -> float:
 class CenterLine:
     """Correlation-ridge center line of one path in the offset plane.
 
-    Stored in implicit normal form so steep azimuths need no special
-    handling: with the unit normal (sin azimuth, cos azimuth), the line is
-    normal . p = constant, and its perpendicular distance from the truth
-    point equals |offset|.  ``offset`` is the signed projected bias (0 for an
-    LOS path); ``constant`` carries the side convention of RIDGE_OFFSET_SIGN.
+    Stored as its satellite's azimuth and ``offset``, the signed projected
+    bias (0 for an LOS path); its perpendicular distance from the truth point
+    is |offset|.  :attr:`form` gives it in implicit normal form, so steep
+    azimuths need no special handling.
     """
 
     space: Space
@@ -57,12 +56,10 @@ class CenterLine:
     source: tuple[int, int] = (0, 0)  # (prn, path index)
 
     @property
-    def normal(self) -> tuple[float, float]:
-        return (math.sin(self.azimuth), math.cos(self.azimuth))
-
-    @property
-    def constant(self) -> float:
-        return RIDGE_OFFSET_SIGN * self.offset
+    def form(self) -> tuple[float, float, float]:
+        """``(a, b, c)`` of ``a*e + b*n = c``: the unit normal (sin, cos of the
+        azimuth) and the offset on the side of RIDGE_OFFSET_SIGN."""
+        return (math.sin(self.azimuth), math.cos(self.azimuth), RIDGE_OFFSET_SIGN * self.offset)
 
     @property
     def radius(self) -> float:
@@ -75,12 +72,12 @@ class BiasResult:
 
     ``contributors`` lists (prn_i, path_i, prn_j, path_j) of every pair that
     meets at ``point``, the first pair's crossing; ``delta_theta`` is that
-    pair's folded azimuth separation.  The radial error is
-    ``point.horizontal_norm()``.
+    pair's folded azimuth separation.  ``point`` is ``(e, n)``, and the
+    radial error is ``math.hypot(*point)``.
     """
 
     delta_theta: float
-    point: EnuVector
+    point: tuple[float, float]
     contributors: tuple[tuple[int, int, int, int], ...]
 
 
@@ -134,26 +131,6 @@ def line_crossing(p: tuple[float, float, float],
     return (p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det
 
 
-def intersect_lines(a: CenterLine, b: CenterLine) -> EnuVector | None:
-    """Intersection point of two center lines (:func:`line_crossing` of their
-    normal forms), or ``None`` when they do not cross.
-
-    Raises :class:`GeometryError`, naming both lines, when they cross
-    farther out than a double can hold.
-    """
-    if a.space is not b.space:
-        raise ValueError("cannot intersect lines from different spaces")
-    point = line_crossing((*a.normal, a.constant), (*b.normal, b.constant))
-    if point is None:
-        return None
-    if not all(map(math.isfinite, point)):
-        raise GeometryError(
-            f"{a.space.value}-space center lines of PRN {a.source[0]} path {a.source[1]} and"
-            f" PRN {b.source[0]} path {b.source[1]} cross beyond a double"
-        )
-    return EnuVector(*point, 0.0)
-
-
 def case_bound(radii: Sequence[float]) -> ErrorBound:
     """Position-space (code-triangle) radial-error bound for per-satellite radii (one path each).
 
@@ -183,30 +160,37 @@ def case_bound(radii: Sequence[float]) -> ErrorBound:
 def enumerate_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
     """All cross-satellite intersection points among the given center lines.
 
-    Pairs are taken in line order.  Same-satellite pairs share an azimuth
-    and are skipped, and cross-satellite pairs that do not cross are
-    excluded.  A crossing within EPS_MERGE of an earlier record's point
-    joins the first such record as one more contributor.  The records are
-    looked up by merge cell, so the cost is linear in the crossings.
+    Pairs are taken in line order; each pair's crossing is the
+    :func:`line_crossing` of the two lines' forms.  Same-satellite pairs
+    share an azimuth and are skipped, and cross-satellite pairs that do not
+    cross are excluded.  A crossing within EPS_MERGE of an earlier record's
+    point joins the first such record as one more contributor.  The records
+    are looked up by merge cell, so the cost is linear in the crossings.
+    Raises :class:`GeometryError`, naming both lines, when two cross
+    farther out than a double can hold.
     """
     if len({ln.space for ln in lines}) > 1:
         raise ValueError("lines must share one space")
     found: list[BiasResult] = []
     cells: dict[tuple[int, int], list[int]] = {}  # indices into found, by their point's cell
-    for a, b in itertools.combinations(lines, 2):
+    for (a, p), (b, q) in itertools.combinations([(ln, ln.form) for ln in lines], 2):
         if a.source[0] == b.source[0]:
             continue
-        point = intersect_lines(a, b)
+        point = line_crossing(p, q)
         if point is None:
             continue
+        if not all(map(math.isfinite, point)):
+            raise GeometryError(
+                f"{a.space.value}-space center lines of PRN {a.source[0]} path {a.source[1]} and"
+                f" PRN {b.source[0]} path {b.source[1]} cross beyond a double"
+            )
         pair = (*a.source, *b.source)
         # cells of side 2 * EPS_MERGE, so a point within EPS_MERGE lies in a
         # neighbouring cell; clamped, so that far points share the end cells
-        ce, cn = (math.floor(min(max(x / (2 * EPS_MERGE), -2.0**62), 2.0**62))
-                  for x in (point.e, point.n))
+        ce, cn = (math.floor(min(max(x / (2 * EPS_MERGE), -2.0**62), 2.0**62)) for x in point)
         k = min((k for de in (-1, 0, 1) for dn in (-1, 0, 1)
                  for k in cells.get((ce + de, cn + dn), ())
-                 if math.hypot(point.e - found[k].point.e, point.n - found[k].point.n) <= EPS_MERGE),
+                 if math.dist(point, found[k].point) <= EPS_MERGE),
                 default=None)
         if k is None:
             cells.setdefault((ce, cn), []).append(len(found))

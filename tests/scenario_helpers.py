@@ -21,7 +21,7 @@ from dpe_multipath.geom import (EcefVector, EnuVector, LookAngles, _enu_rotation
 from dpe_multipath.gridtext import _ascii_words
 from dpe_multipath.model import Columns, Grid2D, Scenario, SignalConfig, Space
 from dpe_multipath.scmb import (EPS_MERGE, BiasResult, CenterLine, center_lines,
-                                enumerate_intersections, intersect_lines)
+                                enumerate_intersections, line_crossing)
 from dpe_multipath.tables import ResultTable, _csv_cell
 
 BUNDLED = ("table1", "case1", "case2", "case3", "table6")
@@ -97,23 +97,23 @@ def tuple_row_text(columns: Sequence[str], rows: Sequence[tuple], note: str, fmt
 def scan_intersections(lines: Sequence[CenterLine]) -> list[BiasResult]:
     """``scmb.enumerate_intersections`` by a scan: each crossing is checked
     against every earlier record's point in order, so the cost is quadratic.
-    Crossings come from ``scmb.intersect_lines`` as looked up at call time."""
+    Crossings come from ``scmb.line_crossing`` of the lines' forms, as looked
+    up at call time."""
     found: list[BiasResult] = []
-    points: list[tuple[float, float]] = []  # (e, n) of found[k].point
     for a, b in itertools.combinations(lines, 2):
         if a.source[0] == b.source[0]:
             continue
-        point = scmb.intersect_lines(a, b)
+        point = scmb.line_crossing(a.form, b.form)
         if point is None:
             continue
         pair = (*a.source, *b.source)
-        e, n = point.e, point.n
-        for k, (pe, pn) in enumerate(points):
+        e, n = point
+        for k, res in enumerate(found):
+            pe, pn = res.point
             if math.hypot(e - pe, n - pn) <= EPS_MERGE:
-                found[k] = replace(found[k], contributors=(*found[k].contributors, pair))
+                found[k] = replace(res, contributors=(*res.contributors, pair))
                 break
         else:
-            points.append((e, n))
             found.append(BiasResult(fold_azimuth_separation(a.azimuth, b.azimuth), point, (pair,)))
     return found
 
@@ -153,25 +153,26 @@ def grid_values(grid) -> np.ndarray:
     return np.concatenate([block.copy() for block in grid.blocks])
 
 
-def tangent_point(line: CenterLine) -> EnuVector:
-    """Foot of the perpendicular from the truth point to ``line`` (the tangency point)."""
-    ne, nn = line.normal
-    return EnuVector(line.constant * ne, line.constant * nn, 0.0)
+def tangent_point(line: CenterLine) -> tuple[float, float]:
+    """Foot ``(e, n)`` of the perpendicular from the truth point to ``line``
+    (the tangency point)."""
+    a, b, c = line.form
+    return c * a, c * b
 
 
 def pair_radial_error(rho_i: float, rho_j: float, theta_i: float, theta_j: float,
                       space: Space = Space.POSITION) -> float:
     """Radial error of the crossing of two satellites' center lines with radii
     ``rho_i``, ``rho_j`` and azimuths ``theta_i``, ``theta_j``, solved by
-    ``scmb.intersect_lines``; the lines must cross.
+    ``scmb.line_crossing`` of their forms; the lines must cross.
 
     In closed form it is sqrt(rho_i**2 + rho_j**2 - 2*rho_i*rho_j*cos(dt)) /
     sin(dt), with dt the folded azimuth separation.
     """
-    point = intersect_lines(CenterLine(space, theta_i, rho_i, (0, 0)),
-                            CenterLine(space, theta_j, rho_j, (1, 0)))
+    point = line_crossing(CenterLine(space, theta_i, rho_i, (0, 0)).form,
+                          CenterLine(space, theta_j, rho_j, (1, 0)).form)
     assert point is not None, "the lines do not cross"
-    return point.horizontal_norm()
+    return math.hypot(*point)
 
 
 def count_intersections(path_counts: Sequence[int]) -> int:
@@ -187,14 +188,14 @@ def fixture_with(name: str, mutate) -> dict:
     return raw
 
 
-def grid_argmax(grid: Grid2D) -> tuple[EnuVector, float]:
+def grid_argmax(grid: Grid2D) -> tuple[tuple[float, float], float]:
     """Locate the maximum of a grid, drawing its blocks once, each read
     before the next is drawn (a block is valid only until then).
 
     Exact value ties resolve to the smallest offset norm, then to the
-    lexicographically smallest (row, col).  Returns the winning offset (the
-    ``u`` component is always 0) and the peak value.  Raises ``ValueError``
-    when the grid holds a NaN or an infinity.
+    lexicographically smallest (row, col).  Returns the winning offset
+    ``(e, n)`` and the peak value.  Raises ``ValueError`` when the grid holds
+    a NaN or an infinity.
     """
     fold = _ArgmaxFold(grid.spec)
     for block in grid.blocks:
@@ -235,8 +236,7 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Res
     candidates = [("truth", (0, 0, 0, 0), 0.0, 0.0, 0.0)]
     for res in points:
         candidates.append(
-            ("intersection", res.contributors[0], math.degrees(res.delta_theta), res.point.e,
-             res.point.n)
+            ("intersection", res.contributors[0], math.degrees(res.delta_theta), *res.point)
         )
     scored = [
         (kind, pair, dth, e, n, caf_value_at(scenario, space, e, n))
@@ -244,7 +244,7 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Res
     ]
     best = max(scored, key=lambda r: (r[5], -math.hypot(r[3], r[4])))
     offset, peak = grid_argmax(scenario_caf(scenario, space))
-    gap = math.hypot(offset.e - best[3], offset.n - best[4])
+    gap = math.dist(offset, best[3:5])
     rows = []
     for entry in scored:
         kind, pair, dth, e, n, value = entry
@@ -265,8 +265,8 @@ def run_oracle_compare(scenario: Scenario, space: Space = Space.POSITION) -> Res
         rows=tuple(rows),
         summary={
             "space": space.value,
-            "argmax_e": offset.e,
-            "argmax_n": offset.n,
+            "argmax_e": offset[0],
+            "argmax_n": offset[1],
             "argmax_peak": peak,
             "best_e": best[3],
             "best_n": best[4],

@@ -255,7 +255,7 @@ class TestGrids:
         )
         offset, peak = grid_argmax(scenario_caf(s, Space.POSITION))
         # frozen analytic intersection of the two center lines
-        assert math.hypot(offset.e - 43.20007108796537, offset.n - 19.143636458314802) <= 1.5
+        assert math.dist(offset, (43.20007108796537, 19.143636458314802)) <= 1.5
         assert peak > 1.9
 
     def test_velocity_space_peak(self):
@@ -287,7 +287,7 @@ class TestGrids:
             (row, (0.0, 4.0)),  # ties along one row
         ):
             offset, peak = grid_argmax(Grid2D(spec, (values,)))
-            assert (offset.e, offset.n, peak) == (*winner, values.max())
+            assert (*offset, peak) == (*winner, values.max())
 
     def test_argmax_holds_one_block_of_ties(self):
         # a flat 1001^2 grid ties every cell: beyond the grid, the argmax holds
@@ -301,7 +301,7 @@ class TestGrids:
             _, held = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (offset.e, offset.n, peak) == (0.0, 0.0, 0.0)
+        assert (*offset, peak) == (0.0, 0.0, 0.0)
         assert held < 2**20
 
     @pytest.mark.parametrize("cells", [

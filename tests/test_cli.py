@@ -440,8 +440,11 @@ class TestArrayTable:
 # Integer columns about the kernel's limits: it spells an integer below 1e6
 # in magnitude as the float it equals, and ``_csv_cell`` spells the rest.  An
 # integer field takes two words up to 14 digits and a sign, three beyond.
-# Each list's length is prime to the 3072 rows of a CSV part, so a row's record
-# holds a short integer in one part and a long one in another.
+# With two float columns, a CSV part holds 2,709 rows of records with a
+# two-word integer and 2,322 with a three-word one.  The three-word lists,
+# where a long integer's third word must not outlive its part, have lengths
+# prime to 2,322, so a row's record holds a short integer in one part and a
+# long one in another.
 EDGE_INTS = {
     "below-1e6": [0, 1, -1, 9, 10, 999, 1000, -1000, 100000, 999999, -999999],
     "at-1e6": [0, 7, -12, 1000000, -1000000, 1000001, 123456789],
@@ -487,6 +490,29 @@ class TestColumnTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_csv_parts_keep_to_the_block_budget(self, monkeypatch):
+        # every record buffer of a CSV part, of a grid or a column table, is
+        # at most _CSV_BLOCK_BYTES, under glibc's 128 KiB mmap threshold
+        sizes = []
+
+        def recorded(size):
+            sizes.append(size)
+            return bytearray(size)
+
+        monkeypatch.setattr(gridtext, "bytearray", recorded, raising=False)
+        for spec in (GridSpec(Space.POSITION, 100.0, 1.0), GridSpec(Space.VELOCITY, 100.0, 0.2),
+                     GridSpec(Space.VELOCITY, 100.0, 0.1)):
+            blocks = (np.zeros((min(8, spec.n - lo), spec.n)) for lo in range(0, spec.n, 8))
+            for _ in gridtext._csv_grid_texts(Grid2D(spec, blocks)):
+                pass
+        trials = mc.run_random_azimuth_mc(60.0, 40.0, 10_000, 1).rows
+        x = np.linspace(-1.0, 1.0, 10_000)
+        for columns in (trials, Columns((np.full(x.size, 10**14), x, x))):
+            for _ in gridtext._csv_column_texts(columns):
+                pass
+        assert len(sizes) == 5
+        assert max(sizes) <= gridtext._CSV_BLOCK_BYTES, sizes
 
 
 class TestDigitWords:

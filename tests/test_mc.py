@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,17 @@ class TestCaseStudies:
         for space, _, _, _, _, analytic, simulated, in_window in rep.rows:
             if in_window:
                 assert abs(simulated - analytic) <= 1.5 * step[space]
+
+    def test_ridge_fits_have_unit_normals(self):
+        # line_crossing's determinant is |sin| of the azimuth separation, the
+        # quantity EPS_PARALLEL bounds, only for unit normals
+        fits = [caf.ridge_line(s.grid_for(space), ch, s.signal, Counter())[0]
+                for case in EXPECTED_CASE_BIAS
+                for s in [load_scenario(_bundled_scenario(f"{case}.scenario"))]
+                for space in Space for ch in s.satellites]
+        assert len(fits) == 28
+        for a, b, _ in fits:
+            assert abs(math.hypot(a, b) - 1.0) <= 2.0**-51
 
     def test_requires_single_path_channels(self):
         base = load_scenario("table1.scenario")

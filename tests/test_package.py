@@ -140,7 +140,7 @@ MEMORY_PEAKS = {
     "caf-velocity": (["caf", "--space", "velocity", "--scenario", "caf-velocity.scenario"],
                      908_568),
     "montecarlo-1m": (["montecarlo", "--trials", "1000000"], 40_228_904),
-    "intersect-sky": (["intersect", "--scenario", "sky.scenario"], 1_096_157),
+    "intersect-sky": (["intersect", "--scenario", "sky.scenario"], 1_065_025),
 }
 MEMORY_MARGIN = 1.02
 

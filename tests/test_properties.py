@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpe_multipath.caf import _scanline_readout, scenario_caf
-from dpe_multipath.geom import EnuVector, LookAngles, fold_azimuth_separation
+from dpe_multipath.geom import LookAngles, fold_azimuth_separation
 from dpe_multipath.mc import pair_error_curve, run_random_azimuth_mc
 from dpe_multipath.model import (
     Grid2D,
@@ -31,7 +31,7 @@ from dpe_multipath.scmb import (
     CenterLine,
     center_lines,
     enumerate_intersections,
-    intersect_lines,
+    line_crossing,
 )
 from scenario_helpers import (
     authored_receiver,
@@ -68,18 +68,25 @@ class TestTangency:
     @settings(max_examples=300, **D)
     def test_tangent_point_distance_equals_radius(self, az, offset):
         ln = CenterLine(Space.POSITION, az, offset)
-        t = tangent_point(ln)
-        assert t.horizontal_norm() == pytest.approx(ln.radius, rel=1e-9, abs=1e-9)
+        assert math.hypot(*tangent_point(ln)) == pytest.approx(ln.radius, rel=1e-9, abs=1e-9)
 
     @given(azimuths, st.floats(-100.0, 100.0), st.floats(-200.0, 200.0))
     @settings(max_examples=300, **D)
     def test_tangent_point_is_closest_point_of_line(self, az, offset, along):
         # any other point of the line is farther from the truth point
         ln = CenterLine(Space.POSITION, az, offset)
-        t = tangent_point(ln)
-        ne, nn = ln.normal
-        other = (t.e + along * nn, t.n - along * ne)  # move along the line direction
+        e, n = tangent_point(ln)
+        a, b, _ = ln.form
+        other = (e + along * b, n - along * a)  # move along the line direction
         assert math.hypot(*other) >= ln.radius - 1e-9
+
+    @given(azimuths, st.floats(-1e300, 1e300))
+    @settings(max_examples=1000, **D)
+    def test_form_has_a_unit_normal(self, az, offset):
+        # line_crossing's determinant is |sin| of the azimuth separation, the
+        # quantity EPS_PARALLEL bounds, only for unit normals
+        a, b, _ = CenterLine(Space.POSITION, az, offset).form
+        assert abs(math.hypot(a, b) - 1.0) <= 2.0**-51
 
 
 class TestRadialErrorFloor:
@@ -121,8 +128,7 @@ class TestClosedFormReductions:
         # closed form; the intersection sits chord / sin(separation) out
         li = CenterLine(Space.POSITION, base, ri)
         lj = CenterLine(Space.POSITION, base + sep, rj)
-        a, b = tangent_point(li), tangent_point(lj)
-        chord = math.hypot(a.e - b.e, a.n - b.n)
+        chord = math.dist(tangent_point(li), tangent_point(lj))
         expect = math.sqrt(ri * ri + rj * rj - 2.0 * ri * rj * math.cos(sep))
         assert chord == pytest.approx(expect, rel=1e-12, abs=1e-12)
         dr = pair_radial_error(ri, rj, base, base + sep)
@@ -173,7 +179,7 @@ class TestAllLosTruth:
         s = Scenario(satellites=sats)
         for space in (Space.POSITION, Space.VELOCITY):
             offset, peak = grid_argmax(scenario_caf(s, space))
-            assert (offset.e, offset.n) == (0.0, 0.0)
+            assert offset == (0.0, 0.0)
             assert peak == pytest.approx(float(count), rel=1e-12)
 
 
@@ -231,7 +237,7 @@ class TestArgmaxFold:
                 grid_argmax(Grid2D(spec, iter(np.split(values, cuts))))
             return
         offset, peak = grid_argmax(Grid2D(spec, iter(np.split(values, cuts))))
-        assert (offset.e, offset.n, peak) == expected
+        assert (*offset, peak) == expected
 
 
 class TestIntersectionCount:
@@ -268,7 +274,7 @@ class TestIntersectionCount:
             assert count_intersections(counts) == brute
 
 
-def random_two_satellite_scenario(rng) -> tuple[Scenario, EnuVector]:
+def random_two_satellite_scenario(rng) -> tuple[Scenario, tuple[float, float]]:
     """Noiseless two-satellite scenario whose biased argmax is analytic.
 
     Radii <= 20 m and separations in [60, 120] deg keep the line intersection
@@ -295,7 +301,7 @@ def random_two_satellite_scenario(rng) -> tuple[Scenario, EnuVector]:
             )
         )
     scenario = Scenario(satellites=tuple(sats))
-    expected = intersect_lines(*center_lines(scenario, Space.POSITION))
+    expected = line_crossing(*(ln.form for ln in center_lines(scenario, Space.POSITION)))
     return scenario, expected
 
 
@@ -306,7 +312,7 @@ class TestArgmaxMatchesAnalytic:
         for _ in range(50):
             scenario, expected = random_two_satellite_scenario(rng)
             offset, peak = grid_argmax(scenario_caf(scenario, Space.POSITION))
-            assert math.hypot(offset.e - expected.e, offset.n - expected.n) <= step + 1e-9
+            assert math.dist(offset, expected) <= step + 1e-9
             assert peak == pytest.approx(2.0, abs=0.15)
             rep = run_oracle_compare(scenario)
             assert rep.summary["argmax_within_one_step"]

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpe_multipath import scmb
-from dpe_multipath.geom import (EPS_ZENITH, EnuVector, GeometryError, LookAngles,
-                                fold_azimuth_separation)
+from dpe_multipath.geom import EPS_ZENITH, GeometryError, LookAngles, fold_azimuth_separation
 from dpe_multipath.cli import load_scenario
 from dpe_multipath.model import RIDGE_OFFSET_SIGN, Space
 from dpe_multipath.scmb import (
@@ -19,7 +18,7 @@ from dpe_multipath.scmb import (
     case_bound,
     center_lines,
     enumerate_intersections,
-    intersect_lines,
+    line_crossing,
     project_bias,
 )
 from scenario_helpers import (
@@ -109,18 +108,18 @@ class TestProjection:
 class TestCenterLine:
     def test_tangency(self):
         ln = CenterLine(Space.POSITION, math.radians(213.8), 39.94)
-        t = tangent_point(ln)
-        assert t.horizontal_norm() == pytest.approx(ln.radius, rel=1e-9)
-        ne, nn = ln.normal
-        assert ne * t.e + nn * t.n == pytest.approx(ln.constant, rel=1e-12)
+        e, n = tangent_point(ln)
+        assert math.hypot(e, n) == pytest.approx(ln.radius, rel=1e-9)
+        a, b, c = ln.form
+        assert a * e + b * n == pytest.approx(c, rel=1e-12)
 
     def test_offset_side_convention(self):
         # positive projected bias puts the tangent point on the opposite side
         # of the truth point from the satellite azimuth
         az = math.radians(45.0)
         ln = CenterLine(Space.POSITION, az, 10.0)
-        t = tangent_point(ln)
-        along = math.sin(az) * t.e + math.cos(az) * t.n
+        e, n = tangent_point(ln)
+        along = math.sin(az) * e + math.cos(az) * n
         assert along == pytest.approx(RIDGE_OFFSET_SIGN * 10.0, rel=1e-12)
         assert along < 0.0
 
@@ -176,8 +175,7 @@ class TestPairBias:
         tj = ti + math.radians(sep_deg)
         li = CenterLine(Space.POSITION, ti, ri)
         lj = CenterLine(Space.POSITION, tj, rj)
-        a, b = tangent_point(li), tangent_point(lj)
-        chord = math.hypot(a.e - b.e, a.n - b.n)
+        chord = math.dist(tangent_point(li), tangent_point(lj))
         dth = fold_azimuth_separation(ti, tj)
         assert chord == pytest.approx(
             math.sqrt(ri * ri + rj * rj - 2.0 * ri * rj * math.cos(dth)),
@@ -190,30 +188,24 @@ class TestPairBias:
     def test_point_lies_on_both_lines(self):
         li = CenterLine(Space.POSITION, math.radians(213.8), 39.94)
         lj = CenterLine(Space.POSITION, math.radians(336.1), 0.0)
-        p = intersect_lines(li, lj)
+        e, n = line_crossing(li.form, lj.form)
         for ln in (li, lj):
-            ne, nn = ln.normal
-            assert ne * p.e + nn * p.n == pytest.approx(ln.constant, abs=1e-9)
+            a, b, c = ln.form
+            assert a * e + b * n == pytest.approx(c, abs=1e-9)
 
     def test_parallel_lines_do_not_cross(self):
         li = CenterLine(Space.POSITION, 0.0, 10.0)
         for az in (0.0, math.pi):
-            assert intersect_lines(li, CenterLine(Space.POSITION, az, 20.0)) is None
-        assert intersect_lines(CenterLine(Space.POSITION, 0.3, 10.0),
-                               CenterLine(Space.POSITION, 0.3 + math.pi, 20.0)) is None
+            assert line_crossing(li.form, CenterLine(Space.POSITION, az, 20.0).form) is None
+        assert line_crossing(CenterLine(Space.POSITION, 0.3, 10.0).form,
+                             CenterLine(Space.POSITION, 0.3 + math.pi, 20.0).form) is None
 
     def test_crossing_beyond_a_double_names_both_lines(self):
         li = CenterLine(Space.VELOCITY, 0.0, 1e306, (3, 1))
         lj = CenterLine(Space.VELOCITY, 0.01, -1e306, (5, 0))
         with pytest.raises(GeometryError, match="^velocity-space center lines of PRN 3 path 1"
                            " and PRN 5 path 0 cross beyond a double$"):
-            intersect_lines(li, lj)
-
-    def test_cross_space_intersections_rejected(self):
-        with pytest.raises(ValueError):
-            intersect_lines(
-                CenterLine(Space.POSITION, 0.0, 1.0), CenterLine(Space.VELOCITY, 1.0, 1.0)
-            )
+            enumerate_intersections([li, lj])
 
     def test_velocity_twin(self):
         dr = pair_radial_error(41.78, 0.0, math.radians(213.8), math.radians(336.1),
@@ -368,7 +360,7 @@ class TestEnumeration:
         found = enumerate_intersections(center_lines(s, Space.POSITION))
         assert len(found) == 1
         assert len(found[0].contributors) == 6
-        assert found[0].point.horizontal_norm() == pytest.approx(0.0, abs=1e-12)
+        assert math.hypot(*found[0].point) == pytest.approx(0.0, abs=1e-12)
 
     def test_merge_tolerance_respected(self):
         # crossings within EPS_MERGE (1e-6) merge; 1.4e-4 apart they stay three
@@ -390,13 +382,9 @@ class TestEnumeration:
         # one line per satellite, each pair crossing where the draw puts it
         m = next(m for m in itertools.count(2) if m * (m - 1) // 2 == len(crossings))
         lines = [CenterLine(Space.POSITION, 0.1 * k, 0.0, (k, 0)) for k in range(m)]
-        at = dict(zip(itertools.combinations(range(m), 2), crossings))
+        at = dict(zip(itertools.combinations([ln.form for ln in lines], 2), crossings))
 
-        def scripted(a, b):
-            point = at[a.source[0], b.source[0]]
-            return None if point is None else EnuVector(*point, 0.0)
-
-        with mock.patch.object(scmb, "intersect_lines", scripted):
+        with mock.patch.object(scmb, "line_crossing", lambda p, q: at[p, q]):
             found, scanned = enumerate_intersections(lines), scan_intersections(lines)
         assert repr(found) == repr(scanned)
 
